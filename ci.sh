@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (build + full gtest suite via ctest),
-# the declarative experiment-API gates (spec round-trip + legacy parity
-# via run_experiment), the sweep-engine equivalence/speedup bench, the
-# Monte-Carlo engine bench, the sharded sweep demo (contiguous AND
-# pilot-cost-balanced splits), the figure/ablation grid benches (all in
-# smoke mode), and the micro benches with a minimal measurement budget.
+# the declarative experiment-API gates (spec round-trip + parity
+# cross-checks via run_experiment), the sweep-engine equivalence/speedup
+# bench, the Monte-Carlo engine bench, the sharded sweep demo
+# (contiguous AND pilot-cost-balanced splits), the figure/ablation grid
+# benches (all in smoke mode), the micro benches with a minimal
+# measurement budget, and the UBSan, ASan+LSan and TSan test builds.
 # Leaves the BENCH_*.json artifacts in build/ for the workflow to
 # archive.
 set -euo pipefail
@@ -20,10 +21,11 @@ cmake --build build -j"${JOBS}"
 # --- Experiment-API gate: emit the fig2 validation spec as a JSON
 # file, execute it end-to-end through run_experiment, and require
 #   * the spec file to round-trip BYTE-FOR-BYTE through parse +
-#     re-serialisation (the wire format must be canonical), and
-#   * the service answers to match the legacy entry points
-#     (SweepEngine::run / run_mc): analytic within 1e-12 (in practice
-#     exactly) and Monte-Carlo accumulator states bitwise under CRN.
+#     re-serialisation (the wire format must be canonical),
+#   * the batched analytic answer to match the scalar batch=1 path
+#     within 1e-12 (in practice exactly), and
+#   * a re-parsed-spec rerun and an identity-schedule rerun to
+#     reproduce the canonical result bytes.
 # Non-zero exit on any divergence.
 (
   cd build
@@ -33,11 +35,11 @@ cmake --build build -j"${JOBS}"
 )
 
 # --- Scenario-model gate: the pluggable detector/attacker grids run
-# end-to-end from their spec files.  The legacy-parity sections skip
-# themselves (the pre-plugin engine cannot express these models); the
-# plugin-path check still gates that a re-parsed spec reruns to
-# CANONICALLY IDENTICAL bytes, and --round-trip-check that the model
-# descriptors serialise canonically.  rare_event additionally exercises
+# end-to-end from their spec files.  The plugin-path check gates that a
+# re-parsed spec reruns to CANONICALLY IDENTICAL bytes, and
+# --round-trip-check that the model descriptors serialise canonically;
+# presets with a constant-model analytic backend also get the scalar
+# batch=1 cross-check, and protocol presets the bare-engine rerun.  rare_event additionally exercises
 # the spec.mc.vr round-trip and the vr-neutral parity gate (stripping
 # the vr block must leave the DES mc payload bitwise), val_protocol_ci
 # the CI-targeted pair-averaged stopping on the protocol backend.
@@ -174,5 +176,31 @@ cmake -B build-ubsan -S . \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build build-ubsan -j"${JOBS}" --target midas_tests
 ./build-ubsan/midas_tests
+
+# --- ASan+LSan build-and-test: out-of-bounds spans over arena scratch,
+# use-after-free across the fleet's lease/transport lifetimes, and
+# leaks all abort the run (LeakSanitizer is on by default with ASan).
+# The full gtest binary runs once.
+cmake -B build-asan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
+cmake --build build-asan -j"${JOBS}" --target midas_tests
+./build-asan/midas_tests
+
+# --- TSan build-and-test: the suites that run work on several threads
+# — the in-memory fleet and its lease table, the Monte-Carlo engine,
+# voting-table construction, the sweep engine and batched solver at
+# several thread counts, and the vr thread-count invariance test.  Any
+# report fails the run (halt_on_error), so a shared global written from
+# worker threads (like glibc's signgam behind std::lgamma) cannot
+# creep back in.
+cmake -B build-tsan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build build-tsan -j"${JOBS}" --target midas_tests
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/midas_tests \
+  --gtest_filter='Fleet.*:LeaseTable.*:McEngine.*:Voting*.*:SweepEngine.*:SolverBatch.*:GridRun.BitwiseIdenticalAcrossThreadCounts:VrEngine.PayloadsAreBitwiseAcrossThreadCounts'
 
 echo "ci.sh: all checks passed"

@@ -1,18 +1,17 @@
 // Quickstart: build the paper's GCS+IDS model at the Section 5 default
 // parameters, solve it, sweep the detection interval to find the
-// optimal TIDS — the paper's headline exercise — cross-validate a sweep
-// point by CI-bounded Monte-Carlo simulation, answer a
+// optimal TIDS — the paper's headline exercise — then cross-validate the
+// optimum by CI-bounded Monte-Carlo simulation and answer a
 // multi-dimensional (m × TIDS) design grid analytically + by simulation,
-// and run the same design question as ONE declarative ExperimentSpec
-// through core::ExperimentService (the JSON-serialisable API every
-// bench and tool speaks), all in ~120 lines.
+// both as declarative ExperimentSpecs run through
+// core::ExperimentService (the JSON-serialisable API every bench and
+// tool speaks), all in ~120 lines.
 #include <cstdio>
 #include <iostream>
 
 #include "core/experiment.h"
 #include "core/gcs_spn_model.h"
 #include "core/optimizer.h"
-#include "core/sweep_engine.h"
 #include "util/table.h"
 
 int main() {
@@ -52,51 +51,34 @@ int main() {
   std::printf("optimal TIDS for Ctotal: %.0f s (Ctotal = %.3e)\n",
               sweep.best_ctotal().t_ids, sweep.best_ctotal().eval.ctotal);
 
-  // 4. Validate the optimum by simulation: sweep_mc answers a grid
-  //    analytically AND by CRN-batched Monte-Carlo with CI-targeted
-  //    stopping, from one call.
-  const std::vector<double> check_grid{sweep.best_mttsf().t_ids};
-  sim::McOptions mc;
-  mc.rel_ci_target = 0.10;  // stop at a 10% relative 95% CI
-  core::SweepEngine engine;
-  const auto validated = engine.sweep_mc(params, check_grid, mc);
-  const auto& v = validated.points.front();
+  // 4. Validate the optimum by simulation: a one-point ExperimentSpec
+  //    answered by core::ExperimentService analytically AND by
+  //    CRN-batched Monte-Carlo with CI-targeted stopping, from one call.
+  core::ExperimentService service;
+  core::ExperimentSpec check;
+  check.name = "quickstart_check";
+  check.base = params;
+  check.base.t_ids = sweep.best_mttsf().t_ids;
+  check.backends = {core::BackendKind::Analytic, core::BackendKind::Des};
+  check.mc.rel_ci_target = 0.10;  // stop at a 10% relative 95% CI
+  const auto validated = service.run(check);
+  const auto& v_eval = validated.at(core::BackendKind::Analytic).evals[0];
+  const auto& v_mc = validated.at(core::BackendKind::Des).mc[0];
   std::printf("\nsimulation check at TIDS = %.0f s: MTTSF = %.3e ± %.1e "
               "(%zu replications, analytic %s the 95%% CI)\n",
-              v.t_ids, v.mc.ttsf.mean, v.mc.ttsf.ci_half_width,
-              v.mc.replications,
-              v.mc.ttsf.contains(v.eval.mttsf) ? "inside" : "OUTSIDE");
+              check.base.t_ids, v_mc.ttsf.mean, v_mc.ttsf.ci_half_width,
+              v_mc.replications,
+              v_mc.ttsf.contains(v_eval.mttsf) ? "inside" : "OUTSIDE");
 
   // 5. The design space is multi-dimensional — answer a named-axis
-  //    (m × TIDS) grid analytically and by CI-bounded simulation in one
-  //    call.  One structure exploration serves every point; the
-  //    Monte-Carlo substreams are keyed by replication only (CRN), with
-  //    antithetic pairs layered on top, so contrasts along BOTH axes
-  //    are variance-reduced.  (run_mc is a deprecated thin wrapper kept
-  //    for exactly this kind of inline use — new code should prefer the
-  //    declarative service in step 6.)
-  core::GridSpec spec;
-  spec.num_voters({3, 9}).t_ids({60.0, 480.0});
-  sim::McOptions grid_mc;
-  grid_mc.rel_ci_target = 0.05;
-  grid_mc.antithetic = true;
-  grid_mc.base_seed = 0xFACADE;
-  const auto grid_run = engine.run_mc(spec, params, grid_mc);
-  std::printf("\ngrid run (m x TIDS), analytic vs simulation:\n");
-  for (std::size_t i = 0; i < grid_run.points.size(); ++i) {
-    const auto& pt = grid_run.points[i];
-    std::printf("  %-22s MTTSF %.3e | sim %.3e ± %.1e (%s)\n",
-                grid_run.spec.label(i).c_str(), pt.eval.mttsf,
-                pt.mc.ttsf.mean, pt.mc.ttsf.ci_half_width,
-                pt.mc.ttsf.contains(pt.eval.mttsf) ? "inside CI"
-                                                   : "OUTSIDE CI");
-  }
-
-  // 6. The same question as ONE declarative experiment: a JSON-
+  //    (m × TIDS) grid as ONE declarative experiment: a JSON-
   //    serialisable ExperimentSpec (base parameters, named axes,
-  //    backend selection, Monte-Carlo schedule) answered by
-  //    core::ExperimentService — the API behind every figure bench,
-  //    the run_experiment CLI and the sweep_shard/sweep_merge fleet.
+  //    backend selection, Monte-Carlo schedule) answered by the same
+  //    service — the API behind every figure bench, the run_experiment
+  //    CLI and the sweep_shard/sweep_merge fleet.  One structure
+  //    exploration serves every point; the Monte-Carlo substreams are
+  //    keyed by replication only (CRN), with antithetic pairs layered
+  //    on top, so contrasts along BOTH axes are variance-reduced.
   core::ExperimentSpec request;
   request.name = "quickstart";
   request.base = params;
@@ -108,17 +90,20 @@ int main() {
   t_axis.values = {60.0, 480.0};
   request.axes = {m_axis, t_axis};
   request.backends = {core::BackendKind::Analytic, core::BackendKind::Des};
-  request.mc = grid_mc;
+  request.mc.rel_ci_target = 0.05;
+  request.mc.antithetic = true;
+  request.mc.base_seed = 0xFACADE;
 
-  core::ExperimentService service;
   const auto result = service.run(request);
   const auto& evals = result.at(core::BackendKind::Analytic).evals;
   const auto& des = result.at(core::BackendKind::Des);
-  std::printf("\nexperiment service run (same spec as JSON wire format):\n");
+  std::printf("\ngrid run (m x TIDS), analytic vs simulation:\n");
   for (std::size_t i = 0; i < evals.size(); ++i) {
-    std::printf("  %-22s MTTSF %.3e | sim %.3e ± %.1e\n",
+    std::printf("  %-22s MTTSF %.3e | sim %.3e ± %.1e (%s)\n",
                 request.grid().label(i).c_str(), evals[i].mttsf,
-                des.mc[i].ttsf.mean, des.mc[i].ttsf.ci_half_width);
+                des.mc[i].ttsf.mean, des.mc[i].ttsf.ci_half_width,
+                des.mc[i].ttsf.contains(evals[i].mttsf) ? "inside CI"
+                                                        : "OUTSIDE CI");
   }
   std::printf("\nspec serialises to %zu bytes of JSON "
               "(ExperimentSpec::to_json) — try tools/run_experiment\n",

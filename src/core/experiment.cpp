@@ -1201,7 +1201,7 @@ ExperimentSpec ExperimentSpec::from_json(const util::Json& j) {
   return spec;
 }
 
-// --- Result payload codecs (shared with the legacy shard files). ------
+// --- Result payload codecs. --------------------------------------------
 
 util::Json evaluation_to_json(const Evaluation& e) {
   auto j = util::Json::object();
@@ -1811,20 +1811,14 @@ class ProtocolSimBackend final : public Backend {
   std::size_t threads_;
 };
 
-SweepEngineOptions resolve_sweep_options(const ExperimentServiceOptions& o) {
-  SweepEngineOptions sweep = o.sweep;
-  if (sweep.threads == 0) sweep.threads = o.threads;
-  return sweep;
-}
-
 }  // namespace
 
 ExperimentService::ExperimentService(ExperimentServiceOptions opts)
-    : opts_(opts), engine_(resolve_sweep_options(opts)) {
+    : engine_(opts.threads) {
   backends_.push_back(
-      std::make_unique<AnalyticBackend>(engine_, opts_.threads));
-  backends_.push_back(std::make_unique<DesBackend>(opts_.threads));
-  backends_.push_back(std::make_unique<ProtocolSimBackend>(opts_.threads));
+      std::make_unique<AnalyticBackend>(engine_, opts.threads));
+  backends_.push_back(std::make_unique<DesBackend>(opts.threads));
+  backends_.push_back(std::make_unique<ProtocolSimBackend>(opts.threads));
 }
 
 ExperimentService::~ExperimentService() = default;

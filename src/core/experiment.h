@@ -23,10 +23,9 @@
 //
 // Validation errors name the offending JSON path
 // ("spec.backends[1]: unknown backend 'foo'"), whether the spec came
-// from a file or was built in code.  The legacy SweepEngine entry
-// points (run / run_mc / run_shard / run_mc_shard / sweep_t_ids /
-// sweep_mc) remain as thin deprecated wrappers over the same engine
-// primitives this service drives.
+// from a file or was built in code.  This service is the only code
+// that runs, shards and recombines a grid; SweepEngine::evaluate is the
+// analytic primitive underneath it.
 #pragma once
 
 #include <cstddef>
@@ -104,11 +103,11 @@ struct ProtocolOptions {
 
 /// Knobs of the analytic (SPN) backend.
 struct AnalyticOptions {
-  /// Grid points per batched solve (SweepEngineOptions::batch): the
+  /// Grid points per batched solve (SweepEngine::evaluate's width): the
   /// analytic backend chunks same-structure points into batches of this
-  /// width and drives the point-major batch kernels.  1 = the legacy
-  /// scalar per-point path.  Results do not depend on the width.
-  std::size_t batch = 8;
+  /// width and drives the point-major batch kernels.  1 = the scalar
+  /// per-point path.  Results do not depend on the width.
+  std::size_t batch = kDefaultBatchWidth;
 };
 
 /// The declarative experiment request.  JSON schema "midas-experiment-v1":
@@ -157,7 +156,7 @@ struct ExperimentSpec {
   [[nodiscard]] static ExperimentSpec from_json(const util::Json& j);
 };
 
-// --- Shared JSON codecs (also used by the legacy shard files). --------
+// --- Shared JSON codecs. ------------------------------------------------
 [[nodiscard]] util::Json evaluation_to_json(const Evaluation& e);
 [[nodiscard]] Evaluation evaluation_from_json(const util::Json& j);
 [[nodiscard]] util::Json mc_point_to_json(const sim::McPointResult& r);
@@ -251,8 +250,6 @@ struct ExperimentServiceOptions {
   /// A non-zero spec.mc.threads takes precedence for the simulation
   /// backends of that request.
   std::size_t threads = 0;
-  /// Analytic engine tuning (cache cap, naive-path toggle).
-  SweepEngineOptions sweep;
 };
 
 /// The one entry point: run(spec) → ExperimentResult.  Holds the
@@ -268,15 +265,11 @@ class ExperimentService {
 
   [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec);
 
-  /// The analytic engine behind BackendKind::Analytic (stats, cache
-  /// control for long-lived workers).
+  /// The analytic engine behind BackendKind::Analytic (stats, and
+  /// structure warm-up before timed requests).
   [[nodiscard]] SweepEngine& sweep_engine() noexcept { return engine_; }
-  [[nodiscard]] const ExperimentServiceOptions& options() const noexcept {
-    return opts_;
-  }
 
  private:
-  ExperimentServiceOptions opts_;
   SweepEngine engine_;
   std::vector<std::unique_ptr<Backend>> backends_;
 };

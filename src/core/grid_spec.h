@@ -5,8 +5,8 @@
 // and only the innermost TIDS slice went through the batched engine.
 // GridSpec names the axes once and expands to the full cartesian set of
 // core::Params points (row-major, LAST axis fastest, exactly the order
-// handwritten nested loops produce), so core::SweepEngine::run /
-// run_mc can answer a whole figure — or the whole space — as one
+// handwritten nested loops produce), so one core::ExperimentService
+// request can answer a whole figure — or the whole space — as one
 // batched, CRN-correlated run: one structure exploration per structural
 // configuration, and Monte-Carlo substreams keyed by replication index
 // only, making contrasts along EVERY axis variance-reduced.
@@ -72,7 +72,8 @@ class GridSpec {
   /// level applied in declaration order.
   [[nodiscard]] Params point(const Params& base, std::size_t index) const;
 
-  /// All points in row-major order — what SweepEngine::run evaluates.
+  /// All points in row-major order — what ExperimentService::run
+  /// evaluates for an unsharded spec.
   [[nodiscard]] std::vector<Params> expand(const Params& base) const;
 
   /// Human/CSV label, e.g. "m=5, detection=linear, t_ids=120".

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "core/grid_spec.h"
+
 namespace midas::core {
 
 std::vector<double> paper_t_ids_grid() {
@@ -9,8 +11,17 @@ std::vector<double> paper_t_ids_grid() {
 }
 
 SweepResult sweep_t_ids(const Params& base, std::span<const double> grid) {
+  GridSpec spec;
+  spec.t_ids(std::vector<double>(grid.begin(), grid.end()));
   SweepEngine engine;
-  return engine.sweep_t_ids(base, grid);
+  const auto evals = engine.evaluate(spec.expand(base), kDefaultBatchWidth);
+
+  SweepResult result;
+  result.points.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    result.points.push_back({grid[i], evals[i]});
+  }
+  return result;
 }
 
 PolicyChoice optimize_policy(const Params& base,
@@ -32,7 +43,7 @@ PolicyChoice optimize_policy(const Params& base,
   }
 
   SweepEngine engine;
-  const auto evals = engine.evaluate(points);
+  const auto evals = engine.evaluate(points, kDefaultBatchWidth);
 
   PolicyChoice best;
   bool have_feasible = false;

@@ -60,7 +60,7 @@ std::vector<SensitivityEntry> sensitivity_analysis(
   }
 
   SweepEngine engine;
-  const auto evals = engine.evaluate(points);
+  const auto evals = engine.evaluate(points, kDefaultBatchWidth);
 
   std::vector<SensitivityEntry> out;
   out.reserve(probes.size());

@@ -4,28 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/experiment.h"
 #include "core/sweep_engine.h"
-#include "util/json.h"
 
 namespace midas::core {
-
-namespace {
-
-constexpr const char* kFormat = "midas-shard-v1";
-
-util::Json range_to_json(const ShardRange& r) {
-  auto j = util::Json::object();
-  j.set("begin", util::Json(static_cast<double>(r.begin)));
-  j.set("end", util::Json(static_cast<double>(r.end)));
-  return j;
-}
-
-ShardRange range_from_json(const util::Json& j) {
-  return {j.at("begin").as_size(), j.at("end").as_size()};
-}
-
-}  // namespace
 
 ShardPlan ShardPlan::contiguous(std::size_t num_points,
                                 std::size_t num_shards) {
@@ -256,58 +237,6 @@ const ShardRange& ShardPlan::range(std::size_t shard) const {
   return ranges_[shard];
 }
 
-void write_shard_json(const std::string& path, const ShardFile& file) {
-  auto j = util::Json::object();
-  j.set("format", util::Json(kFormat));
-  j.set("plan", util::Json(file.plan));
-  j.set("mode", util::Json(file.mode));
-  j.set("grid_points", util::Json(static_cast<double>(file.grid_points)));
-  j.set("num_shards", util::Json(static_cast<double>(file.num_shards)));
-  j.set("shard_index", util::Json(static_cast<double>(file.shard_index)));
-  j.set("has_mc", util::Json(file.has_mc));
-  j.set("range", range_to_json(file.result.range));
-
-  auto evals = util::Json::array();
-  for (const auto& e : file.result.evals) evals.push_back(evaluation_to_json(e));
-  j.set("evals", std::move(evals));
-
-  if (file.has_mc) {
-    auto mc = util::Json::array();
-    for (const auto& r : file.result.mc) mc.push_back(mc_point_to_json(r));
-    j.set("mc", std::move(mc));
-    j.set("mc_stats", mc_stats_to_json(file.result.mc_stats));
-  }
-  util::write_json_file(path, j);
-}
-
-ShardFile read_shard_json(const std::string& path) {
-  const auto j = util::read_json_file(path);
-  if (j.at("format").as_string() != kFormat) {
-    throw std::runtime_error("read_shard_json: " + path +
-                             " has unknown format '" +
-                             j.at("format").as_string() + "'");
-  }
-  ShardFile file;
-  file.plan = j.at("plan").as_string();
-  file.mode = j.at("mode").as_string();
-  file.grid_points = j.at("grid_points").as_size();
-  file.num_shards = j.at("num_shards").as_size();
-  file.shard_index = j.at("shard_index").as_size();
-  file.has_mc = j.at("has_mc").as_bool();
-  file.result.range = range_from_json(j.at("range"));
-
-  for (const auto& e : j.at("evals").elements()) {
-    file.result.evals.push_back(evaluation_from_json(e));
-  }
-  if (file.has_mc) {
-    for (const auto& r : j.at("mc").elements()) {
-      file.result.mc.push_back(mc_point_from_json(r));
-    }
-    file.result.mc_stats = mc_stats_from_json(j.at("mc_stats"));
-  }
-  return file;
-}
-
 void validate_shard_tiling(std::size_t num_points,
                            std::span<const ShardRange> ranges) {
   validate_shard_tiling(num_points, ranges, {});
@@ -374,81 +303,6 @@ void validate_shard_tiling(std::size_t num_points,
                               : "no non-empty shards") +
         ")");
   }
-}
-
-MergedShardSet merge_shard_files(std::span<const ShardFile> files) {
-  if (files.empty()) {
-    throw std::invalid_argument("merge_shard_files: no shard files");
-  }
-  const ShardFile& ref = files.front();
-  MergedShardSet merged;
-  merged.plan = ref.plan;
-  merged.mode = ref.mode;
-  merged.grid_points = ref.grid_points;
-  merged.num_shards = ref.num_shards;
-  merged.has_mc = ref.has_mc;
-
-  std::vector<char> seen(ref.num_shards, 0);
-  for (const auto& f : files) {
-    if (f.plan != ref.plan || f.mode != ref.mode ||
-        f.grid_points != ref.grid_points || f.num_shards != ref.num_shards ||
-        f.has_mc != ref.has_mc) {
-      throw std::invalid_argument(
-          "merge_shard_files: shard " + std::to_string(f.shard_index) +
-          " metadata disagrees with shard " +
-          std::to_string(ref.shard_index) + " (plan/mode/grid/shards/mc)");
-    }
-    if (f.shard_index >= f.num_shards) {
-      throw std::invalid_argument("merge_shard_files: shard index " +
-                                  std::to_string(f.shard_index) +
-                                  " out of range");
-    }
-    if (seen[f.shard_index]) {
-      throw std::invalid_argument("merge_shard_files: duplicate shard " +
-                                  std::to_string(f.shard_index));
-    }
-    seen[f.shard_index] = 1;
-    const auto& r = f.result.range;
-    if (r.begin > r.end || r.end > f.grid_points) {
-      throw std::invalid_argument("merge_shard_files: shard " +
-                                  std::to_string(f.shard_index) +
-                                  " has an invalid range");
-    }
-    if (f.result.evals.size() != r.size() ||
-        (f.has_mc && f.result.mc.size() != r.size())) {
-      throw std::invalid_argument(
-          "merge_shard_files: shard " + std::to_string(f.shard_index) +
-          " payload size does not match its range");
-    }
-  }
-
-  std::vector<ShardRange> ranges;
-  std::vector<std::size_t> labels;
-  ranges.reserve(files.size());
-  labels.reserve(files.size());
-  for (const auto& f : files) {
-    ranges.push_back(f.result.range);
-    labels.push_back(f.shard_index);
-  }
-  validate_shard_tiling(merged.grid_points, ranges, labels);
-
-  merged.evals.resize(merged.grid_points);
-  if (merged.has_mc) merged.mc.resize(merged.grid_points);
-  for (const auto& f : files) {
-    const auto& r = f.result.range;
-    std::copy(f.result.evals.begin(), f.result.evals.end(),
-              merged.evals.begin() + static_cast<std::ptrdiff_t>(r.begin));
-    if (merged.has_mc) {
-      std::copy(f.result.mc.begin(), f.result.mc.end(),
-                merged.mc.begin() + static_cast<std::ptrdiff_t>(r.begin));
-      merged.mc_stats.points += f.result.mc_stats.points;
-      merged.mc_stats.replications += f.result.mc_stats.replications;
-      merged.mc_stats.blocks += f.result.mc_stats.blocks;
-      merged.mc_stats.rounds += f.result.mc_stats.rounds;
-      merged.mc_stats.seconds += f.result.mc_stats.seconds;
-    }
-  }
-  return merged;
 }
 
 }  // namespace midas::core

@@ -3,7 +3,7 @@
 //
 // Row-major grid indexing means a shard is just a contiguous point
 // range [begin, end): every shard evaluates its slice with the same
-// SweepEngine code path the single-process run uses, so the merged
+// ExperimentService code path the single-process run uses, so the merged
 // result is the single-process result — exactly.  Two invariants make
 // that true:
 //   * the analytic path depends only on the point itself (one structure
@@ -22,12 +22,9 @@
 // equal structure_key, so no structural configuration is explored by
 // two shards just because the cut landed inside its run.
 //
-// ShardFile + write_shard_json/read_shard_json persist a shard's slice
-// (Evaluation values, raw Welford states {n, mean, m2} and counts — not
-// derived CIs — plus CI metadata) so the merge step reproduces MC
-// summaries bit-for-bit across processes.  The sweep_shard/sweep_merge
-// tools drive this over the paper grids; see also SweepEngine::
-// run_shard / run_mc_shard and merge_shards / merge_mc_shards.
+// The service's ExperimentResult is the one persisted form of a shard:
+// core::merge_experiment_results validates a shard set with
+// validate_shard_tiling and places the slices (src/core/experiment.h).
 #pragma once
 
 #include <cstddef>
@@ -35,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gcs_spn_model.h"
 #include "core/grid_spec.h"
 #include "core/params.h"
 #include "sim/mc_engine.h"
@@ -138,66 +134,9 @@ class ShardPlan {
   std::size_t num_points_ = 0;
 };
 
-/// One shard's analytic slice (evals[i] answers point range.begin + i).
-struct GridShardResult {
-  ShardRange range;
-  std::vector<Evaluation> evals;
-};
-
-/// One shard's analytic + Monte-Carlo slice.  `mc` is empty for
-/// analytic-only shards; otherwise parallel to `evals`.
-struct McGridShardResult {
-  ShardRange range;
-  std::vector<Evaluation> evals;
-  std::vector<sim::McPointResult> mc;
-  sim::MonteCarloEngine::Stats mc_stats;
-};
-
-/// The on-disk form of one shard's results plus the metadata the merge
-/// step validates: shards of one run must agree on plan id, mode, grid
-/// size and shard count, and their ranges must tile the grid exactly.
-struct ShardFile {
-  std::string plan;        // producer-chosen grid identifier, e.g. "fig2"
-  std::string mode;        // producer-chosen config tag, e.g. "smoke"
-  std::size_t grid_points = 0;
-  std::size_t num_shards = 0;
-  std::size_t shard_index = 0;
-  bool has_mc = false;
-  McGridShardResult result;
-};
-
-/// Serialises `file` as strict JSON ("midas-shard-v1"): every double
-/// with round-trip precision, MC points as raw Welford states and
-/// counts.  Throws std::runtime_error on IO failure.
-void write_shard_json(const std::string& path, const ShardFile& file);
-
-/// Parses a file written by write_shard_json (summaries are rebuilt
-/// from the serialised accumulator states, bitwise-identical to the
-/// producing process).  Throws std::runtime_error on IO/format errors.
-[[nodiscard]] ShardFile read_shard_json(const std::string& path);
-
-/// Shard files recombined into full-grid vectors (index = grid point).
-struct MergedShardSet {
-  std::string plan;
-  std::string mode;
-  std::size_t grid_points = 0;
-  std::size_t num_shards = 0;
-  bool has_mc = false;
-  std::vector<Evaluation> evals;
-  std::vector<sim::McPointResult> mc;
-  sim::MonteCarloEngine::Stats mc_stats;  // summed over shards
-};
-
-/// Validates and merges a complete shard set: consistent metadata, an
-/// exact non-overlapping tiling of [0, grid_points), per-shard sizes
-/// matching their ranges, and uniform has_mc.  Throws
-/// std::invalid_argument naming the first violation.
-[[nodiscard]] MergedShardSet merge_shard_files(
-    std::span<const ShardFile> files);
-
 /// Throws std::invalid_argument unless the non-empty ranges tile
-/// [0, num_points) exactly (no gap, no overlap).  Shared by every merge
-/// path.  The error names the offending slices — which shards overlap,
+/// [0, num_points) exactly (no gap, no overlap); merge_experiment_results
+/// calls it before placing any slice.  The error names the offending slices — which shards overlap,
 /// or which points are covered by no shard and which shards border the
 /// hole — because reassignment debugging starts from that message.
 /// `shard_labels`, when non-empty, gives the producer-facing shard

@@ -29,22 +29,6 @@ std::size_t SweepResult::argmin_ctotal() const {
   return best;
 }
 
-std::size_t McSweepResult::mttsf_inside_ci() const {
-  std::size_t inside = 0;
-  for (const auto& pt : points) {
-    if (pt.mc.ttsf.contains(pt.eval.mttsf)) ++inside;
-  }
-  return inside;
-}
-
-std::size_t McGridResult::mttsf_inside_ci() const {
-  std::size_t inside = 0;
-  for (const auto& pt : points) {
-    if (pt.mc.ttsf.contains(pt.eval.mttsf)) ++inside;
-  }
-  return inside;
-}
-
 std::string structure_key(const Params& p) {
   std::ostringstream key;
   key.precision(17);
@@ -95,11 +79,18 @@ std::string structure_key(const Params& p) {
   return key.str();
 }
 
-SweepEngine::SweepEngine(SweepEngineOptions opts) : opts_(opts) {}
+SweepEngine::SweepEngine(std::size_t threads) : threads_(threads) {}
 
-std::vector<Evaluation> SweepEngine::evaluate(
-    std::span<const Params> points) {
-  return evaluate(points, opts_.batch);
+void SweepEngine::explore_once(CacheEntry& entry, const GcsSpnModel& model) {
+  std::call_once(entry.once, [&] {
+    entry.graph = std::make_shared<const spn::ReachabilityGraph>(
+        spn::explore(model.net()));
+    entry.analyzer =
+        std::make_unique<const spn::AbsorbingAnalyzer>(*entry.graph);
+    std::lock_guard lock(stats_mutex_);
+    ++stats_.explorations;
+    stats_.states_explored += entry.graph->num_states();
+  });
 }
 
 std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
@@ -109,21 +100,14 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
   if (points.empty()) return evals;
 
   // Resolve cache entries serially (the map is not touched by workers).
-  // Every structure this batch needs is pinned for its duration; the
-  // LRU cap is enforced only after the batch completes.
   std::vector<CacheEntry*> entry_of(points.size(), nullptr);
-  if (opts_.reuse_structure) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::string key = structure_key(points[i]);
-      auto& slot = cache_[key];
-      if (!slot) slot = std::make_unique<CacheEntry>();
-      entry_of[i] = slot.get();
-      // LRU bookkeeping only matters when a cap can evict.
-      if (opts_.max_cache_entries != 0) touch_cache_key(key);
-    }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    auto& slot = cache_[structure_key(points[i])];
+    if (!slot) slot = std::make_unique<CacheEntry>();
+    entry_of[i] = slot.get();
   }
 
-  if (opts_.reuse_structure && batch_width > 1) {
+  if (batch_width > 1) {
     // Batched path: chunk runs of consecutive points that share a
     // structure into batches of `batch_width` and drive each through the
     // point-major kernels.  Per-point results are independent of the
@@ -160,15 +144,7 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
             models.emplace_back(points[bt.begin + j]);
           }
           CacheEntry* entry = bt.entry;
-          std::call_once(entry->once, [&] {
-            entry->graph = std::make_shared<const spn::ReachabilityGraph>(
-                spn::explore(models.front().net()));
-            entry->analyzer = std::make_unique<const spn::AbsorbingAnalyzer>(
-                *entry->graph);
-            std::lock_guard lock(stats_mutex_);
-            ++stats_.explorations;
-            stats_.states_explored += entry->graph->num_states();
-          });
+          explore_once(*entry, models.front());
           // These models are batch-private, so the transcendental factor
           // memo is safe to turn on; the scalar path never enables it.
           std::vector<const GcsSpnModel*> model_ptrs(B);
@@ -186,9 +162,9 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
           entry->graph->compute_rates_batch(nets, rates, impulses,
                                             GcsSpnModel::batch_rate_fn(
                                                 model_ptrs));
-          const auto batch_evals =
-              evaluate_with_batch(model_ptrs, *entry->analyzer, rates,
-                                  impulses, opts_.factor_reuse, arena);
+          const auto batch_evals = evaluate_with_batch(
+              model_ptrs, *entry->analyzer, rates, impulses,
+              spn::BatchSolveOptions{}.factor_reuse, arena);
           for (std::size_t j = 0; j < B; ++j) {
             evals[bt.begin + j] = batch_evals[j];
           }
@@ -196,9 +172,8 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
           stats_.points += B;
           stats_.states_evaluated += entry->graph->num_states() * B;
         },
-        opts_.threads);
+        threads_);
 
-    enforce_cache_cap();
     stats_.seconds += watch.seconds();
     return evals;
   }
@@ -206,30 +181,13 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
   sim::parallel_for(
       points.size(),
       [&](std::size_t i) {
-        const GcsSpnModel model(points[i]);
-        CacheEntry* entry = entry_of[i];
-        if (entry == nullptr) {
-          evals[i] = model.evaluate();
-          std::lock_guard lock(stats_mutex_);
-          ++stats_.points;
-          ++stats_.explorations;
-          stats_.states_explored += evals[i].num_states;
-          stats_.states_evaluated += evals[i].num_states;
-          return;
-        }
         // First point of a structural configuration explores and builds
         // the solver structure; every point then owns only its per-edge
         // rate/impulse arrays (the mutable slice of the graph) and the
         // numeric solve.
-        std::call_once(entry->once, [&] {
-          entry->graph = std::make_shared<const spn::ReachabilityGraph>(
-              spn::explore(model.net()));
-          entry->analyzer =
-              std::make_unique<const spn::AbsorbingAnalyzer>(*entry->graph);
-          std::lock_guard lock(stats_mutex_);
-          ++stats_.explorations;
-          stats_.states_explored += entry->graph->num_states();
-        });
+        const GcsSpnModel model(points[i]);
+        CacheEntry* entry = entry_of[i];
+        explore_once(*entry, model);
         std::vector<double> rates(entry->graph->edges.size());
         std::vector<double> impulses(entry->graph->edges.size());
         entry->graph->compute_rates(model.net(), rates, impulses);
@@ -238,194 +196,10 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
         ++stats_.points;
         stats_.states_evaluated += evals[i].num_states;
       },
-      opts_.threads);
+      threads_);
 
-  enforce_cache_cap();
   stats_.seconds += watch.seconds();
   return evals;
-}
-
-void SweepEngine::touch_cache_key(const std::string& key) {
-  const auto it = std::find(lru_.begin(), lru_.end(), key);
-  if (it != lru_.end()) lru_.erase(it);
-  lru_.push_back(key);
-}
-
-void SweepEngine::enforce_cache_cap() {
-  if (opts_.max_cache_entries == 0) return;
-  while (cache_.size() > opts_.max_cache_entries && !lru_.empty()) {
-    cache_.erase(lru_.front());
-    lru_.erase(lru_.begin());
-    ++stats_.cache_evictions;
-  }
-}
-
-void SweepEngine::clear_cache() {
-  cache_.clear();
-  lru_.clear();
-}
-
-GridRunResult SweepEngine::run(const GridSpec& spec, const Params& base) {
-  GridRunResult result;
-  result.spec = spec;
-  const auto points = spec.expand(base);
-  result.evals = evaluate(points);
-  return result;
-}
-
-McGridResult SweepEngine::run_mc(const GridSpec& spec, const Params& base,
-                                 const sim::McOptions& mc) {
-  const auto points = spec.expand(base);
-  const auto evals = evaluate(points);
-
-  // One engine, one schedule for the entire grid: with CRN the
-  // substream depends on the replication index alone, so every pair of
-  // grid points — along any axis — shares its randomness.
-  sim::MonteCarloEngine engine(mc);
-  auto mcs = engine.run_des(points);
-
-  McGridResult result;
-  result.spec = spec;
-  result.points.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    result.points.push_back({evals[i], std::move(mcs[i])});
-  }
-  result.mc_stats = engine.stats();
-  return result;
-}
-
-namespace {
-
-/// The parameter points of one contiguous grid slice.
-std::vector<Params> slice_points(const GridSpec& spec, const Params& base,
-                                 ShardRange range) {
-  if (range.begin > range.end || range.end > spec.num_points()) {
-    throw std::out_of_range(
-        "SweepEngine: shard range [" + std::to_string(range.begin) + ", " +
-        std::to_string(range.end) + ") is invalid for a " +
-        std::to_string(spec.num_points()) + "-point grid");
-  }
-  std::vector<Params> points;
-  points.reserve(range.size());
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    points.push_back(spec.point(base, i));
-  }
-  return points;
-}
-
-}  // namespace
-
-GridShardResult SweepEngine::run_shard(const GridSpec& spec,
-                                       const Params& base,
-                                       ShardRange range) {
-  const auto points = slice_points(spec, base, range);
-  return {range, evaluate(points)};
-}
-
-McGridShardResult SweepEngine::run_mc_shard(const GridSpec& spec,
-                                            const Params& base,
-                                            ShardRange range,
-                                            const sim::McOptions& mc) {
-  const auto points = slice_points(spec, base, range);
-  McGridShardResult result;
-  result.range = range;
-  result.evals = evaluate(points);
-
-  // One schedule over the slice.  Under CRN the substreams already
-  // ignore the point index; otherwise shifting the stream keys by
-  // range.begin reproduces the full-grid streams, so either way each
-  // point's summaries are bitwise those of run_mc() on the whole grid.
-  sim::McOptions opts = mc;
-  opts.point_stream_offset += range.begin;
-  sim::MonteCarloEngine engine(opts);
-  result.mc = engine.run_des(points);
-  result.mc_stats = engine.stats();
-  return result;
-}
-
-GridRunResult merge_shards(const GridSpec& spec,
-                           std::span<const GridShardResult> shards) {
-  std::vector<ShardRange> ranges;
-  ranges.reserve(shards.size());
-  for (const auto& s : shards) {
-    if (s.evals.size() != s.range.size()) {
-      throw std::invalid_argument(
-          "merge_shards: shard payload size does not match its range");
-    }
-    ranges.push_back(s.range);
-  }
-  validate_shard_tiling(spec.num_points(), ranges);
-
-  GridRunResult result;
-  result.spec = spec;
-  result.evals.resize(spec.num_points());
-  for (const auto& s : shards) {
-    std::copy(s.evals.begin(), s.evals.end(),
-              result.evals.begin() +
-                  static_cast<std::ptrdiff_t>(s.range.begin));
-  }
-  return result;
-}
-
-McGridResult merge_mc_shards(const GridSpec& spec,
-                             std::span<const McGridShardResult> shards) {
-  std::vector<ShardRange> ranges;
-  ranges.reserve(shards.size());
-  for (const auto& s : shards) {
-    if (s.evals.size() != s.range.size() ||
-        s.mc.size() != s.range.size()) {
-      throw std::invalid_argument(
-          "merge_mc_shards: shard payload size does not match its range");
-    }
-    ranges.push_back(s.range);
-  }
-  validate_shard_tiling(spec.num_points(), ranges);
-
-  McGridResult result;
-  result.spec = spec;
-  result.points.resize(spec.num_points());
-  for (const auto& s : shards) {
-    for (std::size_t i = 0; i < s.range.size(); ++i) {
-      result.points[s.range.begin + i] = {s.evals[i], s.mc[i]};
-    }
-    result.mc_stats.points += s.mc_stats.points;
-    result.mc_stats.replications += s.mc_stats.replications;
-    result.mc_stats.blocks += s.mc_stats.blocks;
-    result.mc_stats.rounds += s.mc_stats.rounds;
-    result.mc_stats.seconds += s.mc_stats.seconds;
-  }
-  return result;
-}
-
-SweepResult SweepEngine::sweep_t_ids(const Params& base,
-                                     std::span<const double> grid) {
-  GridSpec spec;
-  spec.t_ids(std::vector<double>(grid.begin(), grid.end()));
-  auto run_result = run(spec, base);
-
-  SweepResult result;
-  result.points.reserve(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    result.points.push_back({grid[i], std::move(run_result.evals[i])});
-  }
-  return result;
-}
-
-McSweepResult SweepEngine::sweep_mc(const Params& base,
-                                    std::span<const double> grid,
-                                    const sim::McOptions& mc) {
-  GridSpec spec;
-  spec.t_ids(std::vector<double>(grid.begin(), grid.end()));
-  auto grid_result = run_mc(spec, base, mc);
-
-  McSweepResult result;
-  result.points.reserve(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    result.points.push_back({grid[i], std::move(grid_result.points[i].eval),
-                             std::move(grid_result.points[i].mc)});
-  }
-  result.mc_stats = grid_result.mc_stats;
-  return result;
 }
 
 }  // namespace midas::core

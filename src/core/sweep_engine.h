@@ -13,31 +13,10 @@
 // Structure caching persists across calls, so a bench that sweeps four
 // m-values over the TIDS grid pays for one exploration in total.
 //
-// Grids: run()/run_mc() evaluate a whole core::GridSpec — the paper's
-// multi-dimensional design space (TIDS × m × detection shape × attacker
-// profile, arbitrary subsets) — in one batch; run_mc() additionally
-// drives ONE Monte-Carlo schedule over every grid point with CRN
-// substreams keyed by replication only (contrasts along every axis are
-// variance-reduced) and optional antithetic pairs.  sweep_t_ids /
-// sweep_mc are the 1-D special cases.
-//
-// Sharding: run_shard()/run_mc_shard() evaluate one contiguous
-// row-major slice of the grid (see core::ShardPlan), and
-// merge_shards()/merge_mc_shards() recombine a complete tiling into the
-// single-process result — exactly, because points are solved
-// independently and MC substreams are keyed shard-invariantly.  A
-// long-lived shard worker bounds its structure cache with
-// SweepEngineOptions::max_cache_entries or clear_cache().
-//
-// DEPRECATION: the grid-level entry points here (run, run_mc,
-// run_shard, run_mc_shard, sweep_t_ids, sweep_mc) are THIN WRAPPERS
-// kept for inline/legacy use; new code should describe the experiment
-// as a core::ExperimentSpec and run it through
-// core::ExperimentService::run, which drives the same engine
-// primitives (evaluate + MonteCarloEngine) behind a declarative,
-// JSON-serialisable request — see src/core/experiment.h.  Parity is
-// CI-gated: service answers equal these wrappers' exactly (analytic
-// bitwise, MC accumulator states bitwise under CRN).
+// Grids, shards and Monte-Carlo validation are not this engine's job:
+// describe the experiment as a core::ExperimentSpec and run it through
+// core::ExperimentService::run (src/core/experiment.h), whose analytic
+// backend calls evaluate() on the slice's points.
 #pragma once
 
 #include <cstddef>
@@ -49,10 +28,7 @@
 #include <vector>
 
 #include "core/gcs_spn_model.h"
-#include "core/grid_spec.h"
 #include "core/params.h"
-#include "core/shard.h"
-#include "sim/mc_engine.h"
 
 namespace midas::core {
 
@@ -75,83 +51,9 @@ struct SweepResult {
   }
 };
 
-/// A TIDS grid point answered both analytically and by simulation.
-struct McSweepPoint {
-  double t_ids = 0.0;
-  Evaluation eval;          // batched SPN solution
-  sim::McPointResult mc;    // CI-bounded Monte-Carlo estimate
-};
-
-struct McSweepResult {
-  std::vector<McSweepPoint> points;
-  sim::MonteCarloEngine::Stats mc_stats;
-
-  /// #points whose analytic MTTSF lies inside the simulation 95% CI
-  /// (expect ~95% of points; the occasional miss is Monte-Carlo noise).
-  [[nodiscard]] std::size_t mttsf_inside_ci() const;
-};
-
-/// A multi-dimensional grid answered analytically: one Evaluation per
-/// GridSpec point, in the spec's row-major order (last axis fastest).
-struct GridRunResult {
-  GridSpec spec;
-  std::vector<Evaluation> evals;
-
-  [[nodiscard]] const Evaluation& at(
-      std::span<const std::size_t> coords) const {
-    return evals[spec.index(coords)];
-  }
-};
-
-/// A grid point answered analytically AND by CI-bounded simulation.
-struct McGridPoint {
-  Evaluation eval;
-  sim::McPointResult mc;
-};
-
-struct McGridResult {
-  GridSpec spec;
-  std::vector<McGridPoint> points;
-  sim::MonteCarloEngine::Stats mc_stats;
-
-  [[nodiscard]] const McGridPoint& at(
-      std::span<const std::size_t> coords) const {
-    return points[spec.index(coords)];
-  }
-
-  /// #points whose analytic MTTSF lies inside the simulation 95% CI
-  /// (expect ~95%; the occasional miss is Monte-Carlo noise).
-  [[nodiscard]] std::size_t mttsf_inside_ci() const;
-};
-
-struct SweepEngineOptions {
-  /// Worker threads for the point loop (0 = hardware concurrency).
-  std::size_t threads = 0;
-  /// When false, every point re-explores from scratch (the naive path;
-  /// kept for validation and speedup measurement).
-  bool reuse_structure = true;
-  /// Grid points per batched solve: runs of points sharing one explored
-  /// structure are chunked into batches of this width and solved through
-  /// the point-major batch path (compute_rates_batch → solve_batch →
-  /// evaluate_with_batch), with scratch from the worker thread's arena.
-  /// 1 = the legacy scalar per-point path (also used when
-  /// reuse_structure is off).  Spec-level knob: ExperimentSpec::
-  /// analytic.batch.
-  std::size_t batch = 8;
-  /// Share LU factorisations across batch points whose normalised dense
-  /// SCC blocks coincide (spn::BatchSolveOptions::factor_reuse).  ON:
-  /// results are within 1e-12 relative of the scalar path and
-  /// independent of batch/shard grouping.  OFF: bitwise the scalar
-  /// path.
-  bool factor_reuse = true;
-  /// Upper bound on cached explored structures (0 = unbounded).  The
-  /// cache previously grew without limit — a memory leak for a
-  /// long-lived shard worker sweeping many structural configs.  With a
-  /// cap, the least-recently-used entries are evicted after each
-  /// evaluate() call (a single batch may transiently exceed the cap;
-  /// every structure it needs stays alive until the batch completes).
-  std::size_t max_cache_entries = 0;
-};
+/// Grid points per batched solve for callers that have no spec to take
+/// the width from; AnalyticOptions::batch defaults to it as well.
+inline constexpr std::size_t kDefaultBatchWidth = 8;
 
 /// The key under which parameter points share one explored structure:
 /// everything that can change the reachable set or the existence of an
@@ -161,93 +63,29 @@ struct SweepEngineOptions {
 
 class SweepEngine {
  public:
-  explicit SweepEngine(SweepEngineOptions opts = {});
+  /// `threads` workers for the point loop (0 = hardware concurrency).
+  explicit SweepEngine(std::size_t threads = 0);
 
   /// Evaluates every parameter point; points whose structure_key()
-  /// matches share one exploration (cached across calls).  Uses the
-  /// options' batch width.
-  [[nodiscard]] std::vector<Evaluation> evaluate(
-      std::span<const Params> points);
-
-  /// As above with an explicit batch width (the spec-level
-  /// analytic.batch knob): width <= 1 — or reuse_structure off — runs
-  /// the legacy scalar per-point path; otherwise consecutive points
-  /// sharing a structure are solved `batch_width` at a time through the
-  /// point-major batch kernels.  Per-point results do not depend on the
-  /// width (bitwise: the batch path is grouping-independent by
-  /// construction).
+  /// matches share one exploration (cached across calls, never
+  /// evicted).  `batch_width` is the spec-level analytic.batch knob:
+  /// width <= 1 runs the scalar per-point path; otherwise consecutive
+  /// points sharing a structure are solved `batch_width` at a time
+  /// through the point-major batch kernels, with LU factor reuse at
+  /// spn::BatchSolveOptions' default.  Per-point results do not depend
+  /// on the width (bitwise: the batch path is grouping-independent by
+  /// construction) nor on the thread count.
   [[nodiscard]] std::vector<Evaluation> evaluate(
       std::span<const Params> points, std::size_t batch_width);
-
-  /// Evaluates a full named-axis cartesian grid analytically: every
-  /// structural configuration in the grid explores once (cached), and
-  /// every point shares the batched numeric solve path.
-  [[nodiscard]] GridRunResult run(const GridSpec& spec, const Params& base);
-
-  /// Answers a full grid analytically AND by Monte-Carlo simulation in
-  /// one call: one batched SPN solve per point plus ONE
-  /// sim::MonteCarloEngine schedule over the whole grid, whose CRN
-  /// substreams are keyed by replication index only — so contrasts
-  /// along EVERY axis (not just TIDS) are variance-reduced, and
-  /// antithetic pairs (mc.antithetic) compose on top.
-  [[nodiscard]] McGridResult run_mc(const GridSpec& spec, const Params& base,
-                                    const sim::McOptions& mc = {});
-
-  /// Evaluates one contiguous row-major slice of the grid analytically —
-  /// a shard worker's entry point.  Because every point is solved
-  /// independently (structure explorations keyed by structure_key,
-  /// numeric solves per point), the slice's results are identical to
-  /// the corresponding rows of run(): merge_shards() of a full tiling
-  /// reproduces the single-process grid exactly.
-  [[nodiscard]] GridShardResult run_shard(const GridSpec& spec,
-                                          const Params& base,
-                                          ShardRange range);
-
-  /// run_shard plus one Monte-Carlo schedule over the slice.  The MC
-  /// summaries are shard-invariant: under CRN the substreams are keyed
-  /// by replication only, and otherwise the engine offsets its
-  /// substream keys by range.begin (McOptions::point_stream_offset), so
-  /// each point draws the same randomness it would in the full-grid
-  /// run_mc() and merge_mc_shards() recombines BITWISE-identical
-  /// summaries.
-  [[nodiscard]] McGridShardResult run_mc_shard(const GridSpec& spec,
-                                               const Params& base,
-                                               ShardRange range,
-                                               const sim::McOptions& mc = {});
-
-  /// Evaluates `base` at every TIDS in `grid` (base.t_ids is ignored).
-  /// A 1-D special case of run().
-  [[nodiscard]] SweepResult sweep_t_ids(const Params& base,
-                                        std::span<const double> grid);
-
-  /// Companion: answers the same TIDS grid analytically (batched SPN
-  /// solve) AND by Monte-Carlo simulation (sim::MonteCarloEngine with
-  /// CRN + CI-targeted stopping) in one call, so every figure can carry
-  /// CI-bounded validation instead of spot checks.  A 1-D special case
-  /// of run_mc().
-  [[nodiscard]] McSweepResult sweep_mc(const Params& base,
-                                       std::span<const double> grid,
-                                       const sim::McOptions& mc = {});
 
   struct Stats {
     std::size_t points = 0;            // points evaluated
     std::size_t explorations = 0;      // structural configs explored
     std::size_t states_explored = 0;   // Σ states over fresh explorations
     std::size_t states_evaluated = 0;  // Σ states over all points
-    std::size_t cache_evictions = 0;   // entries dropped by the LRU cap
     double seconds = 0.0;              // wall clock inside evaluate()
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
-  /// Drops every cached explored structure (a later sweep re-explores).
-  /// Long-lived shard workers call this between unrelated jobs; the
-  /// max_cache_entries option bounds growth within a job.  Not safe
-  /// concurrently with evaluate() — like every other member.
-  void clear_cache();
-  /// Cached explored structures currently held.
-  [[nodiscard]] std::size_t cache_size() const noexcept {
-    return cache_.size();
-  }
 
  private:
   struct CacheEntry {
@@ -258,28 +96,14 @@ class SweepEngine {
     std::unique_ptr<const spn::AbsorbingAnalyzer> analyzer;
   };
 
-  /// Moves `key` to the most-recently-used position of lru_.
-  void touch_cache_key(const std::string& key);
-  /// Evicts least-recently-used entries until the cap is respected.
-  void enforce_cache_cap();
+  /// Explores `model`'s net into `entry` unless another point already
+  /// did (thread-safe; counts the exploration in stats_).
+  void explore_once(CacheEntry& entry, const GcsSpnModel& model);
 
-  SweepEngineOptions opts_;
+  std::size_t threads_;
   std::unordered_map<std::string, std::unique_ptr<CacheEntry>> cache_;
-  /// Cache keys, least-recently-used first (parallel to cache_).
-  std::vector<std::string> lru_;
   std::mutex stats_mutex_;
   Stats stats_;
 };
-
-/// Recombines a complete set of shard slices into the single-process
-/// GridRunResult.  The ranges must tile [0, spec.num_points()) exactly
-/// (empty shards allowed); throws std::invalid_argument otherwise.
-[[nodiscard]] GridRunResult merge_shards(
-    const GridSpec& spec, std::span<const GridShardResult> shards);
-
-/// Monte-Carlo counterpart: recombines run_mc_shard slices into the
-/// single-process McGridResult (per-shard engine stats are summed).
-[[nodiscard]] McGridResult merge_mc_shards(
-    const GridSpec& spec, std::span<const McGridShardResult> shards);
 
 }  // namespace midas::core

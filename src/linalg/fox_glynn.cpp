@@ -17,9 +17,11 @@ PoissonWindow poisson_window(double q, double epsilon) {
   // Work outward from the mode in the log domain; this is the robust
   // part of Fox–Glynn without the original paper's integer gymnastics.
   const auto mode = static_cast<std::size_t>(q);
+  // lgamma_r: std::lgamma writes the global signgam (a data race).
   auto log_pmf = [q](std::size_t k) {
+    int sign = 0;
     return -q + static_cast<double>(k) * std::log(q) -
-           std::lgamma(static_cast<double>(k) + 1.0);
+           ::lgamma_r(static_cast<double>(k) + 1.0, &sign);
   };
 
   const double log_eps = std::log(epsilon) - std::log(4.0);

@@ -12,7 +12,11 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 double log_factorial(std::int64_t n) {
   if (n < 0) return kNegInf;
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: std::lgamma writes glibc's global
+  // signgam, a data race when voting tables are built on several
+  // threads.  Both return the same double.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double log_binomial(std::int64_t n, std::int64_t k) {

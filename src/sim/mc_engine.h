@@ -66,7 +66,7 @@ struct McOptions {
   /// shard evaluating points [b, e) of a larger grid passes b so the
   /// independent (non-CRN) substream keys match the full-grid run —
   /// under CRN the key drops the point index and this is irrelevant.
-  /// core::SweepEngine::run_mc_shard sets it automatically.
+  /// core::ExperimentService adds its shard range's begin automatically.
   std::size_t point_stream_offset = 0;
 
   /// Antithetic pairs: each scheduled replication becomes a PAIR of
@@ -146,7 +146,7 @@ struct McPointResult {
   /// when every replication survives a horizon).
   std::vector<Summary> survival;
   /// Raw survivor counts behind `survival` (per horizon, out of
-  /// `replications` trajectories) — serialised by the shard files.
+  /// `replications` trajectories) — serialised in ExperimentResult JSON.
   std::vector<std::size_t> survival_counts;
   /// Filled only when capture_trajectories is set, in replication order.
   std::vector<Trajectory> trajectories;

@@ -1,11 +1,13 @@
-// Minimal JSON document model for the sharded sweep service: shard
-// workers persist their GridSpec slice results (core::write_shard_json)
-// and the merge step reads them back, so the encoding must round-trip
-// every double bit-for-bit — numbers are emitted with 17 significant
-// digits (DBL_DECIMAL_DIG), which strtod maps back to the identical
-// bits.  Non-finite values (the n < 2 infinite CI half-widths, NaN
-// categorical axis levels) are encoded as the strings "inf" / "-inf" /
-// "nan" so the files stay strict JSON; to_double() decodes either form.
+// Minimal JSON document model for the experiment wire format: specs and
+// ExperimentResult shard slices are written by one process and read back
+// by another (sweep_shard → sweep_merge, fleet workers → coordinator),
+// and core::merge_experiment_results must place those slices bitwise,
+// so the encoding must round-trip every double bit-for-bit — numbers
+// are emitted with 17 significant digits (DBL_DECIMAL_DIG), which
+// strtod maps back to the identical bits.  Non-finite values (the n < 2
+// infinite CI half-widths, NaN categorical axis levels) are encoded as
+// the strings "inf" / "-inf" / "nan" so the files stay strict JSON;
+// to_double() decodes either form.
 //
 // Objects preserve insertion order (stable diffs, readable artifacts).
 // This is a data-file format, not a general-purpose JSON library: the

@@ -1,9 +1,8 @@
 // Declarative experiment API: spec JSON round-trips (bitwise, including
 // non-finite doubles and generic + typed axes), field-path validation
-// errors, new-API vs legacy-entry-point parity (analytic <= 1e-12 — in
-// practice bitwise — and MC bitwise under CRN), result wire-format
-// round-trips, shard-sliced service runs merging to the single-process
-// result, and pilot-cost shard plans.
+// errors, the free core::sweep_t_ids agreeing bitwise with the service,
+// result wire-format round-trips, shard-sliced service runs merging to
+// the single-process result, and pilot-cost shard plans.
 #include "core/experiment.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,7 @@
 #include <limits>
 
 #include "core/experiment_presets.h"
-#include "core/sweep_engine.h"
+#include "core/optimizer.h"
 
 namespace {
 
@@ -203,46 +202,6 @@ TEST(ExperimentSpec, ValidationErrorsNameTheJsonPath) {
   }
 }
 
-TEST(ExperimentService, AnalyticParityWithLegacyEntryPoint) {
-  ExperimentSpec spec = small_spec();
-  spec.backends = {BackendKind::Analytic};
-
-  ExperimentService service;
-  const auto result = service.run(spec);
-  const auto& run = result.at(BackendKind::Analytic);
-
-  core::SweepEngine engine;
-  const auto legacy = engine.run(spec.grid(), spec.base);
-  ASSERT_EQ(run.evals.size(), legacy.evals.size());
-  for (std::size_t i = 0; i < run.evals.size(); ++i) {
-    EXPECT_EQ(run.evals[i].mttsf, legacy.evals[i].mttsf) << i;
-    EXPECT_EQ(run.evals[i].ctotal, legacy.evals[i].ctotal) << i;
-    EXPECT_EQ(run.evals[i].p_failure_c1, legacy.evals[i].p_failure_c1) << i;
-  }
-}
-
-TEST(ExperimentService, DesParityWithLegacyEntryPointIsBitwiseUnderCrn) {
-  ExperimentSpec spec = small_spec();
-  spec.backends = {BackendKind::Analytic, BackendKind::Des};
-
-  ExperimentService service;
-  const auto result = service.run(spec);
-  const auto& des = result.at(BackendKind::Des);
-
-  core::SweepEngine engine;
-  const auto legacy = engine.run_mc(spec.grid(), spec.base, spec.mc);
-  ASSERT_EQ(des.mc.size(), legacy.points.size());
-  for (std::size_t i = 0; i < des.mc.size(); ++i) {
-    EXPECT_EQ(des.mc[i].ttsf_state.n, legacy.points[i].mc.ttsf_state.n);
-    EXPECT_EQ(des.mc[i].ttsf_state.mean, legacy.points[i].mc.ttsf_state.mean);
-    EXPECT_EQ(des.mc[i].ttsf_state.m2, legacy.points[i].mc.ttsf_state.m2);
-    EXPECT_EQ(des.mc[i].cost_rate_state.mean,
-              legacy.points[i].mc.cost_rate_state.mean);
-    EXPECT_EQ(des.mc[i].replications, legacy.points[i].mc.replications);
-    EXPECT_EQ(des.mc[i].failures_c1, legacy.points[i].mc.failures_c1);
-  }
-}
-
 TEST(ExperimentService, ProtocolBackendRunsAndRecordsInvariants) {
   ExperimentSpec spec = core::experiment_preset("val_protocol", true);
   spec.axes[0].values = {60.0};  // one point keeps the test fast
@@ -329,16 +288,15 @@ TEST(ExperimentResult, WireFormatRoundTripsBitwise) {
 }
 
 TEST(ExperimentService, LegacySweepWrappersMatchTheService) {
-  // sweep_t_ids / sweep_mc are documented as deprecated wrappers; they
-  // must answer exactly like a 1-axis spec through the service.
+  // core::sweep_t_ids (the examples' 1-D TIDS helper) must answer
+  // exactly like a 1-axis spec through the service.
   core::Params base = core::Params::paper_defaults();
   base.n_init = 12;
   base.max_groups = 1;
   base.lambda_c = 1.0 / 1500.0;
   const std::vector<double> grid{60.0, 600.0};
 
-  core::SweepEngine engine;
-  const auto legacy = engine.sweep_t_ids(base, grid);
+  const auto legacy = core::sweep_t_ids(base, grid);
 
   ExperimentSpec spec;
   spec.name = "wrapper";

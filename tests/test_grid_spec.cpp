@@ -1,7 +1,7 @@
 // GridSpec mechanics plus the grid-equivalence guarantees: a multi-axis
-// grid run must match nested 1-D sweeps point-for-point, stay bitwise
-// identical across thread counts, and run_mc's antithetic mode must
-// reproduce the analytic values within its (shrunken) CIs.
+// grid evaluation must match nested 1-D sweeps point-for-point, stay
+// bitwise identical across thread counts, and the service's antithetic
+// DES must reproduce the analytic values within its (shrunken) CIs.
 #include "core/grid_spec.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/experiment.h"
+#include "core/optimizer.h"
 #include "core/sweep_engine.h"
 
 namespace {
@@ -105,18 +107,18 @@ TEST(GridRun, MatchesNestedSweepTIdsPointForPoint) {
   core::SweepEngine grid_engine;
   GridSpec spec;
   spec.num_voters(voters).t_ids(grid);
-  const auto run = grid_engine.run(spec, small_params());
-  ASSERT_EQ(run.evals.size(), 6u);
+  const auto evals = grid_engine.evaluate(spec.expand(small_params()),
+                                          core::kDefaultBatchWidth);
+  ASSERT_EQ(evals.size(), 6u);
   EXPECT_EQ(grid_engine.stats().explorations, 1u);
 
-  core::SweepEngine nested_engine;
   for (std::size_t mi = 0; mi < voters.size(); ++mi) {
     Params p = small_params();
     p.num_voters = voters[mi];
-    const auto sweep = nested_engine.sweep_t_ids(p, grid);
+    const auto sweep = core::sweep_t_ids(p, grid);
     for (std::size_t ti = 0; ti < grid.size(); ++ti) {
       const std::size_t coords[]{mi, ti};
-      const auto& a = run.at(coords);
+      const auto& a = evals[spec.index(coords)];
       const auto& b = sweep.points[ti].eval;
       // 1e-12 relative per the acceptance criterion; the engines share
       // the accumulation order, so agreement is in fact exact.
@@ -136,50 +138,57 @@ TEST(GridRun, BitwiseIdenticalAcrossThreadCounts) {
   spec.num_voters({3, 5})
       .detection_shape({ids::Shape::Linear, ids::Shape::Polynomial})
       .t_ids({30, 240});
+  const auto points = spec.expand(small_params());
 
-  core::SweepEngine serial({.threads = 1});
-  core::SweepEngine parallel({.threads = 4});
-  const auto a = serial.run(spec, small_params());
-  const auto b = parallel.run(spec, small_params());
-  ASSERT_EQ(a.evals.size(), b.evals.size());
-  for (std::size_t i = 0; i < a.evals.size(); ++i) {
-    EXPECT_EQ(a.evals[i].mttsf, b.evals[i].mttsf) << spec.label(i);
-    EXPECT_EQ(a.evals[i].ctotal, b.evals[i].ctotal) << spec.label(i);
-    EXPECT_EQ(a.evals[i].p_failure_c1, b.evals[i].p_failure_c1);
-    EXPECT_EQ(a.evals[i].eviction_cost_rate, b.evals[i].eviction_cost_rate);
+  core::SweepEngine serial(1);
+  core::SweepEngine parallel(4);
+  const auto a = serial.evaluate(points, core::kDefaultBatchWidth);
+  const auto b = parallel.evaluate(points, core::kDefaultBatchWidth);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].mttsf, b[i].mttsf) << spec.label(i);
+    EXPECT_EQ(a[i].ctotal, b[i].ctotal) << spec.label(i);
+    EXPECT_EQ(a[i].p_failure_c1, b[i].p_failure_c1);
+    EXPECT_EQ(a[i].eviction_cost_rate, b[i].eviction_cost_rate);
   }
 }
 
-TEST(GridRun, RunMcAnswersEveryAxisAnalyticallyAndBySimulation) {
-  Params base = small_params();
-  base.n_init = 15;
-  base.lambda_c = 1.0 / 2000.0;
+TEST(GridRun, ServiceAnswersEveryAxisAnalyticallyAndBySimulation) {
+  core::ExperimentSpec spec;
+  spec.name = "grid";
+  spec.base = small_params();
+  spec.base.n_init = 15;
+  spec.base.lambda_c = 1.0 / 2000.0;
+  core::AxisSpec m;
+  m.param = "num_voters";
+  m.values = {3, 5};
+  core::AxisSpec t;
+  t.param = "t_ids";
+  t.values = {60, 600};
+  spec.axes = {std::move(m), std::move(t)};
+  spec.backends = {core::BackendKind::Analytic, core::BackendKind::Des};
+  spec.mc.rel_ci_target = 0.10;
+  spec.mc.base_seed = 0xFACADE;
+  spec.mc.antithetic = true;
+  const auto result = core::ExperimentService().run(spec);
 
-  GridSpec spec;
-  spec.num_voters({3, 5}).t_ids({60, 600});
-  sim::McOptions mc;
-  mc.rel_ci_target = 0.10;
-  mc.base_seed = 0xFACADE;
-  mc.antithetic = true;
-  core::SweepEngine engine;
-  const auto result = engine.run_mc(spec, base, mc);
-
-  ASSERT_EQ(result.points.size(), 4u);
-  EXPECT_GT(result.mc_stats.replications, 0u);
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    const auto& pt = result.points[i];
-    EXPECT_TRUE(pt.mc.converged) << result.spec.label(i);
-    EXPECT_GT(pt.eval.mttsf, 0.0);
+  const auto& evals = result.at(core::BackendKind::Analytic).evals;
+  const auto& des = result.at(core::BackendKind::Des);
+  ASSERT_EQ(des.mc.size(), 4u);
+  EXPECT_GT(des.mc_stats.replications, 0u);
+  const GridSpec grid = spec.grid();
+  for (std::size_t i = 0; i < des.mc.size(); ++i) {
+    const auto& mc = des.mc[i];
+    EXPECT_TRUE(mc.converged) << grid.label(i);
+    EXPECT_GT(evals[i].mttsf, 0.0);
     // Antithetic replications come in pairs; the Summary counts pairs.
-    EXPECT_EQ(pt.mc.replications, 2 * pt.mc.ttsf.n);
+    EXPECT_EQ(mc.replications, 2 * mc.ttsf.n);
     // Distribution-exact agreement: the analytic value sits within a
     // slightly widened 95% CI (widening absorbs the expected ~5% false
     // alarms; the seed makes this deterministic).
-    EXPECT_NEAR(pt.mc.ttsf.mean, pt.eval.mttsf,
-                2.0 * pt.mc.ttsf.ci_half_width)
-        << result.spec.label(i);
+    EXPECT_NEAR(mc.ttsf.mean, evals[i].mttsf, 2.0 * mc.ttsf.ci_half_width)
+        << grid.label(i);
   }
-  EXPECT_LE(result.mttsf_inside_ci(), result.points.size());
 }
 
 }  // namespace

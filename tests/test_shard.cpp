@@ -1,17 +1,17 @@
-// Sharded sweep service: plan slicing, shard/merge equivalence with the
-// single-process engine (the acceptance criterion: ≤1e-12 analytic —
-// exact in practice — and BITWISE Monte-Carlo summaries), and the JSON
-// shard-file round trip.
+// Sharded sweep service: plan slicing, and shard/merge equivalence of
+// ExperimentService slices with the single-process run (BITWISE
+// analytic values and Monte-Carlo summaries, through the
+// ExperimentResult wire format, in every stream mode).
 #include "core/shard.h"
 
 #include <cmath>
-#include <cstdio>
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/sweep_engine.h"
 
 namespace {
@@ -33,6 +33,41 @@ core::GridSpec small_grid() {
   core::GridSpec spec;
   spec.num_voters({3, 5}).t_ids({30, 120, 480});
   return spec;
+}
+
+/// small_grid() as an analytic service request.
+core::ExperimentSpec small_spec() {
+  core::ExperimentSpec spec;
+  spec.name = "shard";
+  spec.base = small_params();
+  core::AxisSpec m;
+  m.param = "num_voters";
+  m.values = {3, 5};
+  core::AxisSpec t;
+  t.param = "t_ids";
+  t.values = {30, 120, 480};
+  spec.axes = {std::move(m), std::move(t)};
+  return spec;
+}
+
+/// `spec` restricted to the explicit point range `range`, labelled as
+/// shard `index` (merge_experiment_results rejects duplicate labels).
+core::ExperimentSpec slice(core::ExperimentSpec spec, ShardRange range,
+                           std::size_t index) {
+  spec.shard.policy = core::ShardSpec::Policy::Explicit;
+  spec.shard.shard_index = index;
+  spec.shard.range = range;
+  return spec;
+}
+
+/// Canonical bytes of a merged result after normalising the merge
+/// provenance, as the fleet coordinator does before answering.
+std::string merged_canonical(core::ExperimentResult merged,
+                             const core::ExperimentResult& whole) {
+  merged.num_shards = whole.num_shards;
+  merged.shard_index = whole.shard_index;
+  merged.shard_policy = whole.shard_policy;
+  return merged.canonical_json().dump_compact();
 }
 
 void expect_evals_bitwise(const core::Evaluation& a,
@@ -132,49 +167,53 @@ TEST(ShardPlan, ByStructureKeepsStructureRunsWhole) {
 
   // Each shard pays exactly one exploration for the structures it owns.
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    std::vector<Params> points;
+    for (std::size_t i = plan.range(s).begin; i < plan.range(s).end; ++i) {
+      points.push_back(spec.point(base, i));
+    }
     core::SweepEngine engine;
-    (void)engine.run_shard(spec, base, plan.range(s));
+    (void)engine.evaluate(points, core::kDefaultBatchWidth);
     EXPECT_EQ(engine.stats().explorations, 1u) << "shard " << s;
   }
 }
 
 TEST(ShardMerge, AnalyticMatchesSingleProcessExactly) {
-  const auto spec = small_grid();
-  const Params base = small_params();
+  const auto spec = small_spec();
+  const auto whole = core::ExperimentService().run(spec);
 
-  core::SweepEngine single;
-  const auto whole = single.run(spec, base);
-
-  // Uneven split including a single-point shard, each evaluated by its
-  // own engine (as separate worker processes would).
+  // Uneven split including a single-point shard, each answered by its
+  // own service (as separate worker processes would).
   const std::vector<ShardRange> ranges{{0, 1}, {1, 4}, {4, 6}};
-  std::vector<core::GridShardResult> shards;
-  for (const auto& r : ranges) {
-    core::SweepEngine worker;
-    shards.push_back(worker.run_shard(spec, base, r));
+  std::vector<core::ExperimentResult> parts;
+  for (std::size_t s = 0; s < ranges.size(); ++s) {
+    core::ExperimentService worker;
+    parts.push_back(worker.run(slice(spec, ranges[s], s)));
   }
-  const auto merged = core::merge_shards(spec, shards);
+  const auto merged = core::merge_experiment_results(parts);
 
-  ASSERT_EQ(merged.evals.size(), whole.evals.size());
-  for (std::size_t i = 0; i < whole.evals.size(); ++i) {
-    expect_evals_bitwise(merged.evals[i], whole.evals[i]);
+  const auto& want = whole.at(core::BackendKind::Analytic).evals;
+  const auto& got = merged.at(core::BackendKind::Analytic).evals;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_evals_bitwise(got[i], want[i]);
   }
+  EXPECT_EQ(merged_canonical(merged, whole),
+            whole.canonical_json().dump_compact());
 }
 
 TEST(ShardMerge, McMergesBitwiseUnderEveryStreamMode) {
-  const auto spec = small_grid();
-  const Params base = small_params();
-
-  sim::McOptions mc;
-  mc.base_seed = 0xFACADE;
-  mc.rel_ci_target = 0.15;
-  mc.min_replications = 32;
-  mc.block = 32;
-  mc.survival_horizons = {1e4, 1e6};
+  core::ExperimentSpec spec = small_spec();
+  spec.backends = {core::BackendKind::Analytic, core::BackendKind::Des};
+  spec.mc.base_seed = 0xFACADE;
+  spec.mc.rel_ci_target = 0.15;
+  spec.mc.min_replications = 32;
+  spec.mc.block = 32;
+  spec.mc.survival_horizons = {1e4, 1e6};
 
   // CRN (substreams keyed by replication only), independent streams
   // (keyed by GLOBAL point index via point_stream_offset), and
-  // antithetic pairs layered on CRN: in every mode a k-shard split must
+  // antithetic pairs layered on CRN: in every mode an uneven 3-way
+  // split, sent through the ExperimentResult wire format, must
   // reproduce the single-process run bit-for-bit.
   struct Mode {
     const char* name;
@@ -184,177 +223,63 @@ TEST(ShardMerge, McMergesBitwiseUnderEveryStreamMode) {
   for (const Mode mode : {Mode{"crn", true, false},
                           Mode{"independent", false, false},
                           Mode{"antithetic", true, true}}) {
-    sim::McOptions opts = mc;
-    opts.crn = mode.crn;
-    opts.antithetic = mode.antithetic;
-
-    core::SweepEngine single;
-    const auto whole = single.run_mc(spec, base, opts);
+    SCOPED_TRACE(mode.name);
+    core::ExperimentSpec run = spec;
+    run.mc.crn = mode.crn;
+    run.mc.antithetic = mode.antithetic;
+    const auto whole = core::ExperimentService().run(run);
 
     const std::vector<ShardRange> ranges{{0, 2}, {2, 3}, {3, 6}};
-    std::vector<core::McGridShardResult> shards;
-    for (const auto& r : ranges) {
-      core::SweepEngine worker;
-      shards.push_back(worker.run_mc_shard(spec, base, r, opts));
+    std::vector<core::ExperimentResult> parts;
+    for (std::size_t s = 0; s < ranges.size(); ++s) {
+      core::ExperimentService worker;
+      const auto part = worker.run(slice(run, ranges[s], s));
+      parts.push_back(core::ExperimentResult::from_json(
+          util::Json::parse(part.to_json().dump())));
     }
-    const auto merged = core::merge_mc_shards(spec, shards);
+    const auto merged = core::merge_experiment_results(parts);
 
-    ASSERT_EQ(merged.points.size(), whole.points.size()) << mode.name;
-    for (std::size_t i = 0; i < whole.points.size(); ++i) {
-      SCOPED_TRACE(std::string(mode.name) + " point " +
-                   std::to_string(i));
-      expect_evals_bitwise(merged.points[i].eval, whole.points[i].eval);
-      expect_mc_bitwise(merged.points[i].mc, whole.points[i].mc);
+    const auto& want = whole.at(core::BackendKind::Des).mc;
+    const auto& got = merged.at(core::BackendKind::Des).mc;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("point " + std::to_string(i));
+      expect_mc_bitwise(got[i], want[i]);
     }
-    EXPECT_EQ(merged.mc_stats.replications, whole.mc_stats.replications)
-        << mode.name;
-    EXPECT_EQ(merged.mttsf_inside_ci(), whole.mttsf_inside_ci())
-        << mode.name;
+    EXPECT_EQ(merged_canonical(merged, whole),
+              whole.canonical_json().dump_compact());
   }
 }
 
 TEST(ShardMerge, ValidatesTilingAndPayloads) {
-  const auto spec = small_grid();  // 6 points
-  const Params base = small_params();
-  core::SweepEngine engine;
+  const auto spec = small_spec();  // 6 points
+  core::ExperimentService service;
+  const auto merge = [](std::vector<core::ExperimentResult> parts) {
+    return core::merge_experiment_results(parts);
+  };
 
-  const auto a = engine.run_shard(spec, base, {0, 3});
-  const auto b = engine.run_shard(spec, base, {3, 6});
+  const auto a = service.run(slice(spec, {0, 3}, 0));
+  const auto b = service.run(slice(spec, {3, 6}, 1));
 
   // Gap: [0,3) + [4,6).
-  {
-    const auto tail = engine.run_shard(spec, base, {4, 6});
-    const std::vector<core::GridShardResult> gap{a, tail};
-    EXPECT_THROW((void)core::merge_shards(spec, gap),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW((void)merge({a, service.run(slice(spec, {4, 6}, 1))}),
+               std::invalid_argument);
   // Overlap: [0,3) + [2,6).
-  {
-    const auto over = engine.run_shard(spec, base, {2, 6});
-    const std::vector<core::GridShardResult> lap{a, over};
-    EXPECT_THROW((void)core::merge_shards(spec, lap),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW((void)merge({a, service.run(slice(spec, {2, 6}, 1))}),
+               std::invalid_argument);
   // Payload size inconsistent with the range.
   {
     auto broken = a;
-    broken.evals.pop_back();
-    const std::vector<core::GridShardResult> bad{broken, b};
-    EXPECT_THROW((void)core::merge_shards(spec, bad),
-                 std::invalid_argument);
+    broken.backends[0].evals.pop_back();
+    EXPECT_THROW((void)merge({broken, b}), std::invalid_argument);
   }
-  // Out-of-grid shard range is rejected at the engine.
-  EXPECT_THROW((void)engine.run_shard(spec, base, {4, 9}),
-               std::out_of_range);
+  // An out-of-grid shard range is rejected before anything runs.
+  EXPECT_THROW((void)service.run(slice(spec, {4, 9}, 1)),
+               std::invalid_argument);
 
   // The happy path including an empty shard.
-  const auto empty = engine.run_shard(spec, base, {6, 6});
-  const std::vector<core::GridShardResult> full{a, b, empty};
-  const auto merged = core::merge_shards(spec, full);
-  EXPECT_EQ(merged.evals.size(), 6u);
-}
-
-TEST(ShardFileJson, RoundTripsBitwise) {
-  const auto spec = small_grid();
-  const Params base = small_params();
-
-  sim::McOptions mc;
-  mc.base_seed = 0x5EED;
-  mc.rel_ci_target = 0.2;
-  mc.min_replications = 32;
-  mc.block = 32;
-  mc.survival_horizons = {1e5};
-
-  core::SweepEngine engine;
-  core::ShardFile file;
-  file.plan = "unit";
-  file.mode = "smoke";
-  file.grid_points = spec.num_points();
-  file.num_shards = 3;
-  file.shard_index = 1;
-  file.has_mc = true;
-  file.result = engine.run_mc_shard(spec, base, {1, 4}, mc);
-
-  const std::string path = "/tmp/midas_test_shard.json";
-  core::write_shard_json(path, file);
-  const auto back = core::read_shard_json(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(back.plan, file.plan);
-  EXPECT_EQ(back.mode, file.mode);
-  EXPECT_EQ(back.grid_points, file.grid_points);
-  EXPECT_EQ(back.num_shards, file.num_shards);
-  EXPECT_EQ(back.shard_index, file.shard_index);
-  EXPECT_EQ(back.has_mc, file.has_mc);
-  EXPECT_EQ(back.result.range, file.result.range);
-  ASSERT_EQ(back.result.evals.size(), file.result.evals.size());
-  for (std::size_t i = 0; i < file.result.evals.size(); ++i) {
-    expect_evals_bitwise(back.result.evals[i], file.result.evals[i]);
-  }
-  ASSERT_EQ(back.result.mc.size(), file.result.mc.size());
-  for (std::size_t i = 0; i < file.result.mc.size(); ++i) {
-    expect_mc_bitwise(back.result.mc[i], file.result.mc[i]);
-  }
-  EXPECT_EQ(back.result.mc_stats.replications,
-            file.result.mc_stats.replications);
-  EXPECT_EQ(back.result.mc_stats.seconds, file.result.mc_stats.seconds);
-
-  // Metadata disagreement is caught by the file-level merge.
-  auto other = back;
-  other.shard_index = 0;
-  other.plan = "different";
-  const std::vector<core::ShardFile> bad{file, other};
-  EXPECT_THROW((void)core::merge_shard_files(bad), std::invalid_argument);
-
-  // Duplicate shard index too.
-  const std::vector<core::ShardFile> dup{file, file};
-  EXPECT_THROW((void)core::merge_shard_files(dup), std::invalid_argument);
-}
-
-TEST(ShardFileJson, FileLevelMergeReconstructsTheGrid) {
-  const auto spec = small_grid();
-  const Params base = small_params();
-
-  sim::McOptions mc;
-  mc.base_seed = 0xFACADE;
-  mc.rel_ci_target = 0.2;
-  mc.min_replications = 32;
-  mc.block = 32;
-
-  core::SweepEngine single;
-  const auto whole = single.run_mc(spec, base, mc);
-
-  const auto plan = ShardPlan::contiguous(spec.num_points(), 2);
-  std::vector<core::ShardFile> files;
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    core::SweepEngine worker;
-    core::ShardFile f;
-    f.plan = "unit";
-    f.mode = "smoke";
-    f.grid_points = spec.num_points();
-    f.num_shards = plan.num_shards();
-    f.shard_index = s;
-    f.has_mc = true;
-    f.result = worker.run_mc_shard(spec, base, plan.range(s), mc);
-    // Through the serialization layer, as the real service runs.
-    const std::string path =
-        "/tmp/midas_test_shard_" + std::to_string(s) + ".json";
-    core::write_shard_json(path, f);
-    files.push_back(core::read_shard_json(path));
-    std::remove(path.c_str());
-  }
-
-  const auto merged = core::merge_shard_files(files);
-  EXPECT_EQ(merged.plan, "unit");
-  EXPECT_EQ(merged.num_shards, 2u);
-  ASSERT_EQ(merged.evals.size(), whole.points.size());
-  ASSERT_TRUE(merged.has_mc);
-  for (std::size_t i = 0; i < whole.points.size(); ++i) {
-    SCOPED_TRACE("point " + std::to_string(i));
-    expect_evals_bitwise(merged.evals[i], whole.points[i].eval);
-    expect_mc_bitwise(merged.mc[i], whole.points[i].mc);
-  }
-  EXPECT_EQ(merged.mc_stats.replications, whole.mc_stats.replications);
+  const auto merged = merge({a, b, service.run(slice(spec, {6, 6}, 2))});
+  EXPECT_EQ(merged.at(core::BackendKind::Analytic).evals.size(), 6u);
 }
 
 TEST(ShardPlan, ReplanSplitsTheUncompletedRemainderDeterministically) {

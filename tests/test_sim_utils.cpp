@@ -35,6 +35,22 @@ TEST(Rng, StreamsReproduce) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
 }
 
+TEST(Rng, PlainUniformStreamIsTheMt19937UniformSequence) {
+  // Seed-addressed replications stay bitwise stable only while a plain
+  // UniformStream draws exactly std::uniform_real_distribution<double>
+  // over std::mt19937_64(seed); the antithetic stream flips each draw.
+  const std::uint64_t seed = 0xBEEF;
+  UniformStream plain(seed);
+  UniformStream flipped(seed, true);
+  std::mt19937_64 reference_rng(seed);
+  std::uniform_real_distribution<double> reference(0.0, 1.0);
+  for (int i = 0; i < 5000; ++i) {
+    const double u = reference(reference_rng);
+    EXPECT_EQ(plain(), u) << i;
+    EXPECT_EQ(flipped(), std::min(1.0 - u, std::nextafter(1.0, 0.0))) << i;
+  }
+}
+
 TEST(Rng, DeriveSeedNoCollisionsOverLargeIndexRange) {
   // A million-replication experiment must not reuse a seed, nor collide
   // with a sibling experiment's stream.

@@ -450,9 +450,7 @@ TEST(SolverBatch, EngineResultsAreIndependentOfBatchWidth) {
   // batch path is grouping-independent: every width (> 1) must agree
   // BITWISE; the scalar width-1 path agrees to 1e-12.
   const auto pts = tids_sweep_points(17);
-  core::SweepEngineOptions opts;
-  opts.threads = 1;
-  core::SweepEngine engine(opts);
+  core::SweepEngine engine(1);
   const auto scalar = engine.evaluate(pts, 1);
   const auto w3 = engine.evaluate(pts, 3);
   const auto w8 = engine.evaluate(pts, 8);
@@ -464,23 +462,6 @@ TEST(SolverBatch, EngineResultsAreIndependentOfBatchWidth) {
     expect_eval_bitwise(w17[p], w3[p], tag + " w17-vs-w3");
     expect_rel(w3[p].mttsf, scalar[p].mttsf, 1e-12, tag + " mttsf");
     expect_rel(w3[p].ctotal, scalar[p].ctotal, 1e-12, tag + " ctotal");
-  }
-}
-
-TEST(SolverBatch, EngineReuseOffIsBitwiseScalarAtEveryWidth) {
-  const auto pts = tids_sweep_points(7);
-  core::SweepEngineOptions opts;
-  opts.threads = 1;
-  opts.factor_reuse = false;
-  core::SweepEngine engine(opts);
-  const auto scalar = engine.evaluate(pts, 1);
-  for (std::size_t w : {2u, 3u, 8u}) {
-    const auto batched = engine.evaluate(pts, w);
-    for (std::size_t p = 0; p < pts.size(); ++p) {
-      expect_eval_bitwise(batched[p], scalar[p],
-                          "width " + std::to_string(w) + " point " +
-                              std::to_string(p));
-    }
   }
 }
 

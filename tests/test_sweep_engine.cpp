@@ -8,7 +8,6 @@
 
 #include <stdexcept>
 
-#include "core/optimizer.h"
 #include "spn/absorbing.h"
 
 namespace {
@@ -21,6 +20,18 @@ Params small_params() {
   p.n_init = 20;
   p.max_groups = 1;
   return p;
+}
+
+/// `base` at every TIDS in `grid`.
+std::vector<Params> tids_points(const Params& base,
+                                const std::vector<double>& grid) {
+  std::vector<Params> points;
+  for (const double t : grid) {
+    Params p = base;
+    p.t_ids = t;
+    points.push_back(p);
+  }
+  return points;
 }
 
 /// All metrics the paper reports, within `tol` relative.
@@ -244,7 +255,7 @@ TEST(SweepEngine, MatchesFreshPerPointEvaluation) {
   }
 
   core::SweepEngine engine;
-  const auto evals = engine.evaluate(points);
+  const auto evals = engine.evaluate(points, core::kDefaultBatchWidth);
   ASSERT_EQ(evals.size(), points.size());
   EXPECT_EQ(engine.stats().explorations, 1u);
   EXPECT_EQ(engine.stats().points, points.size());
@@ -265,77 +276,14 @@ TEST(SweepEngine, MatchesOnPartitionMergeConfiguration) {
 
   const std::vector<double> grid{15, 120, 600};
   core::SweepEngine engine;
-  const auto sweep = engine.sweep_t_ids(base, grid);
+  const auto evals =
+      engine.evaluate(tids_points(base, grid), core::kDefaultBatchWidth);
   EXPECT_EQ(engine.stats().explorations, 1u);
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     Params p = base;
     p.t_ids = grid[i];
     const auto reference = core::GcsSpnModel(p).evaluate_reference();
-    expect_evaluations_match(sweep.points[i].eval, reference, 1e-12);
-  }
-}
-
-TEST(SweepEngine, ClearCacheDropsEveryCachedStructure) {
-  const std::vector<double> grid{60, 240};
-  core::SweepEngine engine;
-  const auto first = engine.sweep_t_ids(small_params(), grid);
-  EXPECT_EQ(engine.stats().explorations, 1u);
-  EXPECT_EQ(engine.cache_size(), 1u);
-
-  engine.clear_cache();
-  EXPECT_EQ(engine.cache_size(), 0u);
-
-  // A later sweep re-explores — and still produces identical results.
-  const auto second = engine.sweep_t_ids(small_params(), grid);
-  EXPECT_EQ(engine.stats().explorations, 2u);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    expect_evaluations_match(first.points[i].eval, second.points[i].eval,
-                             0.0);
-  }
-}
-
-TEST(SweepEngine, CacheCapEvictsLeastRecentlyUsed) {
-  // Regression for the unbounded structure cache: a long-lived shard
-  // worker sweeping many structural configs leaked one explored graph +
-  // analyzer per structure_key, forever.  With max_cache_entries the
-  // cache holds the cap after every evaluate() call and evicts
-  // least-recently-USED first (re-use refreshes an entry's position).
-  const std::vector<double> grid{120};
-  const auto with_n = [](std::int32_t n) {
-    Params p = small_params();
-    p.n_init = n;  // structural: each n is its own cache entry
-    return p;
-  };
-
-  core::SweepEngine engine({.max_cache_entries = 2});
-  (void)engine.sweep_t_ids(with_n(16), grid);  // cache: {16}
-  (void)engine.sweep_t_ids(with_n(18), grid);  // cache: {16, 18}
-  EXPECT_EQ(engine.stats().explorations, 2u);
-  EXPECT_EQ(engine.cache_size(), 2u);
-
-  (void)engine.sweep_t_ids(with_n(16), grid);  // hit; refreshes 16
-  EXPECT_EQ(engine.stats().explorations, 2u);
-
-  (void)engine.sweep_t_ids(with_n(20), grid);  // evicts 18 (LRU), not 16
-  EXPECT_EQ(engine.stats().explorations, 3u);
-  EXPECT_EQ(engine.cache_size(), 2u);
-  EXPECT_EQ(engine.stats().cache_evictions, 1u);
-
-  (void)engine.sweep_t_ids(with_n(16), grid);  // still cached
-  EXPECT_EQ(engine.stats().explorations, 3u);
-  (void)engine.sweep_t_ids(with_n(18), grid);  // evicted → re-explores
-  EXPECT_EQ(engine.stats().explorations, 4u);
-
-  // A single batch needing more structures than the cap still works:
-  // every structure lives through its batch, the cache is trimmed after.
-  std::vector<Params> batch{with_n(16), with_n(18), with_n(20),
-                            with_n(22)};
-  core::SweepEngine burst({.max_cache_entries = 1});
-  const auto evals = burst.evaluate(batch);
-  EXPECT_EQ(burst.cache_size(), 1u);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto reference = core::GcsSpnModel(batch[i]).evaluate_reference();
     expect_evaluations_match(evals[i], reference, 1e-12);
   }
 }
@@ -346,32 +294,22 @@ TEST(SweepEngine, StructureCachePersistsAcrossCalls) {
   for (const int m : {3, 5, 7}) {
     Params p = small_params();
     p.num_voters = m;
-    (void)engine.sweep_t_ids(p, grid);
+    (void)engine.evaluate(tids_points(p, grid), core::kDefaultBatchWidth);
   }
   EXPECT_EQ(engine.stats().explorations, 1u);
   EXPECT_EQ(engine.stats().points, 6u);
 }
 
 TEST(SweepEngine, ThreadCountDoesNotChangeResults) {
-  const std::vector<double> grid{30, 120, 480};
-  core::SweepEngine serial({.threads = 1});
-  core::SweepEngine parallel({.threads = 4});
-  const auto a = serial.sweep_t_ids(small_params(), grid);
-  const auto b = parallel.sweep_t_ids(small_params(), grid);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    expect_evaluations_match(a.points[i].eval, b.points[i].eval, 0.0);
-  }
-}
-
-TEST(SweepEngine, NaiveModeMatchesCachedMode) {
-  const std::vector<double> grid{15, 240};
-  core::SweepEngine cached;
-  core::SweepEngine naive({.reuse_structure = false});
-  const auto a = cached.sweep_t_ids(small_params(), grid);
-  const auto b = naive.sweep_t_ids(small_params(), grid);
-  EXPECT_EQ(naive.stats().explorations, grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    expect_evaluations_match(a.points[i].eval, b.points[i].eval, 1e-12);
+  const auto points = tids_points(small_params(), {30, 120, 480});
+  core::SweepEngine serial(1);
+  core::SweepEngine parallel(4);
+  for (const std::size_t width : {std::size_t{1}, core::kDefaultBatchWidth}) {
+    const auto a = serial.evaluate(points, width);
+    const auto b = parallel.evaluate(points, width);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      expect_evaluations_match(a[i], b[i], 0.0);
+    }
   }
 }
 
@@ -383,29 +321,6 @@ TEST(SweepResult, EmptyResultThrowsInsteadOfUb) {
   EXPECT_THROW((void)empty.argmin_ctotal(), std::logic_error);
   EXPECT_THROW((void)empty.best_mttsf(), std::logic_error);
   EXPECT_THROW((void)empty.best_ctotal(), std::logic_error);
-}
-
-TEST(SweepEngine, SweepMcAnswersGridAnalyticallyAndBySimulation) {
-  const std::vector<double> grid{60.0, 600.0};
-  sim::McOptions mc;
-  mc.rel_ci_target = 0.10;
-  mc.base_seed = 0xFACADE;
-  core::SweepEngine engine;
-  const auto result = engine.sweep_mc(small_params(), grid, mc);
-
-  ASSERT_EQ(result.points.size(), grid.size());
-  EXPECT_GT(result.mc_stats.replications, 0u);
-  for (const auto& pt : result.points) {
-    EXPECT_TRUE(pt.mc.converged);
-    EXPECT_GT(pt.eval.mttsf, 0.0);
-    // Distribution-exact agreement: the analytic value sits within a
-    // slightly widened 95% CI (widening absorbs the expected ~5% false
-    // alarms; the seed makes this deterministic).
-    EXPECT_NEAR(pt.mc.ttsf.mean, pt.eval.mttsf,
-                2.0 * pt.mc.ttsf.ci_half_width)
-        << "t_ids=" << pt.t_ids;
-  }
-  EXPECT_LE(result.mttsf_inside_ci(), grid.size());
 }
 
 TEST(GcsSpnModel, GraphIsCachedAcrossUses) {

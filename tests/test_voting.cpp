@@ -4,7 +4,10 @@
 // down as invariants.
 #include "ids/voting.h"
 
+#include <optional>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +158,31 @@ TEST(VotingTable, MatchesDirectEvaluationAndClamps) {
   // Out-of-range lookups clamp instead of crashing.
   EXPECT_DOUBLE_EQ(table.at(100, 100).pfp, table.at(20, 10).pfp);
   EXPECT_DOUBLE_EQ(table.at(-5, -5).pfn, table.at(0, 0).pfn);
+}
+
+TEST(VotingTable, ConcurrentConstructionMatchesSerial) {
+  // Sweep and Monte-Carlo workers build tables for different (m, p1, p2)
+  // on several threads at once.  Under TSan this pins that the closed
+  // form writes no shared global (std::lgamma writes glibc's signgam);
+  // in every build it pins that a table does not depend on its thread.
+  const std::vector<VotingParams> configs{
+      {3, 0.01, 0.02}, {5, 0.02, 0.03}, {7, 0.05, 0.01}, {9, 0.1, 0.1}};
+  std::vector<std::optional<VotingTable>> built(configs.size());
+  std::vector<std::thread> workers;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    workers.emplace_back([&, i] { built[i].emplace(configs[i], 40, 40); });
+  }
+  for (auto& w : workers) w.join();
+
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const VotingTable serial(configs[i], 40, 40);
+    for (int g = 0; g <= 40; ++g) {
+      for (int b = 0; b <= 40; ++b) {
+        EXPECT_EQ(built[i]->at(g, b).pfp, serial.at(g, b).pfp);
+        EXPECT_EQ(built[i]->at(g, b).pfn, serial.at(g, b).pfn);
+      }
+    }
+  }
 }
 
 }  // namespace

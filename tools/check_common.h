@@ -1,5 +1,5 @@
 // Equality notions shared by the tool-side CI gates: run_experiment's
-// --parity-check (service vs legacy entry points) and sweep_merge's
+// --parity-check (service vs engine-level reruns) and sweep_merge's
 // --check (merged shards vs single-process run) must enforce the SAME
 // definition of "equal", or a divergence could pass one gate and fail
 // the other.

@@ -11,17 +11,13 @@
 //   --round-trip-check 1   re-serialise the parsed spec and fail unless
 //                          it reproduces the input file byte-for-byte
 //                          (the wire format must be canonical);
-//   --parity-check 1       re-answer the spec through the LEGACY entry
-//                          points (SweepEngine::run / run_mc,
-//                          MonteCarloEngine::run_protocol) and fail
-//                          unless analytic values agree to --tolerance
-//                          (in practice exactly) and Monte-Carlo
-//                          accumulator states are bitwise identical;
-//                          constant specs additionally rerun with an
-//                          identity one-segment schedule attached and
-//                          gate the canonical backend payloads
-//                          byte-for-byte (a constant schedule must BE
-//                          the constant model).
+//   --parity-check 1       cross-check the answer: the batched analytic
+//                          solve against the scalar batch=1 path (to
+//                          --tolerance), a re-parsed spec rerun and an
+//                          identity-schedule rerun byte-for-byte, the
+//                          DES payload with spec.mc.vr stripped, and the
+//                          protocol payload against a bare
+//                          MonteCarloEngine::run_protocol (bitwise).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -99,87 +95,37 @@ void print_points(const core::ExperimentSpec& spec,
   table.print(std::cout);
 }
 
-/// True when every point of the slice carries legacy-expressible
-/// models: the pre-plugin SweepEngine entry points build an SPN for
-/// every point (run_mc computes the analytic eval alongside the MC
-/// estimate), so time-dependent detectors / non-Poisson attackers have
-/// no legacy twin to compare against.
-bool legacy_expressible(const core::ExperimentSpec& spec,
-                        const core::GridSpec& grid, core::ShardRange range) {
-  // Time-varying params have no legacy twin either: the pre-PR-9 entry
-  // points hand every point to a single time-homogeneous GcsSpnModel.
-  if (spec.base.time_varying()) return false;
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    const core::Params p = grid.point(spec.base, i);
-    if (!p.detector.analytic_compatible() ||
-        !p.attacker.analytic_compatible()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Re-answers the spec via the legacy entry points and gates equality.
+/// Re-answers the spec through independent reruns and gates equality.
 bool parity_check(const core::ExperimentSpec& spec,
                   const core::GridSpec& grid,
                   const core::ExperimentResult& result, double tolerance) {
   bool ok = true;
-  const bool models_legacy = legacy_expressible(spec, grid, result.range);
-  if (!models_legacy) {
-    std::printf("parity legacy entry points:                skipped — the "
-                "grid sweeps models the pre-plugin engine cannot express\n");
-  }
-  core::SweepEngine engine;
-  if (const auto* run = models_legacy
-          ? result.find(core::BackendKind::Analytic)
-          : nullptr) {
-    const auto legacy = engine.run(grid, spec.base);
-    double max_diff = 0.0;
-    for (std::size_t i = 0; i < run->evals.size(); ++i) {
-      max_diff = std::max(
-          max_diff,
-          eval_rel_diff(run->evals[i],
-                        legacy.evals[result.range.begin + i]));
-    }
-    std::printf("parity analytic (SweepEngine::run):        max rel diff "
-                "%.3e (tolerance %.0e) -> %s\n",
-                max_diff, tolerance, max_diff <= tolerance ? "ok" : "FAIL");
-    ok = ok && max_diff <= tolerance;
-    // The legacy run above exercises the same batched kernels as the
-    // service; additionally gate against the scalar per-point path
-    // (batch width 1) so the batched solve itself is cross-checked.
-    std::vector<core::Params> pts;
-    pts.reserve(run->evals.size());
-    for (std::size_t i = result.range.begin; i < result.range.end; ++i) {
-      pts.push_back(grid.point(spec.base, i));
-    }
-    const auto scalar = engine.evaluate(pts, 1);
-    double max_scalar = 0.0;
-    for (std::size_t i = 0; i < run->evals.size(); ++i) {
-      max_scalar =
-          std::max(max_scalar, eval_rel_diff(run->evals[i], scalar[i]));
-    }
-    std::printf("parity analytic (scalar batch=1 path):     max rel diff "
-                "%.3e (tolerance %.0e) -> %s\n",
-                max_scalar, tolerance,
-                max_scalar <= tolerance ? "ok" : "FAIL");
-    ok = ok && max_scalar <= tolerance;
-  }
-  if (const auto* run =
-          models_legacy ? result.find(core::BackendKind::Des) : nullptr) {
-    const auto legacy_result = engine.run_mc(grid, spec.base, spec.mc);
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < run->mc.size(); ++i) {
-      if (!mc_bitwise_equal(run->mc[i],
-                            legacy_result.points[result.range.begin + i].mc)) {
-        ++mismatches;
+  if (const auto* run = result.find(core::BackendKind::Analytic)) {
+    if (spec.base.time_varying()) {
+      std::printf("parity analytic (scalar batch=1 path):     skipped — the "
+                  "spec carries a schedule/mission\n");
+    } else {
+      // The service solves through the batched kernels; cross-check
+      // them against the scalar per-point path (batch width 1) on a
+      // fresh engine.
+      std::vector<core::Params> pts;
+      pts.reserve(run->evals.size());
+      for (std::size_t i = result.range.begin; i < result.range.end; ++i) {
+        pts.push_back(grid.point(spec.base, i));
       }
+      core::SweepEngine engine;
+      const auto scalar = engine.evaluate(pts, 1);
+      double max_scalar = 0.0;
+      for (std::size_t i = 0; i < run->evals.size(); ++i) {
+        max_scalar =
+            std::max(max_scalar, eval_rel_diff(run->evals[i], scalar[i]));
+      }
+      std::printf("parity analytic (scalar batch=1 path):     max rel diff "
+                  "%.3e (tolerance %.0e) -> %s\n",
+                  max_scalar, tolerance,
+                  max_scalar <= tolerance ? "ok" : "FAIL");
+      ok = ok && max_scalar <= tolerance;
     }
-    std::printf("parity DES (SweepEngine::run_mc):          %zu/%zu points "
-                "bitwise -> %s\n",
-                run->mc.size() - mismatches, run->mc.size(),
-                mismatches == 0 ? "ok" : "FAIL");
-    ok = ok && mismatches == 0;
   }
   {
     // Plugin-path parity: the detector/attacker model descriptors must
@@ -267,11 +213,11 @@ bool parity_check(const core::ExperimentSpec& spec,
     }
     sim::McOptions mc = spec.mc;
     mc.point_stream_offset += result.range.begin;
-    sim::MonteCarloEngine legacy(mc);
-    const auto legacy_mc = legacy.run_protocol(points);
+    sim::MonteCarloEngine engine(mc);
+    const auto bare = engine.run_protocol(points);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < run->mc.size(); ++i) {
-      if (!mc_bitwise_equal(run->mc[i], legacy_mc[i])) ++mismatches;
+      if (!mc_bitwise_equal(run->mc[i], bare[i])) ++mismatches;
     }
     std::printf("parity protocol (MonteCarloEngine):        %zu/%zu points "
                 "bitwise -> %s\n",
@@ -302,10 +248,11 @@ int main(int argc, char** argv) {
            "fail unless the parsed spec re-serialises to the input file "
            "byte-for-byte (0|1)");
   cli.flag("parity-check", 0,
-           "re-answer through the legacy SweepEngine/MonteCarloEngine "
-           "entry points and gate equality (0|1)");
+           "cross-check the answer against scalar, re-parsed, "
+           "identity-schedule, vr-stripped and bare-engine reruns (0|1)");
   cli.flag("tolerance", 1e-12,
-           "max relative analytic difference tolerated by --parity-check");
+           "max relative batched-vs-scalar analytic difference tolerated "
+           "by --parity-check");
 
   try {
     if (!cli.parse(argc, argv)) return 0;
