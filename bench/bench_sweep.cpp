@@ -85,8 +85,13 @@ int main(int argc, char** argv) {
   // Scalar vs batched engine on a WARM structure cache: both paths
   // share the one-off exploration, so repeated evaluate() passes
   // isolate the per-point solve pipeline (rates → solve → rewards) the
-  // batch kernels rewrote — the PR-7 before/after.
-  core::SweepEngine timing_engine;
+  // batch kernels rewrote — the PR-7 before/after.  One worker thread
+  // times both paths the same way: a smoke pass lasts ~1 ms, the
+  // batched path has only a handful of batches to spread over the
+  // pool, and on a shared 4-core host a multithreaded pass mostly
+  // measures thread wake-up and whatever load the preceding CI steps
+  // left behind, not the per-point solve work the ratio is about.
+  core::SweepEngine timing_engine(1);
   (void)timing_engine.evaluate(points, 1);  // pay the exploration once
   (void)timing_engine.evaluate(points, spec.analytic.batch);
   // Alternate the two modes and keep each one's fastest pass: back-to-

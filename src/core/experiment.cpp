@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "core/mission.h"
@@ -23,331 +25,57 @@ constexpr const char* kResultFormat = "midas-experiment-result-v1";
 [[noreturn]] void fail(const std::string& path, const std::string& msg) {
   throw std::invalid_argument("ExperimentSpec: " + path + ": " + msg);
 }
-
-/// Integral sizes travel as JSON numbers; doubles above 2^53 would stop
-/// round-tripping exactly, so they are rejected at serialisation time.
-util::Json json_size(std::uint64_t v, const std::string& path) {
-  if (v > (std::uint64_t{1} << 53)) {
-    fail(path, "integer " + std::to_string(v) +
-                   " exceeds the 2^53 JSON-exact range");
-  }
-  return util::Json(static_cast<double>(v));
+[[noreturn]] void fail(const FieldPath& path, const std::string& msg) {
+  fail(path.str(), msg);
 }
 
-/// Path-carrying cursor over a JSON object: every accessor failure
-/// names the full path of the offending field.
-struct Reader {
-  const util::Json& j;
-  std::string path;
-
-  [[nodiscard]] const util::Json& at(const std::string& key) const {
-    if (j.type() != util::Json::Type::Object) {
-      fail(path, "expected an object");
-    }
-    const util::Json* f = j.find(key);
-    if (f == nullptr) fail(path + "." + key, "missing required field");
-    return *f;
-  }
-  [[nodiscard]] Reader child(const std::string& key) const {
-    return {at(key), path + "." + key};
-  }
-  [[nodiscard]] double number(const std::string& key) const {
-    try {
-      return at(key).to_double();
-    } catch (const std::exception& e) {
-      fail(path + "." + key, e.what());
-    }
-  }
-  [[nodiscard]] std::size_t size(const std::string& key) const {
-    try {
-      return at(key).as_size();
-    } catch (const std::exception& e) {
-      fail(path + "." + key, e.what());
-    }
-  }
-  [[nodiscard]] bool boolean(const std::string& key) const {
-    try {
-      return at(key).as_bool();
-    } catch (const std::exception& e) {
-      fail(path + "." + key, e.what());
-    }
-  }
-  [[nodiscard]] const std::string& str(const std::string& key) const {
-    try {
-      return at(key).as_string();
-    } catch (const std::exception& e) {
-      fail(path + "." + key, e.what());
-    }
-  }
-  [[nodiscard]] std::vector<double> numbers(const std::string& key) const {
-    const auto& arr = at(key);
-    if (arr.type() != util::Json::Type::Array) {
-      fail(path + "." + key, "expected an array");
-    }
-    std::vector<double> out;
-    out.reserve(arr.size());
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      try {
-        out.push_back(arr.at(i).to_double());
-      } catch (const std::exception& e) {
-        fail(path + "." + key + "[" + std::to_string(i) + "]", e.what());
-      }
-    }
-    return out;
-  }
-  [[nodiscard]] std::vector<std::string> strings(
-      const std::string& key) const {
-    const auto& arr = at(key);
-    if (arr.type() != util::Json::Type::Array) {
-      fail(path + "." + key, "expected an array");
-    }
-    std::vector<std::string> out;
-    out.reserve(arr.size());
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      try {
-        out.push_back(arr.at(i).as_string());
-      } catch (const std::exception& e) {
-        fail(path + "." + key + "[" + std::to_string(i) + "]", e.what());
-      }
-    }
-    return out;
-  }
-};
-
-util::Json numbers_to_json(std::span<const double> values) {
-  auto arr = util::Json::array();
-  for (const double v : values) arr.push_back(util::Json::number(v));
-  return arr;
+/// The largest value an integer field of type T carries on the wire:
+/// its own maximum, capped at 2^53 where doubles stop being exact.
+template <class T>
+constexpr double max_wire_integer() {
+  return std::min(9007199254740992.0,
+                  static_cast<double>(std::numeric_limits<T>::max()));
 }
 
-// --- spec.mc.vr codec. ------------------------------------------------
-// Canonical key order; emitted only when vr.any() (so pre-vr spec bytes
-// never change) and OPTIONAL on read (pre-vr spec files and embedded
-// golden specs keep parsing).  Disabled sub-blocks are omitted for the
-// same byte-stability reason.
-
-util::Json vr_options_to_json(const vr::VrOptions& v) {
-  auto j = util::Json::object();
-  if (v.sobol.enabled) {
-    auto s = util::Json::object();
-    s.set("replicates", json_size(v.sobol.replicates,
-                                  "spec.mc.vr.sobol.replicates"));
-    s.set("samples_per_replicate",
-          json_size(v.sobol.samples_per_replicate,
-                    "spec.mc.vr.sobol.samples_per_replicate"));
-    j.set("sobol", std::move(s));
-  }
-  if (v.cv.enabled) {
-    auto c = util::Json::object();
-    c.set("pilot", json_size(v.cv.pilot, "spec.mc.vr.cv.pilot"));
-    c.set("replications",
-          json_size(v.cv.replications, "spec.mc.vr.cv.replications"));
-    j.set("cv", std::move(c));
-  }
-  if (v.splitting.enabled) {
-    auto s = util::Json::object();
-    s.set("target", util::Json(v.splitting.target));
-    auto levels = util::Json::array();
-    for (const std::int64_t t : v.splitting.levels) {
-      levels.push_back(json_size(static_cast<std::uint64_t>(t),
-                                 "spec.mc.vr.splitting.levels"));
-    }
-    s.set("levels", std::move(levels));
-    s.set("scheme", util::Json(v.splitting.scheme));
-    s.set("effort",
-          json_size(v.splitting.effort, "spec.mc.vr.splitting.effort"));
-    s.set("splitting_factor",
-          json_size(v.splitting.splitting_factor,
-                    "spec.mc.vr.splitting.splitting_factor"));
-    s.set("replicates", json_size(v.splitting.replicates,
-                                  "spec.mc.vr.splitting.replicates"));
-    j.set("splitting", std::move(s));
-  }
-  return j;
+/// Integers are read back through doubles; this bounds them BEFORE any
+/// float→int cast (a NaN or 1e300 cast is undefined behaviour).
+bool fits_integer(double v, double max) {
+  return v >= 0.0 && v <= max && v == std::floor(v);
+}
+std::string not_an_integer(double v, double max) {
+  return format_value(v) + " is not an integer in [0, " + format_value(max) +
+         "]";
 }
 
-vr::VrOptions vr_options_from_json(const util::Json& j,
-                                   const std::string& path) {
-  const Reader r{j, path};
-  vr::VrOptions v;
-  if (j.type() != util::Json::Type::Object) fail(path, "expected an object");
-  if (j.find("sobol") != nullptr) {
-    const Reader s = r.child("sobol");
-    v.sobol.enabled = true;
-    v.sobol.replicates = s.size("replicates");
-    v.sobol.samples_per_replicate = s.size("samples_per_replicate");
-  }
-  if (j.find("cv") != nullptr) {
-    const Reader c = r.child("cv");
-    v.cv.enabled = true;
-    v.cv.pilot = c.size("pilot");
-    v.cv.replications = c.size("replications");
-  }
-  if (j.find("splitting") != nullptr) {
-    const Reader s = r.child("splitting");
-    v.splitting.enabled = true;
-    v.splitting.target = s.str("target");
-    v.splitting.levels.clear();
-    const auto& levels = s.at("levels");
-    if (levels.type() != util::Json::Type::Array) {
-      fail(path + ".splitting.levels", "expected an array");
-    }
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-      try {
-        v.splitting.levels.push_back(
-            static_cast<std::int64_t>(levels.at(i).as_size()));
-      } catch (const std::exception& e) {
-        fail(path + ".splitting.levels[" + std::to_string(i) + "]",
-             e.what());
-      }
-    }
-    v.splitting.scheme = s.str("scheme");
-    v.splitting.effort = s.size("effort");
-    v.splitting.splitting_factor = s.size("splitting_factor");
-    v.splitting.replicates = s.size("replicates");
-  }
-  return v;
-}
-
-// --- Schedule / mission codecs. ---------------------------------------
-// Both fields are always serialised (empty arrays for the constant
-// model) so canonical spec documents stay byte-stable; on read they are
-// OPTIONAL, keeping every pre-PR-9 spec file parseable.  Non-finite
-// values (the last segment's infinite duration, NaN inherit-overrides)
-// travel via util::Json::number's "inf"/"nan" string encoding, which
-// to_double() reverses exactly.
-
-util::Json schedule_to_json(const RateSchedule& s) {
-  auto j = util::Json::object();
-  auto segments = util::Json::array();
-  for (const auto& seg : s.segments) {
-    auto o = util::Json::object();
-    o.set("name", util::Json(seg.name));
-    o.set("duration_s", util::Json::number(seg.duration_s));
-    o.set("lambda_c", util::Json::number(seg.mult.lambda_c));
-    o.set("t_ids", util::Json::number(seg.mult.t_ids));
-    o.set("lambda_q", util::Json::number(seg.mult.lambda_q));
-    o.set("partition", util::Json::number(seg.mult.partition));
-    o.set("merge", util::Json::number(seg.mult.merge));
-    segments.push_back(std::move(o));
-  }
-  j.set("segments", std::move(segments));
-  return j;
-}
-
-RateSchedule schedule_from_json(const util::Json& j,
-                                const std::string& path) {
-  const Reader r{j, path};
-  const auto& arr = r.at("segments");
-  if (arr.type() != util::Json::Type::Array) {
-    fail(path + ".segments", "expected an array");
-  }
-  RateSchedule s;
-  s.segments.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const Reader seg{arr.at(i),
-                     path + ".segments[" + std::to_string(i) + "]"};
-    ScheduleSegment out;
-    out.name = seg.str("name");
-    out.duration_s = seg.number("duration_s");
-    out.mult.lambda_c = seg.number("lambda_c");
-    out.mult.t_ids = seg.number("t_ids");
-    out.mult.lambda_q = seg.number("lambda_q");
-    out.mult.partition = seg.number("partition");
-    out.mult.merge = seg.number("merge");
-    s.segments.push_back(std::move(out));
-  }
-  return s;
-}
-
-util::Json mission_to_json(const MissionProfile& m) {
-  auto j = util::Json::object();
-  auto phases = util::Json::array();
-  for (const auto& ph : m.phases) {
-    auto o = util::Json::object();
-    o.set("name", util::Json(ph.name));
-    o.set("duration_s", util::Json::number(ph.duration_s));
-    o.set("t_ids", util::Json::number(ph.t_ids));
-    o.set("lambda_c", util::Json::number(ph.lambda_c));
-    o.set("lambda_q", util::Json::number(ph.lambda_q));
-    o.set("p1", util::Json::number(ph.p1));
-    o.set("p2", util::Json::number(ph.p2));
-    o.set("detection_shape", util::Json(ph.detection_shape));
-    o.set("attacker_shape", util::Json(ph.attacker_shape));
-    phases.push_back(std::move(o));
-  }
-  j.set("phases", std::move(phases));
-  return j;
-}
-
-MissionProfile mission_from_json(const util::Json& j,
-                                 const std::string& path) {
-  const Reader r{j, path};
-  const auto& arr = r.at("phases");
-  if (arr.type() != util::Json::Type::Array) {
-    fail(path + ".phases", "expected an array");
-  }
-  MissionProfile m;
-  m.phases.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const Reader ph{arr.at(i), path + ".phases[" + std::to_string(i) + "]"};
-    MissionPhase out;
-    out.name = ph.str("name");
-    out.duration_s = ph.number("duration_s");
-    out.t_ids = ph.number("t_ids");
-    out.lambda_c = ph.number("lambda_c");
-    out.lambda_q = ph.number("lambda_q");
-    out.p1 = ph.number("p1");
-    out.p2 = ph.number("p2");
-    out.detection_shape = ph.str("detection_shape");
-    out.attacker_shape = ph.str("attacker_shape");
-    m.phases.push_back(std::move(out));
-  }
-  return m;
-}
-
-// --- Enum codecs. -----------------------------------------------------
-
-ids::Shape shape_from(const std::string& name, const std::string& path) {
+/// `parse(name)`, with an unknown name reported at `path`.
+template <class E>
+E parse_at(E (*parse)(const std::string&), const std::string& name,
+           const FieldPath& path) {
   try {
-    return ids::shape_from_string(name);
-  } catch (const std::exception&) {
-    fail(path, "unknown shape '" + name +
-                   "' (expected logarithmic | linear | polynomial)");
+    return parse(name);
+  } catch (const std::exception& e) {
+    fail(path, e.what());
   }
 }
 
-std::string progress_name(AttackerProgress p) {
-  return p == AttackerProgress::CampaignProgress ? "campaign_progress"
-                                                 : "compromise_ratio";
-}
-
-AttackerProgress progress_from(const std::string& name,
-                               const std::string& path) {
-  if (name == "compromise_ratio") return AttackerProgress::CompromiseRatio;
-  if (name == "campaign_progress") return AttackerProgress::CampaignProgress;
-  fail(path, "unknown attacker progress '" + name +
-                 "' (expected compromise_ratio | campaign_progress)");
-}
-
-BackendKind backend_from(const std::string& name, const std::string& path) {
+BackendKind backend_from_string(const std::string& name) {
   if (name == "analytic") return BackendKind::Analytic;
   if (name == "des") return BackendKind::Des;
   if (name == "protocol_sim") return BackendKind::ProtocolSim;
-  fail(path, "unknown backend '" + name +
-                 "' (expected analytic | des | protocol_sim)");
+  throw std::invalid_argument("unknown backend '" + name +
+                              "' (expected analytic | des | protocol_sim)");
 }
 
-ShardSpec::Policy policy_from(const std::string& name,
-                              const std::string& path) {
+ShardSpec::Policy policy_from_string(const std::string& name) {
   if (name == "all") return ShardSpec::Policy::All;
   if (name == "contiguous") return ShardSpec::Policy::Contiguous;
   if (name == "by_structure") return ShardSpec::Policy::ByStructure;
   if (name == "by_pilot_cost") return ShardSpec::Policy::ByPilotCost;
   if (name == "explicit") return ShardSpec::Policy::Explicit;
-  fail(path, "unknown shard policy '" + name +
-                 "' (expected all | contiguous | by_structure | "
-                 "by_pilot_cost | explicit)");
+  throw std::invalid_argument(
+      "unknown shard policy '" + name +
+      "' (expected all | contiguous | by_structure | by_pilot_cost | "
+      "explicit)");
 }
 
 /// The metric names a spec may request.
@@ -359,63 +87,33 @@ const std::vector<std::string>& known_metrics() {
 
 // --- Generic numeric axis registry. -----------------------------------
 
-/// Compact value rendering for validation messages ("1.3", not
-/// "1.300000").
-std::string fmt_value(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-/// Range predicates shared by axis values and the base params; each
-/// returns nullptr when the value is admissible, else the constraint
-/// text appended after the value in the error message.
-const char* check_unit_interval(double v) {
-  return (v >= 0.0 && v <= 1.0) ? nullptr : "outside [0,1]";
-}
-const char* check_nonnegative_rate(double v) {
-  return v >= 0.0 ? nullptr : "is a negative rate";
-}
-const char* check_open_unit_interval(double v) {
-  return (v > 0.0 && v < 1.0) ? nullptr : "outside (0,1)";
-}
-const char* check_p_index(double v) {
-  return v > 1.0 ? nullptr : "must be > 1";
-}
-
+/// A numeric axis writes Params fields from one double.  Its values are
+/// judged by the field list's range for `field` (default: the axis
+/// name) — the registry keeps no second copy of any range.
 struct NumericAxisDef {
   const char* name;
   void (*set)(Params&, double);
-  /// nullptr = unconstrained; else rejects bad values at
-  /// spec-validation time instead of surfacing as NaN/negative rates
-  /// deep in a backend.
-  const char* (*check)(double);
+  const char* field = nullptr;
 };
 
 constexpr NumericAxisDef kNumericAxes[] = {
-    {"lambda_join", [](Params& p, double v) { p.lambda_join = v; },
-     check_nonnegative_rate},
-    {"mu_leave", [](Params& p, double v) { p.mu_leave = v; },
-     check_nonnegative_rate},
-    {"lambda_q", [](Params& p, double v) { p.lambda_q = v; },
-     check_nonnegative_rate},
-    {"lambda_c", [](Params& p, double v) { p.lambda_c = v; },
-     check_nonnegative_rate},
-    {"p_index", [](Params& p, double v) { p.p_index = v; }, check_p_index},
-    {"p1", [](Params& p, double v) { p.p1 = v; }, check_unit_interval},
-    {"p2", [](Params& p, double v) { p.p2 = v; }, check_unit_interval},
+    {"lambda_join", [](Params& p, double v) { p.lambda_join = v; }},
+    {"mu_leave", [](Params& p, double v) { p.mu_leave = v; }},
+    {"lambda_q", [](Params& p, double v) { p.lambda_q = v; }},
+    {"lambda_c", [](Params& p, double v) { p.lambda_c = v; }},
+    {"p_index", [](Params& p, double v) { p.p_index = v; }},
+    {"p1", [](Params& p, double v) { p.p1 = v; }},
+    {"p2", [](Params& p, double v) { p.p2 = v; }},
     {"host_ids_error",
      [](Params& p, double v) {
        p.p1 = v;
        p.p2 = v;
      },
-     check_unit_interval},
+     "p1"},  // p1 = p2 jointly, so p1's range judges both
     {"byzantine_fraction",
-     [](Params& p, double v) { p.byzantine_fraction = v; },
-     check_open_unit_interval},
+     [](Params& p, double v) { p.byzantine_fraction = v; }},
     {"n_init",
-     [](Params& p, double v) { p.n_init = static_cast<std::int32_t>(v); },
-     nullptr},
+     [](Params& p, double v) { p.n_init = static_cast<std::int32_t>(v); }},
 };
 
 const NumericAxisDef* find_numeric_axis(const std::string& name) {
@@ -424,6 +122,25 @@ const NumericAxisDef* find_numeric_axis(const std::string& name) {
   }
   return nullptr;
 }
+
+/// Walker that finds the top-level numeric Params field `key` and keeps
+/// what its list entry admits.
+struct FieldRange {
+  std::string_view key;
+  Check check = nullptr;
+  double max_integer = 0.0;  ///< > 0: an integer field, [0, max_integer]
+
+  template <class T, class Extra = Check>
+  void field(const char* k, const T&, Extra extra = nullptr) {
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (key != k) return;
+      check = extra;
+      if constexpr (std::is_integral_v<T>) max_integer = max_wire_integer<T>();
+    }
+  }
+  template <class T>
+  void optional(const char*, bool, const T&) {}
+};
 
 /// Pluggable-model axes: levels are detector/attacker kind names and
 /// apply by swapping Params::detector.kind / Params::attacker.kind
@@ -442,22 +159,27 @@ bool is_known_axis(const std::string& name) {
          is_categorical_axis(name) || find_numeric_axis(name) != nullptr;
 }
 
-ids::DetectorKind detector_kind_from(const std::string& name,
-                                     const std::string& path) {
-  try {
-    return ids::detector_kind_from_string(name);
-  } catch (const std::exception& e) {
-    fail(path, e.what());
-  }
+/// A categorical axis's levels, parsed (check_axis has vetted them).
+template <class E>
+std::vector<E> parse_levels(const AxisSpec& axis,
+                           E (*parse)(const std::string&)) {
+  std::vector<E> out;
+  out.reserve(axis.levels.size());
+  for (const auto& level : axis.levels) out.push_back(parse(level));
+  return out;
 }
 
-sim::AttackerKind attacker_kind_from(const std::string& name,
-                                     const std::string& path) {
-  try {
-    return sim::attacker_kind_from_string(name);
-  } catch (const std::exception& e) {
-    fail(path, e.what());
+/// Whether a model-axis level keeps its points inside the
+/// time-homogeneous SPN.
+bool analytic_level(const std::string& param, const std::string& level) {
+  if (param == "detector_model") {
+    ids::DetectorModel probe;
+    probe.kind = ids::detector_kind_from_string(level);
+    return probe.analytic_compatible();
   }
+  sim::AttackerModel probe;
+  probe.kind = sim::attacker_kind_from_string(level);
+  return probe.analytic_compatible();
 }
 
 /// "spec.grid.axes[i]" — every axis-level error anchors here.
@@ -466,62 +188,58 @@ std::string axis_path(std::size_t i) {
 }
 
 void check_axis(const AxisSpec& axis, std::size_t i) {
-  const std::string path = axis_path(i);
+  const FieldPath axes("spec.grid.axes");
+  const FieldPath path = axes[i];
   if (!is_known_axis(axis.param)) {
-    fail(path + ".param", "unknown axis parameter '" + axis.param + "'");
+    fail(path / "param", "unknown axis parameter '" + axis.param + "'");
   }
   if (is_categorical_axis(axis.param)) {
     if (!axis.values.empty()) {
-      fail(path + ".values",
+      fail(path / "values",
            "categorical axis '" + axis.param + "' takes levels, not values");
     }
     if (axis.levels.empty()) {
-      fail(path + ".levels", "axis '" + axis.param + "' has no levels");
+      fail(path / "levels", "axis '" + axis.param + "' has no levels");
     }
+    const FieldPath levels = path / "levels";
     for (std::size_t k = 0; k < axis.levels.size(); ++k) {
-      const std::string level_path =
-          path + ".levels[" + std::to_string(k) + "]";
       if (axis.param == "detector_model") {
-        (void)detector_kind_from(axis.levels[k], level_path);
+        (void)parse_at(ids::detector_kind_from_string, axis.levels[k],
+                       levels[k]);
       } else if (axis.param == "attacker_model") {
-        (void)attacker_kind_from(axis.levels[k], level_path);
+        (void)parse_at(sim::attacker_kind_from_string, axis.levels[k],
+                       levels[k]);
       } else {
-        (void)shape_from(axis.levels[k], level_path);
+        (void)parse_at(ids::shape_from_string, axis.levels[k], levels[k]);
       }
     }
     return;
   }
   if (!axis.levels.empty()) {
-    fail(path + ".levels",
+    fail(path / "levels",
          "numeric axis '" + axis.param + "' takes values, not levels");
   }
   if (axis.values.empty()) {
-    fail(path + ".values", "axis '" + axis.param + "' has no values");
+    fail(path / "values", "axis '" + axis.param + "' has no values");
   }
-  if (axis.param == "num_voters" || axis.param == "n_init") {
-    for (std::size_t k = 0; k < axis.values.size(); ++k) {
-      const double v = axis.values[k];
-      if (!(v >= 1.0) || v != std::floor(v)) {
-        fail(path + ".values[" + std::to_string(k) + "]",
-             "axis '" + axis.param + "' needs positive integers");
-      }
+  // Every numeric axis writes a Params field, and that field's list
+  // entry judges the values — integer fields bounded before grid()
+  // casts them.
+  const NumericAxisDef* def = find_numeric_axis(axis.param);
+  FieldRange range{def != nullptr && def->field != nullptr
+                       ? std::string_view(def->field)
+                       : std::string_view(axis.param)};
+  static const Params kProbe;
+  describe(range, kProbe);
+  const FieldPath values = path / "values";
+  for (std::size_t k = 0; k < axis.values.size(); ++k) {
+    const double v = axis.values[k];
+    if (range.max_integer > 0.0 && !fits_integer(v, range.max_integer)) {
+      fail(values[k], not_an_integer(v, range.max_integer));
     }
-  }
-  if (axis.param == "t_ids") {
-    for (std::size_t k = 0; k < axis.values.size(); ++k) {
-      if (!(axis.values[k] > 0.0)) {
-        fail(path + ".values[" + std::to_string(k) + "]",
-             fmt_value(axis.values[k]) + " must be positive");
-      }
-    }
-  }
-  if (const NumericAxisDef* def = find_numeric_axis(axis.param);
-      def != nullptr && def->check != nullptr) {
-    for (std::size_t k = 0; k < axis.values.size(); ++k) {
-      if (const char* err = def->check(axis.values[k])) {
-        fail(path + ".values[" + std::to_string(k) + "]",
-             fmt_value(axis.values[k]) + " " + err);
-      }
+    if (range.check == nullptr) continue;
+    if (const char* err = range.check(v)) {
+      fail(values[k], format_value(v) + " " + err);
     }
   }
 }
@@ -554,146 +272,438 @@ std::vector<std::string> numeric_axis_params() {
   return out;
 }
 
-// --- Params codec. ----------------------------------------------------
+// --- Field lists of the spec (core/fields.h), in JSON key order. -------
 
-util::Json params_to_json(const Params& p) {
-  auto j = util::Json::object();
-  j.set("n_init", util::Json(static_cast<double>(p.n_init)));
-  j.set("lambda_join", util::Json::number(p.lambda_join));
-  j.set("mu_leave", util::Json::number(p.mu_leave));
-  j.set("lambda_q", util::Json::number(p.lambda_q));
-  j.set("attacker_shape", util::Json(ids::to_string(p.attacker_shape)));
-  j.set("lambda_c", util::Json::number(p.lambda_c));
-  j.set("p_index", util::Json::number(p.p_index));
-  j.set("attacker_progress", util::Json(progress_name(p.attacker_progress)));
-  // The attacker model descriptor is always serialised in full (every
-  // knob, whatever the kind) so canonical round-trips are byte-stable
-  // across kind changes.
-  auto attacker = util::Json::object();
-  attacker.set("kind", util::Json(sim::to_string(p.attacker.kind)));
-  attacker.set("burst_on_s", util::Json::number(p.attacker.burst_on_s));
-  attacker.set("burst_off_s", util::Json::number(p.attacker.burst_off_s));
-  attacker.set("batch", util::Json(static_cast<double>(p.attacker.batch)));
-  j.set("attacker", std::move(attacker));
-  j.set("detection_shape", util::Json(ids::to_string(p.detection_shape)));
-  j.set("t_ids", util::Json::number(p.t_ids));
-  j.set("num_voters", util::Json(static_cast<double>(p.num_voters)));
-  j.set("p1", util::Json::number(p.p1));
-  j.set("p2", util::Json::number(p.p2));
-  // Detector model descriptor: always full, like "attacker" above.
-  auto detector = util::Json::object();
-  detector.set("kind", util::Json(ids::to_string(p.detector.kind)));
-  detector.set("entropy_weight",
-               util::Json::number(p.detector.entropy_weight));
-  detector.set("cusum_gain", util::Json::number(p.detector.cusum_gain));
-  detector.set("cusum_drift", util::Json::number(p.detector.cusum_drift));
-  detector.set("cusum_threshold",
-               util::Json::number(p.detector.cusum_threshold));
-  detector.set("cusum_alarm_factor",
-               util::Json::number(p.detector.cusum_alarm_factor));
-  detector.set("logistic_bias", util::Json::number(p.detector.logistic_bias));
-  detector.set("logistic_compromise_weight",
-               util::Json::number(p.detector.logistic_compromise_weight));
-  detector.set("logistic_time_weight",
-               util::Json::number(p.detector.logistic_time_weight));
-  j.set("detector", std::move(detector));
-  j.set("byzantine_fraction", util::Json::number(p.byzantine_fraction));
-  j.set("max_groups", util::Json(static_cast<double>(p.max_groups)));
-  j.set("partition_rates", numbers_to_json(p.partition_rates));
-  j.set("merge_rates", numbers_to_json(p.merge_rates));
-
-  auto cost = util::Json::object();
-  cost.set("data_packet_bits", util::Json::number(p.cost.data_packet_bits));
-  cost.set("status_packet_bits",
-           util::Json::number(p.cost.status_packet_bits));
-  cost.set("vote_packet_bits", util::Json::number(p.cost.vote_packet_bits));
-  cost.set("beacon_bits", util::Json::number(p.cost.beacon_bits));
-  cost.set("status_exchange_rate",
-           util::Json::number(p.cost.status_exchange_rate));
-  cost.set("beacon_rate", util::Json::number(p.cost.beacon_rate));
-  cost.set("mean_hops", util::Json::number(p.cost.mean_hops));
-  cost.set("mean_degree", util::Json::number(p.cost.mean_degree));
-  cost.set("bandwidth_bps", util::Json::number(p.cost.bandwidth_bps));
-  auto rekey = util::Json::object();
-  rekey.set("key_element_bits",
-            util::Json::number(p.cost.rekey.key_element_bits));
-  rekey.set("mean_hops", util::Json::number(p.cost.rekey.mean_hops));
-  rekey.set("bandwidth_bps", util::Json::number(p.cost.rekey.bandwidth_bps));
-  cost.set("rekey", std::move(rekey));
-  j.set("cost", std::move(cost));
-  j.set("schedule", schedule_to_json(p.schedule));
-  j.set("mission", mission_to_json(p.mission));
-  return j;
+template <class Io, Of<AxisSpec> A>
+void describe(Io& io, A& a) {
+  io.field("param", a.param);
+  // Categorical axes carry `levels`, numeric axes `values`.
+  if (is_categorical_axis(a.param)) {
+    io.field("levels", a.levels);
+  } else {
+    io.field("values", a.values);
+  }
 }
 
-Params params_from_json(const util::Json& j, const std::string& path) {
-  const Reader r{j, path};
-  Params p;
-  p.n_init = static_cast<std::int32_t>(r.size("n_init"));
-  p.lambda_join = r.number("lambda_join");
-  p.mu_leave = r.number("mu_leave");
-  p.lambda_q = r.number("lambda_q");
-  p.attacker_shape =
-      shape_from(r.str("attacker_shape"), path + ".attacker_shape");
-  p.lambda_c = r.number("lambda_c");
-  p.p_index = r.number("p_index");
-  p.attacker_progress = progress_from(r.str("attacker_progress"),
-                                      path + ".attacker_progress");
-  const Reader attacker = r.child("attacker");
-  p.attacker.kind =
-      attacker_kind_from(attacker.str("kind"), path + ".attacker.kind");
-  p.attacker.burst_on_s = attacker.number("burst_on_s");
-  p.attacker.burst_off_s = attacker.number("burst_off_s");
-  p.attacker.batch = static_cast<std::int64_t>(attacker.size("batch"));
-  p.detection_shape =
-      shape_from(r.str("detection_shape"), path + ".detection_shape");
-  p.t_ids = r.number("t_ids");
-  p.num_voters = static_cast<std::int64_t>(r.size("num_voters"));
-  p.p1 = r.number("p1");
-  p.p2 = r.number("p2");
-  const Reader detector = r.child("detector");
-  p.detector.kind =
-      detector_kind_from(detector.str("kind"), path + ".detector.kind");
-  p.detector.entropy_weight = detector.number("entropy_weight");
-  p.detector.cusum_gain = detector.number("cusum_gain");
-  p.detector.cusum_drift = detector.number("cusum_drift");
-  p.detector.cusum_threshold = detector.number("cusum_threshold");
-  p.detector.cusum_alarm_factor = detector.number("cusum_alarm_factor");
-  p.detector.logistic_bias = detector.number("logistic_bias");
-  p.detector.logistic_compromise_weight =
-      detector.number("logistic_compromise_weight");
-  p.detector.logistic_time_weight = detector.number("logistic_time_weight");
-  p.byzantine_fraction = r.number("byzantine_fraction");
-  p.max_groups = static_cast<std::int32_t>(r.size("max_groups"));
-  p.partition_rates = r.numbers("partition_rates");
-  p.merge_rates = r.numbers("merge_rates");
-
-  const Reader cost = r.child("cost");
-  p.cost.data_packet_bits = cost.number("data_packet_bits");
-  p.cost.status_packet_bits = cost.number("status_packet_bits");
-  p.cost.vote_packet_bits = cost.number("vote_packet_bits");
-  p.cost.beacon_bits = cost.number("beacon_bits");
-  p.cost.status_exchange_rate = cost.number("status_exchange_rate");
-  p.cost.beacon_rate = cost.number("beacon_rate");
-  p.cost.mean_hops = cost.number("mean_hops");
-  p.cost.mean_degree = cost.number("mean_degree");
-  p.cost.bandwidth_bps = cost.number("bandwidth_bps");
-  const Reader rekey = cost.child("rekey");
-  p.cost.rekey.key_element_bits = rekey.number("key_element_bits");
-  p.cost.rekey.mean_hops = rekey.number("mean_hops");
-  p.cost.rekey.bandwidth_bps = rekey.number("bandwidth_bps");
-  // Optional on read (pre-PR-9 spec documents carry neither field);
-  // absent = the constant model.
-  if (const util::Json* sched = j.find("schedule")) {
-    p.schedule = schedule_from_json(*sched, path + ".schedule");
-  }
-  if (const util::Json* mission = j.find("mission")) {
-    p.mission = mission_from_json(*mission, path + ".mission");
-  }
-  return p;
+template <class Io, Of<AnalyticOptions> A>
+void describe(Io& io, A& a) {
+  io.field("batch", a.batch, positive);
 }
 
-// --- Spec (de)serialisation. ------------------------------------------
+template <class Io, Of<sim::McOptions> M>
+void describe(Io& io, M& m) {
+  io.field("base_seed", m.base_seed);
+  io.field("min_replications", m.min_replications, positive);
+  io.field("max_replications", m.max_replications);
+  io.field("block", m.block, positive);
+  io.field("rel_ci_target", m.rel_ci_target);
+  io.field("crn", m.crn);
+  io.field("point_stream_offset", m.point_stream_offset);
+  io.field("antithetic", m.antithetic);
+  io.field("threads", m.threads);
+  io.field("capture_trajectories", m.capture_trajectories);
+  io.field("survival_horizons", m.survival_horizons, nonnegative);
+}
+
+template <class Io, Of<vr::SobolOptions> S>
+void describe(Io& io, S& s) {
+  io.field("replicates", s.replicates);
+  io.field("samples_per_replicate", s.samples_per_replicate);
+}
+
+template <class Io, Of<vr::ControlVariateOptions> C>
+void describe(Io& io, C& c) {
+  io.field("pilot", c.pilot);
+  io.field("replications", c.replications);
+}
+
+template <class Io, Of<vr::SplittingOptions> S>
+void describe(Io& io, S& s) {
+  io.field("target", s.target);
+  io.field("levels", s.levels);
+  io.field("scheme", s.scheme);
+  io.field("effort", s.effort);
+  io.field("splitting_factor", s.splitting_factor);
+  io.field("replicates", s.replicates);
+}
+
+template <class Io, Of<vr::VrOptions> V>
+void describe(Io& io, V& v) {
+  // A block is present exactly when its estimator is enabled.
+  io.optional("sobol", v.sobol.enabled, v.sobol);
+  io.optional("cv", v.cv.enabled, v.cv);
+  io.optional("splitting", v.splitting.enabled, v.splitting);
+}
+
+template <class Io, Of<manet::MobilityParams> M>
+void describe(Io& io, M& m) {
+  io.field("field_radius_m", m.field_radius_m);
+  io.field("speed_min_mps", m.speed_min_mps);
+  io.field("speed_max_mps", m.speed_max_mps);
+  io.field("pause_max_s", m.pause_max_s);
+}
+
+template <class Io, Of<ProtocolOptions> P>
+void describe(Io& io, P& p) {
+  io.field("mobility", p.mobility);
+  io.field("radio_range_m", p.radio_range_m);
+  io.field("tick_s", p.tick_s);
+  io.field("topology_refresh_s", p.topology_refresh_s);
+  io.field("max_time_s", p.max_time_s);
+}
+
+template <class Io, Of<ShardRange> R>
+void describe(Io& io, R& r) {
+  io.field("begin", r.begin);
+  io.field("end", r.end);
+}
+
+template <class Io, Of<ShardSpec> S>
+void describe(Io& io, S& s) {
+  io.field("policy", s.policy, policy_from_string);
+  io.field("num_shards", s.num_shards);
+  io.field("shard_index", s.shard_index);
+  io.field("pilot_replications", s.pilot_replications);
+  io.field("range", s.range);
+}
+
+template <class Io, Of<ExperimentSpec> S>
+void describe(Io& io, S& s) {
+  io.tag("format", kSpecFormat);
+  io.field("name", s.name);
+  io.field("mode", s.mode);
+  io.field("base", s.base);
+  io.group("grid", [&](auto& grid) { grid.field("axes", s.axes); });
+  io.field("backends", s.backends, backend_from_string);
+  io.field("analytic", s.analytic);
+  io.group("mc", [&](auto& mc) {
+    describe(mc, s.mc);
+    // Written only when the vr layer is on: a vr-less spec's bytes
+    // (and every pre-vr golden) stay untouched.
+    bool on = s.vr.any();
+    mc.optional("vr", on, s.vr);
+  });
+  io.field("protocol", s.protocol);
+  io.field("shard", s.shard);
+  io.field("metrics", s.metrics);
+}
+
+// --- Field lists of the result payloads.  Raw accumulator states and
+// counts travel; every Summary is re-derived on read, which keeps
+// round-trips and shard merges bitwise.
+
+template <class Io, Of<Evaluation> E>
+void describe(Io& io, E& e) {
+  io.field("mttsf", e.mttsf);
+  io.field("ctotal", e.ctotal);
+  io.field("cost_group_comm", e.cost_rates.group_comm);
+  io.field("cost_status", e.cost_rates.status);
+  io.field("cost_rekey", e.cost_rates.rekey);
+  io.field("cost_ids", e.cost_rates.ids);
+  io.field("cost_beacon", e.cost_rates.beacon);
+  io.field("cost_partition_merge", e.cost_rates.partition_merge);
+  io.field("eviction_cost_rate", e.eviction_cost_rate);
+  io.field("p_failure_c1", e.p_failure_c1);
+  io.field("p_failure_c2", e.p_failure_c2);
+  io.field("num_states", e.num_states);
+  io.field("solver_blocks", e.solver_blocks);
+}
+
+template <class Io, Of<sim::WelfordState> W>
+void describe(Io& io, W& w) {
+  io.field("n", w.n);
+  io.field("mean", w.mean);
+  io.field("m2", w.m2);
+}
+
+template <class Io, Of<sim::McPointResult> R>
+void describe(Io& io, R& r) {
+  io.field("ttsf", r.ttsf_state);
+  io.field("cost_rate", r.cost_rate_state);
+  io.field("replications", r.replications);
+  io.field("failures_c1", r.failures_c1);
+  io.field("converged", r.converged);
+  io.field("keys_always_agreed", r.keys_always_agreed);
+  io.field("timeouts", r.timeouts);
+  io.field("survival_counts", r.survival_counts);
+  io.derive(r, [](auto& x) {
+    x.ttsf = sim::Welford::from_state(x.ttsf_state).summary();
+    x.cost_rate = sim::Welford::from_state(x.cost_rate_state).summary();
+    x.p_failure_c1 = x.replications > 0
+                         ? static_cast<double>(x.failures_c1) /
+                               static_cast<double>(x.replications)
+                         : 0.0;
+    x.p_failure = sim::binomial_summary(x.replications, x.failures_c1);
+    x.survival.clear();
+    for (const std::size_t count : x.survival_counts) {
+      x.survival.push_back(sim::binomial_summary(x.replications, count));
+    }
+  });
+}
+
+template <class Io, Of<sim::MonteCarloEngine::Stats> S>
+void describe(Io& io, S& s) {
+  io.field("points", s.points);
+  io.field("replications", s.replications);
+  io.field("blocks", s.blocks);
+  io.field("rounds", s.rounds);
+  io.field("seconds", s.seconds);
+}
+
+template <class Io, Of<vr::CvMetric> M>
+void describe(Io& io, M& m) {
+  io.field("beta", m.beta);
+  io.field("control_mean", m.control_mean);
+  io.field("correlation", m.correlation);
+  io.field("plain", m.plain_state);
+  io.field("adjusted", m.adjusted_state);
+  io.derive(m, [](auto& x) { x.finalize(); });
+}
+
+template <class Io, Of<vr::SobolResult> S>
+void describe(Io& io, S& s) {
+  io.field("replicates", s.replicates);
+  io.field("samples_per_replicate", s.samples_per_replicate);
+  io.field("ttsf_means", s.ttsf_means);
+  io.field("cost_rate_means", s.cost_rate_means);
+  io.derive(s, [](auto& x) {
+    x.ttsf = sim::summarize(x.ttsf_means);
+    x.cost_rate = sim::summarize(x.cost_rate_means);
+  });
+}
+
+template <class Io, Of<vr::CvResult> C>
+void describe(Io& io, C& c) {
+  io.field("pilot", c.pilot);
+  io.field("replications", c.replications);
+  io.field("ttsf", c.ttsf);
+  io.field("cost", c.cost);
+}
+
+template <class Io, Of<vr::SplittingLevel> L>
+void describe(Io& io, L& l) {
+  io.field("threshold", l.threshold);
+  io.field("p_up", l.p_up);
+  io.field("p_absorb", l.p_absorb);
+}
+
+template <class Io, Of<vr::SplittingResult> S>
+void describe(Io& io, S& s) {
+  io.field("target", s.target);
+  io.field("scheme", s.scheme);
+  io.field("replicates", s.replicates);
+  io.field("effort", s.effort);
+  io.field("trajectories", s.trajectories);
+  io.field("estimates", s.estimates);
+  io.field("levels", s.levels);
+  io.derive(s, [](auto& x) {
+    x.probability = vr::splitting_probability_summary(
+        x.estimates, x.replicates * x.effort);
+  });
+}
+
+template <class Io, Of<vr::VrPointResult> R>
+void describe(Io& io, R& r) {
+  io.optional("sobol", r.has_sobol, r.sobol);
+  io.optional("cv", r.has_cv, r.cv);
+  io.optional("splitting", r.has_splitting, r.splitting);
+}
+
+template <class Io, Of<BackendRun> B>
+void describe(Io& io, B& run) {
+  io.field("backend", run.kind, backend_from_string);
+  io.field("seconds", run.seconds);
+  if (run.kind == BackendKind::Analytic) {
+    io.field("evals", run.evals);
+    return;
+  }
+  io.field("mc", run.mc);
+  io.field("mc_stats", run.mc_stats);
+  // Only vr-enabled DES runs carry "vr", so vr-less bytes never change.
+  bool has_vr = !run.vr.empty();
+  io.optional("vr", has_vr, run.vr);
+}
+
+/// `spec` is the result's own spec on read and its whole-grid
+/// normalisation on write (see ExperimentResult::to_json).
+template <class Io, Of<ExperimentResult> R, Of<ExperimentSpec> S>
+void describe(Io& io, R& r, S& spec) {
+  io.tag("format", kResultFormat);
+  io.field("spec", spec);
+  io.field("range", r.range);
+  io.field("num_shards", r.num_shards);
+  io.field("shard_index", r.shard_index);
+  io.field("shard_policy", r.shard_policy);
+  io.field("backends", r.backends);
+}
+
+namespace {
+
+// --- The JSON walkers. -------------------------------------------------
+
+/// Writes a field list into a util::Json object.  Doubles round-trip
+/// bitwise (non-finite ones as flag strings, util::Json::number).
+class Encoder {
+ public:
+  Encoder(util::Json& out, const FieldPath& path) : out_(out), path_(path) {}
+
+  template <class T, class Extra = Check>
+  void field(const char* key, const T& v, Extra = nullptr) {
+    out_.set(key, value(v, path_ / key));
+  }
+  template <class T>
+  void optional(const char* key, bool on, const T& v) {
+    if (on) field(key, v);
+  }
+  template <class Fn>
+  void group(const char* key, Fn&& fn) {
+    auto sub = util::Json::object();
+    Encoder e(sub, path_ / key);
+    fn(e);
+    out_.set(key, std::move(sub));
+  }
+  void tag(const char* key, const char* text) {
+    out_.set(key, util::Json(text));
+  }
+  template <class T, class Fn>
+  void derive(const T&, Fn&&) {}
+
+  template <class T>
+  static util::Json value(const T& v, const FieldPath& path) {
+    if constexpr (std::is_same_v<T, double>) {
+      return util::Json::number(v);
+    } else if constexpr (std::is_same_v<T, bool> ||
+                         std::is_same_v<T, std::string>) {
+      return util::Json(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      // Integers travel as JSON numbers; past 2^53 they would stop
+      // round-tripping exactly, so they are rejected here.
+      constexpr std::int64_t kExact = std::int64_t{1} << 53;
+      if (std::cmp_greater(v, kExact) || std::cmp_less(v, -kExact)) {
+        fail(path, "integer " + std::to_string(v) +
+                       " exceeds the 2^53 JSON-exact range");
+      }
+      return util::Json(static_cast<double>(v));
+    } else if constexpr (std::is_enum_v<T>) {
+      return util::Json(to_string(v));
+    } else if constexpr (is_vector_v<T>) {
+      auto arr = util::Json::array();
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        arr.push_back(value(v[i], path[i]));
+      }
+      return arr;
+    } else {
+      auto obj = util::Json::object();
+      Encoder e(obj, path);
+      describe(e, v);
+      return obj;
+    }
+  }
+
+ private:
+  util::Json& out_;
+  FieldPath path_;
+};
+
+/// Reads a field list out of a util::Json object.  Every failure —
+/// missing key, wrong type, out-of-range integer, unknown enum name, a
+/// raw state its summary rejects — names the full JSON path.
+class Decoder {
+ public:
+  Decoder(const util::Json& j, const FieldPath& path) : j_(j), path_(path) {
+    if (j.type() != util::Json::Type::Object) {
+      fail(path, "expected an object");
+    }
+  }
+
+  /// `extra` is the enum parser for enum fields (a range check,
+  /// ignored here, otherwise).
+  template <class T, class Extra = Check>
+  void field(const char* key, T& v, Extra extra = nullptr) {
+    read(at(key), v, path_ / key, extra);
+  }
+  template <class T>
+  void optional(const char* key, bool& on, T& v) {
+    if (const util::Json* f = j_.find(key)) {
+      on = true;
+      read(*f, v, path_ / key, nullptr);
+    }
+  }
+  template <class Fn>
+  void group(const char* key, Fn&& fn) {
+    Decoder sub(at(key), path_ / key);
+    fn(sub);
+  }
+  void tag(const char* key, const char* text) {
+    const util::Json& f = at(key);
+    const FieldPath path = path_ / key;
+    const std::string have = convert(path, [&] { return f.as_string(); });
+    if (have != text) {
+      fail(path, "unknown format '" + have + "' (expected " + text + ")");
+    }
+  }
+  template <class T, class Fn>
+  void derive(T& v, Fn&& fn) {
+    convert(path_, [&] { fn(v); });
+  }
+
+  template <class T, class Extra>
+  static void read(const util::Json& j, T& v, const FieldPath& path,
+                   Extra parse) {
+    if constexpr (std::is_same_v<T, double>) {
+      v = convert(path, [&] { return j.to_double(); });
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = convert(path, [&] { return j.as_bool(); });
+    } else if constexpr (std::is_integral_v<T>) {
+      const double d = convert(path, [&] { return j.as_number(); });
+      constexpr double kMax = max_wire_integer<T>();
+      if (!fits_integer(d, kMax)) fail(path, not_an_integer(d, kMax));
+      v = static_cast<T>(d);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = convert(path, [&] { return j.as_string(); });
+    } else if constexpr (std::is_enum_v<T>) {
+      v = convert(path, [&] { return parse(j.as_string()); });
+    } else if constexpr (is_vector_v<T>) {
+      if (j.type() != util::Json::Type::Array) {
+        fail(path, "expected an array");
+      }
+      v.clear();
+      v.reserve(j.size());
+      for (std::size_t i = 0; i < j.size(); ++i) {
+        typename T::value_type element{};
+        read(j.elements()[i], element, path[i], parse);
+        v.push_back(std::move(element));
+      }
+    } else {
+      Decoder sub(j, path);
+      describe(sub, v);
+    }
+  }
+
+ private:
+  [[nodiscard]] const util::Json& at(const char* key) const {
+    const util::Json* f = j_.find(key);
+    if (f == nullptr) fail(path_ / key, "missing required field");
+    return *f;
+  }
+
+  /// fn(), with any failure re-thrown at `path`.
+  template <class Fn>
+  static auto convert(const FieldPath& path, Fn&& fn) -> decltype(fn()) {
+    try {
+      return fn();
+    } catch (const std::exception& e) {
+      fail(path, e.what());
+    }
+  }
+
+  const util::Json& j_;
+  FieldPath path_;
+};
+
+}  // namespace
+
+// --- Spec. ------------------------------------------------------------
 
 bool ExperimentSpec::wants(BackendKind kind) const {
   return std::find(backends.begin(), backends.end(), kind) != backends.end();
@@ -715,36 +725,21 @@ GridSpec ExperimentSpec::grid() const {
         }
         spec.num_voters(std::move(m));
       } else if (axis.param == "detector_model") {
-        std::vector<ids::DetectorKind> kinds;
-        kinds.reserve(axis.levels.size());
-        for (const auto& level : axis.levels) {
-          kinds.push_back(detector_kind_from(level, axis_path(i)));
-        }
         spec.axis("detector_model", axis.levels,
-                  [kinds = std::move(kinds)](Params& p, std::size_t k) {
+                  [kinds = parse_levels(axis, ids::detector_kind_from_string)](
+                      Params& p, std::size_t k) {
                     p.detector.kind = kinds[k];
                   });
       } else if (axis.param == "attacker_model") {
-        std::vector<sim::AttackerKind> kinds;
-        kinds.reserve(axis.levels.size());
-        for (const auto& level : axis.levels) {
-          kinds.push_back(attacker_kind_from(level, axis_path(i)));
-        }
         spec.axis("attacker_model", axis.levels,
-                  [kinds = std::move(kinds)](Params& p, std::size_t k) {
+                  [kinds = parse_levels(axis, sim::attacker_kind_from_string)](
+                      Params& p, std::size_t k) {
                     p.attacker.kind = kinds[k];
                   });
-      } else if (is_categorical_axis(axis.param)) {
-        std::vector<ids::Shape> shapes;
-        shapes.reserve(axis.levels.size());
-        for (const auto& level : axis.levels) {
-          shapes.push_back(shape_from(level, axis_path(i)));
-        }
-        if (axis.param == "detection_shape") {
-          spec.detection_shape(std::move(shapes));
-        } else {
-          spec.attacker_shape(std::move(shapes));
-        }
+      } else if (axis.param == "detection_shape") {
+        spec.detection_shape(parse_levels(axis, ids::shape_from_string));
+      } else if (axis.param == "attacker_shape") {
+        spec.attacker_shape(parse_levels(axis, ids::shape_from_string));
       } else {
         const NumericAxisDef* def = find_numeric_axis(axis.param);
         spec.axis(axis.param, axis.values,
@@ -778,14 +773,10 @@ ShardRange ExperimentSpec::resolve_range(const GridSpec& g) const {
 }
 
 void ExperimentSpec::validate() const {
-  // Field-level range checks first, so the error names the exact
-  // offending path instead of the generic "spec.base" wrapper below.
-  if (const char* err = check_unit_interval(base.p1)) {
-    fail("spec.base.p1", fmt_value(base.p1) + " " + err);
-  }
-  if (const char* err = check_unit_interval(base.p2)) {
-    fail("spec.base.p2", fmt_value(base.p2) + " " + err);
-  }
+  // Every single-field range first (spec.base.p1, spec.mc.block, ...),
+  // read off the field lists, so the error names the exact path.
+  Checker checker("ExperimentSpec: ", FieldPath("spec"));
+  describe(checker, *this);
   try {
     // These throw "<prefix>.segments[i].<field>: ..." — already fully
     // path-named, so anchor without the generic "spec.base" wrapper.
@@ -804,7 +795,7 @@ void ExperimentSpec::validate() const {
                                 std::string(e.what()));
   }
   try {
-    base.validate();
+    base.validate();  // what remains: the cross-field rules
   } catch (const std::exception& e) {
     fail("spec.base", e.what());
   }
@@ -827,12 +818,11 @@ void ExperimentSpec::validate() const {
   // the grid carrying a model outside that class must be rejected HERE,
   // by name, with the routing advice — not as a solver failure later.
   if (wants(BackendKind::Analytic)) {
-    const auto reject_detector = [&](ids::DetectorKind kind,
-                                     const std::string& path) {
-      ids::DetectorModel probe;
-      probe.kind = kind;
-      if (!probe.analytic_compatible()) {
-        fail(path, std::string("detector model '") + ids::to_string(kind) +
+    const auto reject = [&](const std::string& param,
+                            const std::string& level, const FieldPath& path) {
+      if (analytic_level(param, level)) return;
+      if (param == "detector_model") {
+        fail(path, "detector model '" + level +
                        "' is time-dependent and outside the analytic SPN; "
                        "drop 'analytic' from spec.backends and "
                        "cross-validate with des/protocol_sim — or, if the "
@@ -841,36 +831,25 @@ void ExperimentSpec::validate() const {
                        "spec.base.mission fields, which the analytic "
                        "backend chains exactly");
       }
+      fail(path, "attacker model '" + level +
+                     "' is not a memoryless single-victim process and "
+                     "outside the analytic SPN; drop 'analytic' from "
+                     "spec.backends and cross-validate with "
+                     "des/protocol_sim");
     };
-    const auto reject_attacker = [&](sim::AttackerKind kind,
-                                     const std::string& path) {
-      sim::AttackerModel probe;
-      probe.kind = kind;
-      if (!probe.analytic_compatible()) {
-        fail(path, std::string("attacker model '") + sim::to_string(kind) +
-                       "' is not a memoryless single-victim process and "
-                       "outside the analytic SPN; drop 'analytic' from "
-                       "spec.backends and cross-validate with "
-                       "des/protocol_sim");
-      }
-    };
-    reject_detector(base.detector.kind, "spec.base.detector.kind");
-    reject_attacker(base.attacker.kind, "spec.base.attacker.kind");
+    reject("detector_model", ids::to_string(base.detector.kind),
+           FieldPath("spec.base.detector.kind"));
+    reject("attacker_model", sim::to_string(base.attacker.kind),
+           FieldPath("spec.base.attacker.kind"));
+    const FieldPath axes_path("spec.grid.axes");
     for (std::size_t i = 0; i < axes.size(); ++i) {
       if (!is_model_axis(axes[i].param)) continue;
+      const FieldPath axis = axes_path[i];
+      const FieldPath levels = axis / "levels";
       for (std::size_t k = 0; k < axes[i].levels.size(); ++k) {
-        const std::string path =
-            axis_path(i) + ".levels[" + std::to_string(k) + "]";
-        if (axes[i].param == "detector_model") {
-          reject_detector(detector_kind_from(axes[i].levels[k], path), path);
-        } else {
-          reject_attacker(attacker_kind_from(axes[i].levels[k], path), path);
-        }
+        reject(axes[i].param, axes[i].levels[k], levels[k]);
       }
     }
-  }
-  if (analytic.batch == 0) {
-    fail("spec.analytic.batch", "must be positive (1 = scalar path)");
   }
   for (std::size_t i = 0; i < backends.size(); ++i) {
     for (std::size_t k = 0; k < i; ++k) {
@@ -881,10 +860,6 @@ void ExperimentSpec::validate() const {
     }
   }
 
-  if (mc.min_replications == 0) {
-    fail("spec.mc.min_replications", "must be positive");
-  }
-  if (mc.block == 0) fail("spec.mc.block", "must be positive");
   if (mc.block > mc.max_replications) {
     fail("spec.mc.block",
          "block (" + std::to_string(mc.block) + ") exceeds max_replications (" +
@@ -895,12 +870,6 @@ void ExperimentSpec::validate() const {
          "min_replications (" + std::to_string(mc.min_replications) +
              ") exceeds max_replications (" +
              std::to_string(mc.max_replications) + ")");
-  }
-  for (std::size_t i = 0; i < mc.survival_horizons.size(); ++i) {
-    if (!(mc.survival_horizons[i] >= 0.0)) {
-      fail("spec.mc.survival_horizons[" + std::to_string(i) + "]",
-           "horizons must be non-negative");
-    }
   }
 
   if (vr.any()) {
@@ -948,24 +917,8 @@ void ExperimentSpec::validate() const {
       for (std::size_t i = 0; i < axes.size(); ++i) {
         if (!is_model_axis(axes[i].param)) continue;
         for (std::size_t k = 0; k < axes[i].levels.size(); ++k) {
-          const std::string path =
-              axis_path(i) + ".levels[" + std::to_string(k) + "]";
-          const bool ok =
-              axes[i].param == "detector_model"
-                  ? [&] {
-                      ids::DetectorModel probe;
-                      probe.kind =
-                          detector_kind_from(axes[i].levels[k], path);
-                      return probe.analytic_compatible();
-                    }()
-                  : [&] {
-                      sim::AttackerModel probe;
-                      probe.kind =
-                          attacker_kind_from(axes[i].levels[k], path);
-                      return probe.analytic_compatible();
-                    }();
-          if (!ok) {
-            fail(path,
+          if (!analytic_level(axes[i].param, axes[i].levels[k])) {
+            fail(axis_path(i) + ".levels[" + std::to_string(k) + "]",
                  "model level '" + axes[i].levels[k] +
                      "' has no analytic control means required by "
                      "spec.mc.vr.cv");
@@ -1019,434 +972,18 @@ void ExperimentSpec::validate() const {
 }
 
 util::Json ExperimentSpec::to_json() const {
-  auto j = util::Json::object();
-  j.set("format", util::Json(kSpecFormat));
-  j.set("name", util::Json(name));
-  j.set("mode", util::Json(mode));
-  j.set("base", params_to_json(base));
-
-  auto grid_json = util::Json::object();
-  auto axes_json = util::Json::array();
-  for (const auto& axis : axes) {
-    auto a = util::Json::object();
-    a.set("param", util::Json(axis.param));
-    if (is_categorical_axis(axis.param)) {
-      auto levels = util::Json::array();
-      for (const auto& level : axis.levels) levels.push_back(util::Json(level));
-      a.set("levels", std::move(levels));
-    } else {
-      a.set("values", numbers_to_json(axis.values));
-    }
-    axes_json.push_back(std::move(a));
-  }
-  grid_json.set("axes", std::move(axes_json));
-  j.set("grid", std::move(grid_json));
-
-  auto backends_json = util::Json::array();
-  for (const BackendKind kind : backends) {
-    backends_json.push_back(util::Json(to_string(kind)));
-  }
-  j.set("backends", std::move(backends_json));
-
-  auto analytic_json = util::Json::object();
-  analytic_json.set("batch",
-                    json_size(analytic.batch, "spec.analytic.batch"));
-  j.set("analytic", std::move(analytic_json));
-
-  auto mc_json = util::Json::object();
-  mc_json.set("base_seed", json_size(mc.base_seed, "spec.mc.base_seed"));
-  mc_json.set("min_replications",
-              json_size(mc.min_replications, "spec.mc.min_replications"));
-  mc_json.set("max_replications",
-              json_size(mc.max_replications, "spec.mc.max_replications"));
-  mc_json.set("block", json_size(mc.block, "spec.mc.block"));
-  mc_json.set("rel_ci_target", util::Json::number(mc.rel_ci_target));
-  mc_json.set("crn", util::Json(mc.crn));
-  mc_json.set("point_stream_offset",
-              json_size(mc.point_stream_offset,
-                        "spec.mc.point_stream_offset"));
-  mc_json.set("antithetic", util::Json(mc.antithetic));
-  mc_json.set("threads", json_size(mc.threads, "spec.mc.threads"));
-  mc_json.set("capture_trajectories", util::Json(mc.capture_trajectories));
-  mc_json.set("survival_horizons", numbers_to_json(mc.survival_horizons));
-  // Emitted only when the vr layer is on: a default spec's bytes (and
-  // every pre-vr golden) stay untouched.
-  if (vr.any()) mc_json.set("vr", vr_options_to_json(vr));
-  j.set("mc", std::move(mc_json));
-
-  auto protocol_json = util::Json::object();
-  auto mobility = util::Json::object();
-  mobility.set("field_radius_m",
-               util::Json::number(protocol.mobility.field_radius_m));
-  mobility.set("speed_min_mps",
-               util::Json::number(protocol.mobility.speed_min_mps));
-  mobility.set("speed_max_mps",
-               util::Json::number(protocol.mobility.speed_max_mps));
-  mobility.set("pause_max_s",
-               util::Json::number(protocol.mobility.pause_max_s));
-  protocol_json.set("mobility", std::move(mobility));
-  protocol_json.set("radio_range_m",
-                    util::Json::number(protocol.radio_range_m));
-  protocol_json.set("tick_s", util::Json::number(protocol.tick_s));
-  protocol_json.set("topology_refresh_s",
-                    util::Json::number(protocol.topology_refresh_s));
-  protocol_json.set("max_time_s", util::Json::number(protocol.max_time_s));
-  j.set("protocol", std::move(protocol_json));
-
-  auto shard_json = util::Json::object();
-  shard_json.set("policy", util::Json(to_string(shard.policy)));
-  shard_json.set("num_shards",
-                 json_size(shard.num_shards, "spec.shard.num_shards"));
-  shard_json.set("shard_index",
-                 json_size(shard.shard_index, "spec.shard.shard_index"));
-  shard_json.set("pilot_replications",
-                 json_size(shard.pilot_replications,
-                           "spec.shard.pilot_replications"));
-  auto range_json = util::Json::object();
-  range_json.set("begin",
-                 json_size(shard.range.begin, "spec.shard.range.begin"));
-  range_json.set("end", json_size(shard.range.end, "spec.shard.range.end"));
-  shard_json.set("range", std::move(range_json));
-  j.set("shard", std::move(shard_json));
-
-  auto metrics_json = util::Json::array();
-  for (const auto& metric : metrics) metrics_json.push_back(util::Json(metric));
-  j.set("metrics", std::move(metrics_json));
-  return j;
+  return Encoder::value(*this, FieldPath("spec"));
 }
 
 ExperimentSpec ExperimentSpec::from_json(const util::Json& j) {
-  const Reader r{j, "spec"};
-  if (r.str("format") != kSpecFormat) {
-    fail("spec.format", "unknown format '" + r.str("format") +
-                            "' (expected " + kSpecFormat + ")");
-  }
   ExperimentSpec spec;
-  spec.name = r.str("name");
-  spec.mode = r.str("mode");
-  spec.base = params_from_json(r.at("base"), "spec.base");
-
-  const Reader grid = r.child("grid");
-  const auto& axes_json = grid.at("axes");
-  if (axes_json.type() != util::Json::Type::Array) {
-    fail("spec.grid.axes", "expected an array");
-  }
-  spec.axes.clear();
-  for (std::size_t i = 0; i < axes_json.size(); ++i) {
-    const Reader a{axes_json.at(i), axis_path(i)};
-    AxisSpec axis;
-    axis.param = a.str("param");
-    if (!is_known_axis(axis.param)) {
-      fail(axis_path(i) + ".param",
-           "unknown axis parameter '" + axis.param + "'");
-    }
-    if (is_categorical_axis(axis.param)) {
-      axis.levels = a.strings("levels");
-    } else {
-      axis.values = a.numbers("values");
-    }
-    check_axis(axis, i);
-    spec.axes.push_back(std::move(axis));
-  }
-
-  spec.backends.clear();
-  const auto backend_names = r.strings("backends");
-  for (std::size_t i = 0; i < backend_names.size(); ++i) {
-    spec.backends.push_back(backend_from(
-        backend_names[i], "spec.backends[" + std::to_string(i) + "]"));
-  }
-
-  const Reader analytic = r.child("analytic");
-  spec.analytic.batch = analytic.size("batch");
-
-  const Reader mc = r.child("mc");
-  spec.mc.base_seed = mc.size("base_seed");
-  spec.mc.min_replications = mc.size("min_replications");
-  spec.mc.max_replications = mc.size("max_replications");
-  spec.mc.block = mc.size("block");
-  spec.mc.rel_ci_target = mc.number("rel_ci_target");
-  spec.mc.crn = mc.boolean("crn");
-  spec.mc.point_stream_offset = mc.size("point_stream_offset");
-  spec.mc.antithetic = mc.boolean("antithetic");
-  spec.mc.threads = mc.size("threads");
-  spec.mc.capture_trajectories = mc.boolean("capture_trajectories");
-  spec.mc.survival_horizons = mc.numbers("survival_horizons");
-  // Optional (pre-vr files carry no "vr" key and parse unchanged).
-  if (const util::Json* vr_json = mc.j.find("vr")) {
-    spec.vr = vr_options_from_json(*vr_json, "spec.mc.vr");
-  }
-
-  const Reader protocol = r.child("protocol");
-  const Reader mobility = protocol.child("mobility");
-  spec.protocol.mobility.field_radius_m = mobility.number("field_radius_m");
-  spec.protocol.mobility.speed_min_mps = mobility.number("speed_min_mps");
-  spec.protocol.mobility.speed_max_mps = mobility.number("speed_max_mps");
-  spec.protocol.mobility.pause_max_s = mobility.number("pause_max_s");
-  spec.protocol.radio_range_m = protocol.number("radio_range_m");
-  spec.protocol.tick_s = protocol.number("tick_s");
-  spec.protocol.topology_refresh_s = protocol.number("topology_refresh_s");
-  spec.protocol.max_time_s = protocol.number("max_time_s");
-
-  const Reader shard = r.child("shard");
-  spec.shard.policy = policy_from(shard.str("policy"), "spec.shard.policy");
-  spec.shard.num_shards = shard.size("num_shards");
-  spec.shard.shard_index = shard.size("shard_index");
-  spec.shard.pilot_replications = shard.size("pilot_replications");
-  const Reader range = shard.child("range");
-  spec.shard.range = {range.size("begin"), range.size("end")};
-
-  spec.metrics = r.strings("metrics");
-
+  Decoder::read(j, spec, FieldPath("spec"), nullptr);
   spec.validate();
   return spec;
 }
 
-// --- Result payload codecs. --------------------------------------------
-
-util::Json evaluation_to_json(const Evaluation& e) {
-  auto j = util::Json::object();
-  j.set("mttsf", util::Json::number(e.mttsf));
-  j.set("ctotal", util::Json::number(e.ctotal));
-  j.set("cost_group_comm", util::Json::number(e.cost_rates.group_comm));
-  j.set("cost_status", util::Json::number(e.cost_rates.status));
-  j.set("cost_rekey", util::Json::number(e.cost_rates.rekey));
-  j.set("cost_ids", util::Json::number(e.cost_rates.ids));
-  j.set("cost_beacon", util::Json::number(e.cost_rates.beacon));
-  j.set("cost_partition_merge",
-        util::Json::number(e.cost_rates.partition_merge));
-  j.set("eviction_cost_rate", util::Json::number(e.eviction_cost_rate));
-  j.set("p_failure_c1", util::Json::number(e.p_failure_c1));
-  j.set("p_failure_c2", util::Json::number(e.p_failure_c2));
-  j.set("num_states", util::Json(static_cast<double>(e.num_states)));
-  j.set("solver_blocks", util::Json(static_cast<double>(e.solver_blocks)));
-  return j;
-}
-
-Evaluation evaluation_from_json(const util::Json& j) {
-  Evaluation e;
-  e.mttsf = j.at("mttsf").to_double();
-  e.ctotal = j.at("ctotal").to_double();
-  e.cost_rates.group_comm = j.at("cost_group_comm").to_double();
-  e.cost_rates.status = j.at("cost_status").to_double();
-  e.cost_rates.rekey = j.at("cost_rekey").to_double();
-  e.cost_rates.ids = j.at("cost_ids").to_double();
-  e.cost_rates.beacon = j.at("cost_beacon").to_double();
-  e.cost_rates.partition_merge = j.at("cost_partition_merge").to_double();
-  e.eviction_cost_rate = j.at("eviction_cost_rate").to_double();
-  e.p_failure_c1 = j.at("p_failure_c1").to_double();
-  e.p_failure_c2 = j.at("p_failure_c2").to_double();
-  e.num_states = j.at("num_states").as_size();
-  e.solver_blocks = j.at("solver_blocks").as_size();
-  return e;
-}
-
-namespace {
-
-util::Json welford_to_json(const sim::WelfordState& s) {
-  auto j = util::Json::object();
-  j.set("n", util::Json(static_cast<double>(s.n)));
-  j.set("mean", util::Json::number(s.mean));
-  j.set("m2", util::Json::number(s.m2));
-  return j;
-}
-
-sim::WelfordState welford_from_json(const util::Json& j) {
-  return {j.at("n").as_size(), j.at("mean").to_double(),
-          j.at("m2").to_double()};
-}
-
-}  // namespace
-
 util::Json mc_point_to_json(const sim::McPointResult& r) {
-  auto j = util::Json::object();
-  // Raw accumulator states and counts only: the reader re-derives the
-  // Summary fields, which is what makes cross-process results bitwise.
-  j.set("ttsf", welford_to_json(r.ttsf_state));
-  j.set("cost_rate", welford_to_json(r.cost_rate_state));
-  j.set("replications", util::Json(static_cast<double>(r.replications)));
-  j.set("failures_c1", util::Json(static_cast<double>(r.failures_c1)));
-  j.set("converged", util::Json(r.converged));
-  j.set("keys_always_agreed", util::Json(r.keys_always_agreed));
-  j.set("timeouts", util::Json(static_cast<double>(r.timeouts)));
-  auto survival = util::Json::array();
-  for (const std::size_t count : r.survival_counts) {
-    survival.push_back(util::Json(static_cast<double>(count)));
-  }
-  j.set("survival_counts", std::move(survival));
-  return j;
-}
-
-sim::McPointResult mc_point_from_json(const util::Json& j) {
-  sim::McPointResult r;
-  r.ttsf_state = welford_from_json(j.at("ttsf"));
-  r.cost_rate_state = welford_from_json(j.at("cost_rate"));
-  r.ttsf = sim::Welford::from_state(r.ttsf_state).summary();
-  r.cost_rate = sim::Welford::from_state(r.cost_rate_state).summary();
-  r.replications = j.at("replications").as_size();
-  r.failures_c1 = j.at("failures_c1").as_size();
-  r.p_failure_c1 = r.replications > 0
-                       ? static_cast<double>(r.failures_c1) /
-                             static_cast<double>(r.replications)
-                       : 0.0;
-  r.p_failure = sim::binomial_summary(r.replications, r.failures_c1);
-  r.converged = j.at("converged").as_bool();
-  r.keys_always_agreed = j.at("keys_always_agreed").as_bool();
-  r.timeouts = j.at("timeouts").as_size();
-  for (const auto& count : j.at("survival_counts").elements()) {
-    r.survival_counts.push_back(count.as_size());
-    r.survival.push_back(
-        sim::binomial_summary(r.replications, r.survival_counts.back()));
-  }
-  return r;
-}
-
-util::Json mc_stats_to_json(const sim::MonteCarloEngine::Stats& s) {
-  auto j = util::Json::object();
-  j.set("points", util::Json(static_cast<double>(s.points)));
-  j.set("replications", util::Json(static_cast<double>(s.replications)));
-  j.set("blocks", util::Json(static_cast<double>(s.blocks)));
-  j.set("rounds", util::Json(static_cast<double>(s.rounds)));
-  j.set("seconds", util::Json::number(s.seconds));
-  return j;
-}
-
-sim::MonteCarloEngine::Stats mc_stats_from_json(const util::Json& j) {
-  sim::MonteCarloEngine::Stats s;
-  s.points = j.at("points").as_size();
-  s.replications = j.at("replications").as_size();
-  s.blocks = j.at("blocks").as_size();
-  s.rounds = j.at("rounds").as_size();
-  s.seconds = j.at("seconds").to_double();
-  return s;
-}
-
-namespace {
-
-// The vr codecs follow the mc-point convention: raw accumulator states,
-// replicate estimates, and counts only — every Summary is re-derived on
-// read, which keeps round-trips and shard merges bitwise.
-
-util::Json cv_metric_to_json(const vr::CvMetric& m) {
-  auto j = util::Json::object();
-  j.set("beta", util::Json::number(m.beta));
-  j.set("control_mean", util::Json::number(m.control_mean));
-  j.set("correlation", util::Json::number(m.correlation));
-  j.set("plain", welford_to_json(m.plain_state));
-  j.set("adjusted", welford_to_json(m.adjusted_state));
-  return j;
-}
-
-vr::CvMetric cv_metric_from_json(const util::Json& j) {
-  vr::CvMetric m;
-  m.beta = j.at("beta").to_double();
-  m.control_mean = j.at("control_mean").to_double();
-  m.correlation = j.at("correlation").to_double();
-  m.plain_state = welford_from_json(j.at("plain"));
-  m.adjusted_state = welford_from_json(j.at("adjusted"));
-  m.finalize();
-  return m;
-}
-
-util::Json doubles_json(const std::vector<double>& values) {
-  auto a = util::Json::array();
-  for (const double v : values) a.push_back(util::Json::number(v));
-  return a;
-}
-
-std::vector<double> doubles_from_json(const util::Json& j) {
-  std::vector<double> out;
-  out.reserve(j.size());
-  for (const auto& v : j.elements()) out.push_back(v.to_double());
-  return out;
-}
-
-}  // namespace
-
-util::Json vr_point_to_json(const vr::VrPointResult& r) {
-  auto j = util::Json::object();
-  if (r.has_sobol) {
-    auto s = util::Json::object();
-    s.set("replicates",
-          util::Json(static_cast<double>(r.sobol.replicates)));
-    s.set("samples_per_replicate",
-          util::Json(static_cast<double>(r.sobol.samples_per_replicate)));
-    s.set("ttsf_means", doubles_json(r.sobol.ttsf_means));
-    s.set("cost_rate_means", doubles_json(r.sobol.cost_rate_means));
-    j.set("sobol", std::move(s));
-  }
-  if (r.has_cv) {
-    auto c = util::Json::object();
-    c.set("pilot", util::Json(static_cast<double>(r.cv.pilot)));
-    c.set("replications",
-          util::Json(static_cast<double>(r.cv.replications)));
-    c.set("ttsf", cv_metric_to_json(r.cv.ttsf));
-    c.set("cost", cv_metric_to_json(r.cv.cost));
-    j.set("cv", std::move(c));
-  }
-  if (r.has_splitting) {
-    auto s = util::Json::object();
-    s.set("target", util::Json(r.splitting.target));
-    s.set("scheme", util::Json(r.splitting.scheme));
-    s.set("replicates",
-          util::Json(static_cast<double>(r.splitting.replicates)));
-    s.set("effort", util::Json(static_cast<double>(r.splitting.effort)));
-    s.set("trajectories",
-          util::Json(static_cast<double>(r.splitting.trajectories)));
-    s.set("estimates", doubles_json(r.splitting.estimates));
-    auto levels = util::Json::array();
-    for (const auto& lv : r.splitting.levels) {
-      auto l = util::Json::object();
-      l.set("threshold", util::Json(static_cast<double>(lv.threshold)));
-      l.set("p_up", util::Json::number(lv.p_up));
-      l.set("p_absorb", util::Json::number(lv.p_absorb));
-      levels.push_back(std::move(l));
-    }
-    s.set("levels", std::move(levels));
-    j.set("splitting", std::move(s));
-  }
-  return j;
-}
-
-vr::VrPointResult vr_point_from_json(const util::Json& j) {
-  vr::VrPointResult r;
-  if (const util::Json* s = j.find("sobol")) {
-    r.has_sobol = true;
-    r.sobol.replicates = s->at("replicates").as_size();
-    r.sobol.samples_per_replicate =
-        s->at("samples_per_replicate").as_size();
-    r.sobol.ttsf_means = doubles_from_json(s->at("ttsf_means"));
-    r.sobol.cost_rate_means = doubles_from_json(s->at("cost_rate_means"));
-    r.sobol.ttsf = sim::summarize(r.sobol.ttsf_means);
-    r.sobol.cost_rate = sim::summarize(r.sobol.cost_rate_means);
-  }
-  if (const util::Json* c = j.find("cv")) {
-    r.has_cv = true;
-    r.cv.pilot = c->at("pilot").as_size();
-    r.cv.replications = c->at("replications").as_size();
-    r.cv.ttsf = cv_metric_from_json(c->at("ttsf"));
-    r.cv.cost = cv_metric_from_json(c->at("cost"));
-  }
-  if (const util::Json* s = j.find("splitting")) {
-    r.has_splitting = true;
-    r.splitting.target = s->at("target").as_string();
-    r.splitting.scheme = s->at("scheme").as_string();
-    r.splitting.replicates = s->at("replicates").as_size();
-    r.splitting.effort = s->at("effort").as_size();
-    r.splitting.trajectories = s->at("trajectories").as_size();
-    r.splitting.estimates = doubles_from_json(s->at("estimates"));
-    for (const auto& lv : s->at("levels").elements()) {
-      vr::SplittingLevel level;
-      level.threshold =
-          static_cast<std::int64_t>(lv.at("threshold").to_double());
-      level.p_up = lv.at("p_up").to_double();
-      level.p_absorb = lv.at("p_absorb").to_double();
-      r.splitting.levels.push_back(level);
-    }
-    r.splitting.probability = vr::splitting_probability_summary(
-        r.splitting.estimates,
-        r.splitting.replicates * r.splitting.effort);
-  }
-  return r;
+  return Encoder::value(r, FieldPath("mc"));
 }
 
 // --- ExperimentResult. ------------------------------------------------
@@ -1468,88 +1005,22 @@ const BackendRun& ExperimentResult::at(BackendKind kind) const {
 }
 
 util::Json ExperimentResult::to_json() const {
-  auto j = util::Json::object();
-  j.set("format", util::Json(kResultFormat));
   // The embedded spec is normalised to the whole grid so every shard of
   // one run carries the IDENTICAL spec document; the slice lives in
-  // range/num_shards/shard_index below.
+  // range/num_shards/shard_index.
   ExperimentSpec normalised = spec;
   normalised.shard = ShardSpec{};
-  j.set("spec", normalised.to_json());
-  auto range_json = util::Json::object();
-  range_json.set("begin", util::Json(static_cast<double>(range.begin)));
-  range_json.set("end", util::Json(static_cast<double>(range.end)));
-  j.set("range", std::move(range_json));
-  j.set("num_shards", util::Json(static_cast<double>(num_shards)));
-  j.set("shard_index", util::Json(static_cast<double>(shard_index)));
-  j.set("shard_policy", util::Json(shard_policy));
-
-  auto backends_json = util::Json::array();
-  for (const auto& run : backends) {
-    auto b = util::Json::object();
-    b.set("backend", util::Json(to_string(run.kind)));
-    b.set("seconds", util::Json::number(run.seconds));
-    if (run.kind == BackendKind::Analytic) {
-      auto evals = util::Json::array();
-      for (const auto& e : run.evals) evals.push_back(evaluation_to_json(e));
-      b.set("evals", std::move(evals));
-    } else {
-      auto mc = util::Json::array();
-      for (const auto& r : run.mc) mc.push_back(mc_point_to_json(r));
-      b.set("mc", std::move(mc));
-      b.set("mc_stats", mc_stats_to_json(run.mc_stats));
-      if (!run.vr.empty()) {
-        auto vr_json = util::Json::array();
-        for (const auto& v : run.vr) {
-          vr_json.push_back(vr_point_to_json(v));
-        }
-        b.set("vr", std::move(vr_json));
-      }
-    }
-    backends_json.push_back(std::move(b));
-  }
-  j.set("backends", std::move(backends_json));
+  auto j = util::Json::object();
+  Encoder encoder(j, FieldPath("result"));
+  describe(encoder, *this, normalised);
   return j;
 }
 
 ExperimentResult ExperimentResult::from_json(const util::Json& j) {
-  const Reader r{j, "result"};
-  if (r.str("format") != kResultFormat) {
-    fail("result.format", "unknown format '" + r.str("format") +
-                              "' (expected " + kResultFormat + ")");
-  }
   ExperimentResult result;
-  result.spec = ExperimentSpec::from_json(r.at("spec"));
-  const Reader range = r.child("range");
-  result.range = {range.size("begin"), range.size("end")};
-  result.num_shards = r.size("num_shards");
-  result.shard_index = r.size("shard_index");
-  result.shard_policy = r.str("shard_policy");
-
-  const auto& backends_json = r.at("backends");
-  for (std::size_t i = 0; i < backends_json.size(); ++i) {
-    const std::string path = "result.backends[" + std::to_string(i) + "]";
-    const Reader b{backends_json.at(i), path};
-    BackendRun run;
-    run.kind = backend_from(b.str("backend"), path + ".backend");
-    run.seconds = b.number("seconds");
-    if (run.kind == BackendKind::Analytic) {
-      for (const auto& e : b.at("evals").elements()) {
-        run.evals.push_back(evaluation_from_json(e));
-      }
-    } else {
-      for (const auto& p : b.at("mc").elements()) {
-        run.mc.push_back(mc_point_from_json(p));
-      }
-      run.mc_stats = mc_stats_from_json(b.at("mc_stats"));
-      if (const util::Json* vr_json = b.j.find("vr")) {
-        for (const auto& v : vr_json->elements()) {
-          run.vr.push_back(vr_point_from_json(v));
-        }
-      }
-    }
-    result.backends.push_back(std::move(run));
-  }
+  Decoder decoder(j, FieldPath("result"));
+  describe(decoder, result, result.spec);
+  result.spec.validate();
   return result;
 }
 

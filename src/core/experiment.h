@@ -21,11 +21,15 @@
 //     returns an ExperimentResult whose JSON form (raw Welford states,
 //     round-trip doubles) merges bitwise across shards.
 //
-// Validation errors name the offending JSON path
-// ("spec.backends[1]: unknown backend 'foo'"), whether the spec came
-// from a file or was built in code.  This service is the only code
-// that runs, shards and recombines a grid; SweepEngine::evaluate is the
-// analytic primitive underneath it.
+// Every struct that crosses the wire has ONE field list (a describe()
+// template in JSON key order — core/fields.h): the JSON encoder, the
+// decoder and the per-field range checks all walk it, so a field's key,
+// position and range are declared once.  Errors name the offending JSON
+// path, for specs and results alike, whether the document came from a
+// file or was built in code: "ExperimentSpec: spec.base.mu_leave: -1
+// must be non-negative", "... result.backends[1].mc[2].ttsf.m2: ...".
+// This service is the only code that runs, shards and recombines a
+// grid; SweepEngine::evaluate is the analytic primitive underneath it.
 #pragma once
 
 #include <cstddef>
@@ -156,20 +160,9 @@ struct ExperimentSpec {
   [[nodiscard]] static ExperimentSpec from_json(const util::Json& j);
 };
 
-// --- Shared JSON codecs. ------------------------------------------------
-[[nodiscard]] util::Json evaluation_to_json(const Evaluation& e);
-[[nodiscard]] Evaluation evaluation_from_json(const util::Json& j);
+/// One Monte-Carlo point in its result-payload JSON form (raw Welford
+/// states and counts, exactly as ExperimentResult::to_json embeds it).
 [[nodiscard]] util::Json mc_point_to_json(const sim::McPointResult& r);
-[[nodiscard]] sim::McPointResult mc_point_from_json(const util::Json& j);
-[[nodiscard]] util::Json vr_point_to_json(const vr::VrPointResult& r);
-[[nodiscard]] vr::VrPointResult vr_point_from_json(const util::Json& j);
-[[nodiscard]] util::Json mc_stats_to_json(
-    const sim::MonteCarloEngine::Stats& s);
-[[nodiscard]] sim::MonteCarloEngine::Stats mc_stats_from_json(
-    const util::Json& j);
-[[nodiscard]] util::Json params_to_json(const Params& p);
-[[nodiscard]] Params params_from_json(const util::Json& j,
-                                      const std::string& path = "base");
 
 /// One backend's answer for the spec's point slice: `evals` for
 /// Analytic, `mc` for Des/ProtocolSim — both indexed relative to the

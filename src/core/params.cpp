@@ -42,6 +42,19 @@ Params effective_params(const Params& base, const MissionPhase* phase,
 
 }  // namespace
 
+std::string to_string(AttackerProgress p) {
+  return p == AttackerProgress::CampaignProgress ? "campaign_progress"
+                                                 : "compromise_ratio";
+}
+
+AttackerProgress attacker_progress_from_string(const std::string& name) {
+  if (name == "compromise_ratio") return AttackerProgress::CompromiseRatio;
+  if (name == "campaign_progress") return AttackerProgress::CampaignProgress;
+  throw std::invalid_argument(
+      "unknown attacker progress '" + name +
+      "' (expected compromise_ratio | campaign_progress)");
+}
+
 Params Params::paper_defaults() {
   Params p;
   // Population/workload/attacker/IDS members already carry the paper's
@@ -84,37 +97,10 @@ void Params::apply_mobility_estimate(const manet::PartitionEstimate& est) {
 }
 
 void Params::validate() const {
-  if (n_init < 2) {
-    throw std::invalid_argument("Params: n_init must be at least 2");
-  }
-  if (lambda_join < 0 || mu_leave < 0 || lambda_q < 0 || lambda_c < 0) {
-    throw std::invalid_argument("Params: negative rate");
-  }
-  if (t_ids <= 0) {
-    throw std::invalid_argument("Params: t_ids must be positive");
-  }
-  if (num_voters < 1) {
-    throw std::invalid_argument("Params: num_voters must be >= 1");
-  }
-  if (p1 < 0 || p1 > 1) {
-    throw std::invalid_argument("Params: p1 " + std::to_string(p1) +
-                                " outside [0,1]");
-  }
-  if (p2 < 0 || p2 > 1) {
-    throw std::invalid_argument("Params: p2 " + std::to_string(p2) +
-                                " outside [0,1]");
-  }
+  Checker checker("Params: ", FieldPath());
+  describe(checker, *this);  // every single-field range, by name
   detector.validate();  // throws "detector.<field>: ..."
   attacker.validate();  // throws "attacker.<field>: ..."
-  if (byzantine_fraction <= 0 || byzantine_fraction >= 1) {
-    throw std::invalid_argument("Params: byzantine_fraction out of (0,1)");
-  }
-  if (p_index <= 1.0) {
-    throw std::invalid_argument("Params: p_index must be > 1");
-  }
-  if (max_groups < 1) {
-    throw std::invalid_argument("Params: max_groups must be >= 1");
-  }
   if (max_groups > 1) {
     if (partition_rates.size() <
             static_cast<std::size_t>(max_groups) + 1 ||

@@ -21,7 +21,9 @@ Shape shape_from_string(const std::string& name) {
   if (name == "log" || name == "logarithmic") return Shape::Logarithmic;
   if (name == "linear" || name == "lin") return Shape::Linear;
   if (name == "poly" || name == "polynomial") return Shape::Polynomial;
-  throw std::invalid_argument("unknown shape: " + name);
+  throw std::invalid_argument(
+      "unknown shape '" + name +
+      "' (expected logarithmic | linear | polynomial)");
 }
 
 double shape_factor(Shape shape, double x, double p) {
