@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (build + full gtest suite via ctest),
-# the declarative experiment-API gates (spec round-trip + parity
-# cross-checks via run_experiment), the sweep-engine equivalence/speedup
-# bench, the Monte-Carlo engine bench, the sharded sweep demo
-# (contiguous AND pilot-cost-balanced splits), the figure/ablation grid
-# benches (all in smoke mode), the micro benches with a minimal
-# measurement budget, and the UBSan, ASan+LSan and TSan test builds.
+# every example program, the declarative experiment-API gates (spec
+# round-trip + parity cross-checks via run_experiment), the
+# sweep-engine equivalence/speedup bench, the Monte-Carlo engine bench,
+# the sharded sweep demo (contiguous AND pilot-cost-balanced splits),
+# the figure/ablation grid benches (all in smoke mode), the micro
+# benches with a minimal measurement budget, and the UBSan, ASan+LSan
+# and TSan test builds.
 # Leaves the BENCH_*.json artifacts in build/ for the workflow to
 # archive.
 set -euo pipefail
@@ -17,6 +18,12 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
+
+# --- Examples: every user-facing walkthrough (build/example_*) must run
+# to completion; a non-zero exit fails CI.  A few seconds in total.
+for ex in build/example_*; do
+  (cd build && "./$(basename "${ex}")")
+done
 
 # --- Experiment-API gate: emit the fig2 validation spec as a JSON
 # file, execute it end-to-end through run_experiment, and require

@@ -1,82 +1,31 @@
 // The SPN engine as a general dependability tool — independent of the
-// paper's model.  Builds a classic repairable-system availability model
-// (two power supplies, one shared repair crew, deferred-repair policy
-// via an immediate transition) and computes steady-state availability,
-// then a mission-style absorbing variant for MTTF — the two standard
-// questions any SPN user asks.
+// paper's model.  Builds a classic mission model (two redundant power
+// supplies, no repair: the system dies when both units have failed) and
+// computes its mean time to failure with the absorbing-state analyzer —
+// the standard question any SPN user asks of a non-repairable system.
 #include <cstdio>
 
 #include "spn/absorbing.h"
 #include "spn/reachability.h"
-#include "spn/steady_state.h"
 
 int main() {
   using namespace midas::spn;
 
-  const double fail_rate = 1.0 / 1000.0;   // per-unit failures
-  const double repair_rate = 1.0 / 50.0;   // single crew
+  const double fail_rate = 1.0 / 1000.0;  // per-unit failures
 
-  // ---- Availability model: 2 units, repair restores them.
-  {
-    PetriNet net;
-    const auto up = net.add_place("Up", 2);
-    const auto broken = net.add_place("Broken", 0);
-    const auto in_repair = net.add_place("InRepair", 0);
+  PetriNet net;
+  const auto up = net.add_place("Up", 2);
+  net.transition("fail")
+      .input(up)
+      .rate([up, fail_rate](const Marking& m) { return fail_rate * m[up]; })
+      .add();
 
-    net.transition("fail")
-        .input(up)
-        .output(broken)
-        .rate([up, fail_rate](const Marking& m) {
-          return fail_rate * m[up];
-        })
-        .add();
-    // The crew picks up a broken unit instantly when free — an
-    // immediate transition guarded by crew availability.
-    net.transition("start_repair")
-        .input(broken)
-        .output(in_repair)
-        .rate(1.0)
-        .immediate()
-        .guard([in_repair](const Marking& m) { return m[in_repair] == 0; })
-        .add();
-    net.transition("finish_repair")
-        .input(in_repair)
-        .output(up)
-        .rate(repair_rate)
-        .add();
-
-    const auto graph = explore(net);
-    const auto ss = steady_state(graph);
-    double availability = 0.0;      // P[at least one unit up]
-    double both_up = 0.0;
-    for (std::size_t s = 0; s < graph.num_states(); ++s) {
-      if (graph.states[s][up] >= 1) availability += ss.pi[s];
-      if (graph.states[s][up] == 2) both_up += ss.pi[s];
-    }
-    std::printf("availability model: %zu tangible states\n",
-                graph.num_states());
-    std::printf("  P[service up]  = %.6f\n", availability);
-    std::printf("  P[full redundancy] = %.6f\n\n", both_up);
-  }
-
-  // ---- Mission model: no repair, system dies when both units fail.
-  {
-    PetriNet net;
-    const auto up = net.add_place("Up", 2);
-    net.transition("fail")
-        .input(up)
-        .rate([up, fail_rate](const Marking& m) {
-          return fail_rate * m[up];
-        })
-        .add();
-
-    const auto graph = explore(net);
-    const AbsorbingAnalyzer analyzer(graph);
-    const auto res = analyzer.solve();
-    // Closed form: 1/(2λ) + 1/λ = 1500 — printed for comparison.
-    std::printf("mission model (no repair):\n");
-    std::printf("  MTTF = %.1f h (closed form: %.1f h)\n", res.mtta,
-                1.0 / (2 * fail_rate) + 1.0 / fail_rate);
-  }
+  const auto graph = explore(net);
+  const AbsorbingAnalyzer analyzer(graph);
+  const auto res = analyzer.solve();
+  // Closed form: 1/(2λ) + 1/λ = 1500 — printed for comparison.
+  std::printf("mission model (no repair):\n");
+  std::printf("  MTTF = %.1f h (closed form: %.1f h)\n", res.mtta,
+              1.0 / (2 * fail_rate) + 1.0 / fail_rate);
   return 0;
 }

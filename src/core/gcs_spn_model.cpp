@@ -520,16 +520,14 @@ const spn::ReachabilityGraph& GcsSpnModel::graph() const {
 
 std::vector<double> GcsSpnModel::reliability_at(
     std::span<const double> times) const {
-  // The backward-equation integrator handles the stiff mission-length
-  // horizons that uniformisation cannot (Λ·t up to ~1e8 at the paper's
-  // parameters; see spn/reliability_ode.h).
-  const spn::ReliabilityOde ode(graph());
-  std::vector<double> sorted(times.begin(), times.end());
-  if (!std::is_sorted(sorted.begin(), sorted.end())) {
-    throw std::invalid_argument(
-        "reliability_at: times must be ascending");
-  }
-  return ode.survival_at(sorted);
+  // The θ-method integrator handles the stiff mission-length horizons
+  // that uniformisation cannot (Λ·t up to ~1e8 at the paper's
+  // parameters; see spn/reliability_ode.h).  propagate() validates the
+  // times.
+  if (times.empty()) return {};
+  return spn::ReliabilityOde(graph())
+      .propagate({}, times.back(), {}, times)
+      .survival_at;
 }
 
 Evaluation GcsSpnModel::evaluate() const { return evaluate_on(graph()); }

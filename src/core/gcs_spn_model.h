@@ -99,8 +99,10 @@ class GcsSpnModel {
 
   /// Mission reliability R(t) = P[no security failure by time t] — the
   /// paper's survivability requirement ("survive security threats past
-  /// the minimum mission time") as a transient measure, computed by
-  /// uniformisation.  `times` must be non-negative.
+  /// the minimum mission time") as a transient measure, computed by the
+  /// θ-method integrator (spn::ReliabilityOde::propagate).  `times` must
+  /// be finite, non-negative and ascending (std::invalid_argument names
+  /// the first bad index).
   [[nodiscard]] std::vector<double> reliability_at(
       std::span<const double> times) const;
 

@@ -3,14 +3,18 @@
 // by chaining the constant-rate machinery across the resolved timeline.
 //
 // Method: resolve_timeline() yields ordered constant segments.  Within
-// each non-final segment the transient distribution advances through
-// the adjoint backward-Kolmogorov integrator
+// each non-final segment the transient distribution advances by
+// Crank–Nicolson steps of the adjoint backward-Kolmogorov system
 // (spn::ReliabilityOde::propagate), accumulating the segment's
 // survival-time integral (its MTTSF share), the six cost-rate
 // integrals, the eviction impulse flux and the C1/C2 absorption
 // fluxes; the weights at each boundary seed the next segment.  The
 // final segment (infinite horizon) closes the chain analytically with
 // spn::AbsorbingAnalyzer::solve_from on the boundary distribution.
+// Every θ-step and the tail are the same exact SCC-block substitution
+// (spn::TransientStructure), so fast partition/merge cycling costs
+// neither accuracy nor iterations.  A non-final segment need not
+// contain an absorbing state at all.
 //
 // Structure reuse: segments whose core::structure_key matches the
 // first segment's re-rate the first segment's reachability graph
@@ -38,8 +42,8 @@
 namespace midas::core {
 
 struct MissionOptions {
-  /// Per-segment integrator settings for the forward propagation
-  /// (theta method / grid; see spn::ReliabilityOdeOptions).
+  /// Per-segment θ-grid of the forward propagation (see
+  /// spn::ReliabilityOdeOptions).
   spn::ReliabilityOdeOptions ode;
 };
 

@@ -1,7 +1,8 @@
-// Small dense matrices with LU factorisation.  Used as the reference
-// solver in tests, for the tiny linear systems in the MANET birth-death
-// rate fit, and — through LuFactorView — as the allocation-free batched
-// kernel behind spn::AbsorbingAnalyzer::solve_batch.
+// Small dense matrices with LU factorisation.  DenseMatrix and LuSolver
+// are the reference solver in tests; LuFactorView and the substitution
+// kernels below are the allocation-free block kernels behind
+// spn::TransientStructure::substitute (every absorbing solve and
+// θ-step) and spn::AbsorbingAnalyzer::solve_batch.
 #pragma once
 
 #include <cstddef>
@@ -81,6 +82,19 @@ void lu_solve_to(std::span<const double> lu,
 void lu_solve_many(std::span<const double> lu,
                    std::span<const std::uint32_t> ipiv, std::size_t n,
                    std::span<double> B, std::size_t n_rhs);
+
+/// Factors and solves `P` independent n×n systems together, in place.
+/// Layout is point-major: entry (r, c) of system p is a[(r·n + c)·P + p]
+/// and component r of its right-hand side b[r·P + p], so every step
+/// updates P contiguous doubles.  Per system, the pivot choices,
+/// singularity test and arithmetic are LuFactorView::factor followed by
+/// solve_to, bit for bit (both are this routine's P = 1 case).  On
+/// return `a` holds the factors and `b` the solutions; `lane` (3·P
+/// doubles) and `lane_piv` (n·P pivot rows) are scratch.
+void lu_solve_point_major(std::span<double> a, std::span<double> b,
+                          std::size_t n, std::size_t P,
+                          std::span<double> lane,
+                          std::span<std::uint32_t> lane_piv);
 
 /// LU factorisation with partial pivoting; throws std::runtime_error on a
 /// numerically singular pivot.

@@ -9,21 +9,195 @@
 
 namespace midas::spn {
 
-AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
-    : graph_(graph), absorbing_(graph.absorbing_mask()) {
-  const std::size_t n = graph_.num_states();
+namespace {
+// Largest SCC solved as one dense block (k² doubles of scratch, O(k³)
+// per factorisation).  The model's only cycles are the group
+// partition/merge flips, so real blocks have a handful of states.
+void check_dense_block_limit(std::size_t k) {
+  if (k > 4096) {
+    throw std::runtime_error("transient SCC of size " + std::to_string(k) +
+                             " exceeds the dense-block limit");
+  }
+}
+}  // namespace
+
+TransientStructure::TransientStructure(const ReachabilityGraph& graph) {
+  const std::size_t n = graph.num_states();
+  const auto absorbing = graph.absorbing_mask();
 
   // Compact index over transient states.
-  compact_.assign(n, UINT32_MAX);
-  expand_.reserve(n);
+  compact.assign(n, UINT32_MAX);
+  expand.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    if (!absorbing_[s]) {
-      compact_[s] = static_cast<std::uint32_t>(expand_.size());
-      expand_.push_back(static_cast<std::uint32_t>(s));
+    if (!absorbing[s]) {
+      compact[s] = static_cast<std::uint32_t>(expand.size());
+      expand.push_back(static_cast<std::uint32_t>(s));
     }
   }
-  const std::size_t nt = expand_.size();
-  if (nt == n) {
+  const std::size_t nt = expand.size();
+  init_compact = compact[graph.initial];
+
+  // Transient→transient adjacency, once: incoming CSR (for the balance
+  // rows) and outgoing CSR (for the condensation).
+  in_offsets.assign(nt + 1, 0);
+  std::vector<std::uint32_t> out_offsets(nt + 1, 0);
+  std::size_t num_tt = 0;
+  for (std::size_t i = 0; i < nt; ++i) {
+    for (const auto& e : graph.out_edges(expand[i])) {
+      if (e.src == e.dst) continue;
+      const auto cd = compact[e.dst];
+      if (cd != UINT32_MAX) {
+        ++in_offsets[cd + 1];
+        ++out_offsets[i + 1];
+        ++num_tt;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < nt; ++i) {
+    in_offsets[i + 1] += in_offsets[i];
+    out_offsets[i + 1] += out_offsets[i];
+  }
+  in_edges.resize(num_tt);
+  std::vector<std::uint32_t> out_targets(num_tt);
+  {
+    std::vector<std::uint32_t> in_cursor(in_offsets.begin(),
+                                         in_offsets.end() - 1);
+    std::vector<std::uint32_t> out_cursor(out_offsets.begin(),
+                                          out_offsets.end() - 1);
+    for (std::size_t i = 0; i < nt; ++i) {
+      const auto cs = static_cast<std::uint32_t>(i);
+      const auto begin = graph.edge_offsets[expand[i]];
+      const auto end = graph.edge_offsets[expand[i] + 1];
+      for (std::uint32_t idx = begin; idx < end; ++idx) {
+        const auto& e = graph.edges[idx];
+        if (e.src == e.dst) continue;
+        const auto cd = compact[e.dst];
+        if (cd == UINT32_MAX) continue;
+        in_edges[in_cursor[cd]++] = {cs, idx};
+        out_targets[out_cursor[i]++] = cd;
+      }
+    }
+  }
+
+  // Compacted exit-rate and absorption-flow structure: per transient
+  // state, the global indices of its non-self-loop out-edges in graph
+  // CSR order (exit), and among those the transient→absorbing ones
+  // (abs).
+  exit_offsets.reserve(nt + 1);
+  abs_offsets.reserve(nt + 1);
+  exit_offsets.push_back(0);
+  abs_offsets.push_back(0);
+  for (std::size_t i = 0; i < nt; ++i) {
+    const auto begin = graph.edge_offsets[expand[i]];
+    const auto end = graph.edge_offsets[expand[i] + 1];
+    for (std::uint32_t idx = begin; idx < end; ++idx) {
+      const auto& e = graph.edges[idx];
+      if (e.src == e.dst) continue;
+      exit_edges.push_back(idx);
+      if (absorbing[e.dst]) abs_edges.push_back({idx, e.dst});
+    }
+    exit_offsets.push_back(static_cast<std::uint32_t>(exit_edges.size()));
+    abs_offsets.push_back(static_cast<std::uint32_t>(abs_edges.size()));
+  }
+
+  scc = strongly_connected_components(out_offsets, out_targets);
+  components = scc.members();
+  for (const auto& block : components) {
+    max_block = std::max(max_block, block.size());
+  }
+}
+
+void TransientStructure::exit_rates(std::span<const double> edge_rates,
+                                    std::span<double> out) const {
+  for (std::size_t i = 0; i < size(); ++i) {
+    double acc = 0.0;
+    for (std::uint32_t k = exit_offsets[i]; k < exit_offsets[i + 1]; ++k) {
+      acc += edge_rates[exit_edges[k]];
+    }
+    out[i] = acc;
+  }
+}
+
+TransientStructure::Scratch TransientStructure::make_scratch() const {
+  check_dense_block_limit(max_block);
+  Scratch s;
+  s.local.assign(size(), UINT32_MAX);
+  s.lu.resize(max_block * max_block);
+  s.ipiv.resize(max_block);
+  s.rhs.resize(max_block);
+  return s;
+}
+
+void TransientStructure::substitute(std::span<const double> edge_rates,
+                                    std::span<const double> exit_rate,
+                                    double shift, std::span<double> x,
+                                    Scratch& scratch) const {
+  // Tarjan SCCs of the transient graph form a DAG: processing components
+  // in topological order makes every cross-component inflow a known
+  // quantity, and each component reduces to a dense system of its own
+  // (tiny: the model's only cycles are the group partition/merge flips).
+  // This is immune to the stiffness that defeats global iterative
+  // solvers when the cycle rates exceed the security rates by many
+  // orders of magnitude.
+  auto& local = scratch.local;
+  // Higher component id = earlier in topological order (sources first).
+  for (std::size_t c = components.size(); c-- > 0;) {
+    const auto& block = components[c];
+    const auto cc = static_cast<std::uint32_t>(c);
+    // b_j plus the inflow from already-solved predecessor components.
+    const auto external_b = [&](std::uint32_t j) {
+      double b = x[j];
+      for (std::uint32_t k = in_offsets[j]; k < in_offsets[j + 1]; ++k) {
+        const auto& in = in_edges[k];
+        if (scc.component[in.src] != cc) {
+          b += x[in.src] * edge_rates[in.edge];
+        }
+      }
+      return b;
+    };
+    if (block.size() == 1) {
+      const auto j = block[0];
+      const double diag = exit_rate[j] + shift;
+      if (diag <= 0.0) {
+        throw std::runtime_error(
+            "TransientStructure: transient state with zero exit rate");
+      }
+      x[j] = external_b(j) / diag;
+      continue;
+    }
+    // Dense block:  (shift + exit_j)·x_j − Σ_{i∈block} r_ij·x_i = b_j.
+    const std::size_t k = block.size();
+    double* m = scratch.lu.data();
+    std::fill_n(m, k * k, 0.0);
+    for (std::size_t r = 0; r < k; ++r) {
+      local[block[r]] = static_cast<std::uint32_t>(r);
+    }
+    for (std::size_t r = 0; r < k; ++r) {
+      const auto j = block[r];
+      m[r * k + r] = exit_rate[j] + shift;
+      scratch.rhs[r] = external_b(j);
+      for (std::uint32_t e = in_offsets[j]; e < in_offsets[j + 1]; ++e) {
+        const auto& in = in_edges[e];
+        const auto li = local[in.src];
+        if (li != UINT32_MAX) m[r * k + li] -= edge_rates[in.edge];
+      }
+    }
+    const std::span<double> b = std::span(scratch.rhs).first(k);
+    linalg::LuFactorView view{std::span(scratch.lu).first(k * k),
+                              std::span(scratch.ipiv).first(k), k};
+    view.factor();
+    view.solve_to(b, b);
+    for (std::size_t r = 0; r < k; ++r) {
+      x[block[r]] = b[r];
+      local[block[r]] = UINT32_MAX;  // reset for the next block
+    }
+  }
+}
+
+AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
+    : graph_(graph), t_(graph) {
+  const std::size_t nt = t_.size();
+  if (nt == graph_.num_states()) {
     throw std::runtime_error(
         "AbsorbingAnalyzer: chain has no absorbing states");
   }
@@ -38,82 +212,11 @@ AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
 
   if (nt == 0) return;  // initial state itself absorbing: MTTA = 0
 
-  init_compact_ = compact_[graph_.initial];
-  if (init_compact_ == UINT32_MAX) {
+  const auto init = t_.init_compact;
+  if (init == UINT32_MAX) {
     throw std::runtime_error(
         "AbsorbingAnalyzer: initial state is marked absorbing yet transient "
         "states exist; inconsistent graph");
-  }
-
-  // Transient→transient adjacency, once: incoming CSR (for the sojourn
-  // balance) and outgoing CSR (for the condensation).
-  in_offsets_.assign(nt + 1, 0);
-  std::vector<std::uint32_t> out_offsets(nt + 1, 0);
-  std::size_t num_tt = 0;
-  for (std::size_t i = 0; i < nt; ++i) {
-    for (const auto& e : graph_.out_edges(expand_[i])) {
-      if (e.src == e.dst) continue;
-      const auto cd = compact_[e.dst];
-      if (cd != UINT32_MAX) {
-        ++in_offsets_[cd + 1];
-        ++out_offsets[i + 1];
-        ++num_tt;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < nt; ++i) {
-    in_offsets_[i + 1] += in_offsets_[i];
-    out_offsets[i + 1] += out_offsets[i];
-  }
-  in_edges_.resize(num_tt);
-  std::vector<std::uint32_t> out_targets(num_tt);
-  {
-    std::vector<std::uint32_t> in_cursor(in_offsets_.begin(),
-                                         in_offsets_.end() - 1);
-    std::vector<std::uint32_t> out_cursor(out_offsets.begin(),
-                                          out_offsets.end() - 1);
-    for (std::size_t i = 0; i < nt; ++i) {
-      const auto cs = static_cast<std::uint32_t>(i);
-      const auto begin = graph_.edge_offsets[expand_[i]];
-      const auto end = graph_.edge_offsets[expand_[i] + 1];
-      for (std::uint32_t idx = begin; idx < end; ++idx) {
-        const auto& e = graph_.edges[idx];
-        if (e.src == e.dst) continue;
-        const auto cd = compact_[e.dst];
-        if (cd == UINT32_MAX) continue;
-        in_edges_[in_cursor[cd]++] = {cs, idx};
-        out_targets[out_cursor[i]++] = cd;
-      }
-    }
-  }
-
-  // Compacted exit-rate and absorption-flow structure: per transient
-  // state, the global indices of its non-self-loop out-edges in graph
-  // CSR order (exit), and among those the transient→absorbing ones
-  // (abs).  The per-edge `e.src != e.dst` / absorbing-dst tests used to
-  // run inside every solve(); now they run once here and the per-point
-  // loops walk dense index lists.
-  exit_offsets_.reserve(nt + 1);
-  abs_offsets_.reserve(nt + 1);
-  exit_offsets_.push_back(0);
-  abs_offsets_.push_back(0);
-  for (std::size_t i = 0; i < nt; ++i) {
-    const auto begin = graph_.edge_offsets[expand_[i]];
-    const auto end = graph_.edge_offsets[expand_[i] + 1];
-    for (std::uint32_t idx = begin; idx < end; ++idx) {
-      const auto& e = graph_.edges[idx];
-      if (e.src == e.dst) continue;
-      exit_edges_.push_back(idx);
-      if (absorbing_[e.dst]) abs_edges_.push_back({idx, e.dst});
-    }
-    exit_offsets_.push_back(static_cast<std::uint32_t>(exit_edges_.size()));
-    abs_offsets_.push_back(static_cast<std::uint32_t>(abs_edges_.size()));
-  }
-
-  scc_ = strongly_connected_components(out_offsets, out_targets);
-  components_ = scc_.members();
-  for (const auto& block : components_) {
-    max_block_ = std::max(max_block_, block.size());
   }
 
   // Absorption must be certain from the initial marking, or MTTA
@@ -128,26 +231,23 @@ AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
   std::vector<char> can_absorb(nt, 0);
   std::vector<std::uint32_t> stack;
   for (std::size_t i = 0; i < nt; ++i) {
-    for (const auto& e : graph_.out_edges(expand_[i])) {
-      if (e.src != e.dst && absorbing_[e.dst]) {
-        can_absorb[i] = 1;
-        stack.push_back(static_cast<std::uint32_t>(i));
-        break;
-      }
+    if (t_.abs_offsets[i] < t_.abs_offsets[i + 1]) {
+      can_absorb[i] = 1;
+      stack.push_back(static_cast<std::uint32_t>(i));
     }
   }
   while (!stack.empty()) {
     const auto j = stack.back();
     stack.pop_back();
-    for (std::uint32_t k = in_offsets_[j]; k < in_offsets_[j + 1]; ++k) {
-      const auto src = in_edges_[k].src;
+    for (std::uint32_t k = t_.in_offsets[j]; k < t_.in_offsets[j + 1]; ++k) {
+      const auto src = t_.in_edges[k].src;
       if (!can_absorb[src]) {
         can_absorb[src] = 1;
         stack.push_back(src);
       }
     }
   }
-  if (!can_absorb[init_compact_]) {
+  if (!can_absorb[init]) {
     throw std::runtime_error(
         "AbsorbingAnalyzer: no absorbing state is reachable from the "
         "initial marking " +
@@ -158,22 +258,22 @@ AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
   // Forward sweep over the transient region reachable from the initial
   // state: a reachable state that cannot absorb is a trap.
   std::vector<char> reachable(nt, 0);
-  reachable[init_compact_] = 1;
-  stack.push_back(init_compact_);
+  reachable[init] = 1;
+  stack.push_back(init);
   while (!stack.empty()) {
     const auto j = stack.back();
     stack.pop_back();
     if (!can_absorb[j]) {
       throw std::runtime_error(
           "AbsorbingAnalyzer: transient state " +
-          graph_.states[expand_[j]].to_string() +
+          graph_.states[t_.expand[j]].to_string() +
           " is reachable from the initial marking but cannot reach any "
           "absorbing state (recurrent transient class: mean time to "
           "absorption diverges)");
     }
-    for (const auto& e : graph_.out_edges(expand_[j])) {
+    for (const auto& e : graph_.out_edges(t_.expand[j])) {
       if (e.src == e.dst) continue;
-      const auto cd = compact_[e.dst];
+      const auto cd = t_.compact[e.dst];
       if (cd != UINT32_MAX && !reachable[cd]) {
         reachable[cd] = 1;
         stack.push_back(cd);
@@ -219,7 +319,7 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
         std::to_string(graph_.edges.size()));
   }
   const std::size_t n = graph_.num_states();
-  const std::size_t nt = expand_.size();
+  const std::size_t nt = t_.size();
 
   AbsorbingResult res;
   if (opts.sojourn) res.sojourn.assign(n, 0.0);
@@ -237,88 +337,28 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
     return res;
   }
 
-  // Total exit rate per transient state (self-loops cancel in Q): walk
-  // the construction-time compacted edge lists — no per-edge self-loop
-  // test in the sweep's hot path.
-  std::vector<double> exit_rate(nt, 0.0);
-  for (std::size_t i = 0; i < nt; ++i) {
-    for (std::uint32_t k = exit_offsets_[i]; k < exit_offsets_[i + 1]; ++k) {
-      exit_rate[i] += edge_rates[exit_edges_[k]];
-    }
-  }
-
-  // The expected-sojourn balance  exit_j·τ_j = π0_j + Σ_{i→j} τ_i·r_ij
-  // is solved exactly by condensation: Tarjan SCCs of the transient
-  // graph form a DAG; processing components in topological order makes
-  // every cross-component inflow a known quantity, and each component
-  // reduces to a dense system of its own (tiny: the model's only cycles
-  // are the group partition/merge flips).  This is immune to the
-  // stiffness that defeats global Gauss–Seidel when the cycle rates
-  // exceed the security rates by many orders of magnitude.
+  // Sojourn balance  exit_j·τ_j − Σ_{i→j} r_ij·τ_i = π0_j,  solved by
+  // the shared condensation pass with no diagonal shift.  π₀ is the
+  // default unit mass at the initial state, or the caller's full-state
+  // distribution (solve_from).
+  std::vector<double> exit_rate(nt);
+  t_.exit_rates(edge_rates, exit_rate);
   std::vector<double> tau(nt, 0.0);
-  std::vector<std::uint32_t> local(nt, UINT32_MAX);  // reused across blocks
-  // π₀ hook: the default unit mass at the initial state, or the
-  // caller's full-state distribution (solve_from).  The empty branch is
-  // the literal legacy expression, so plain solves stay bitwise.
-  auto init_of = [&](std::uint32_t j) {
-    return initial_mass.empty() ? (j == init_compact_ ? 1.0 : 0.0)
-                                : initial_mass[expand_[j]];
-  };
-  // External inflow (already-solved predecessors) + initial mass.
-  auto external_b = [&](std::uint32_t j, std::uint32_t c) {
-    double b = init_of(j);
-    for (std::uint32_t k = in_offsets_[j]; k < in_offsets_[j + 1]; ++k) {
-      const auto& in = in_edges_[k];
-      if (scc_.component[in.src] != c) b += tau[in.src] * edge_rates[in.edge];
-    }
-    return b;
-  };
-  // Higher component id = earlier in topological order (sources first).
-  for (std::size_t c = components_.size(); c-- > 0;) {
-    const auto& block = components_[c];
-    if (block.size() == 1) {
-      const auto j = block[0];
-      if (exit_rate[j] <= 0.0) {
-        throw std::runtime_error(
-            "AbsorbingAnalyzer: transient state with zero exit rate");
-      }
-      tau[j] = external_b(j, static_cast<std::uint32_t>(c)) / exit_rate[j];
-      continue;
-    }
-    // Dense block solve:  exit_j·τ_j − Σ_{i∈block} r_ij·τ_i = b_j.
-    const std::size_t k = block.size();
-    if (k > 4096) {
-      throw std::runtime_error(
-          "AbsorbingAnalyzer: transient SCC of size " + std::to_string(k) +
-          " exceeds the dense-block limit");
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-      local[block[r]] = static_cast<std::uint32_t>(r);
-    }
-    linalg::DenseMatrix m(k, k);
-    std::vector<double> b(k, 0.0);
-    for (std::size_t r = 0; r < k; ++r) {
-      const auto j = block[r];
-      m(r, r) = exit_rate[j];
-      b[r] = external_b(j, static_cast<std::uint32_t>(c));
-      for (std::uint32_t e = in_offsets_[j]; e < in_offsets_[j + 1]; ++e) {
-        const auto& in = in_edges_[e];
-        const auto li = local[in.src];
-        if (li != UINT32_MAX) m(r, li) -= edge_rates[in.edge];
-      }
-    }
-    const auto x = linalg::LuSolver(std::move(m)).solve(std::move(b));
-    for (std::size_t r = 0; r < k; ++r) {
-      tau[block[r]] = x[r];
-      local[block[r]] = UINT32_MAX;  // reset for the next block
+  if (initial_mass.empty()) {
+    tau[t_.init_compact] = 1.0;
+  } else {
+    for (std::size_t j = 0; j < nt; ++j) {
+      tau[j] = initial_mass[t_.expand[j]];
     }
   }
+  auto scratch = t_.make_scratch();
+  t_.substitute(edge_rates, exit_rate, 0.0, tau, scratch);
 
-  res.solver_blocks = components_.size();
+  res.solver_blocks = t_.components.size();
   res.converged = true;
   double mtta = 0.0;
   for (std::size_t i = 0; i < nt; ++i) {
-    if (opts.sojourn) res.sojourn[expand_[i]] = tau[i];
+    if (opts.sojourn) res.sojourn[t_.expand[i]] = tau[i];
     mtta += tau[i];
   }
   res.mtta = mtta;
@@ -328,8 +368,9 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
   if (opts.absorb_probability) {
     res.absorb_probability.assign(n, 0.0);
     for (std::size_t i = 0; i < nt; ++i) {
-      for (std::uint32_t k = abs_offsets_[i]; k < abs_offsets_[i + 1]; ++k) {
-        const auto& ae = abs_edges_[k];
+      for (std::uint32_t k = t_.abs_offsets[i]; k < t_.abs_offsets[i + 1];
+           ++k) {
+        const auto& ae = t_.abs_edges[k];
         res.absorb_probability[ae.dst] += tau[i] * edge_rates[ae.edge];
       }
     }
@@ -354,7 +395,7 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
   }
   util::Arena& a = arena != nullptr ? *arena : util::thread_scratch_arena();
   const std::size_t n = graph_.num_states();
-  const std::size_t nt = expand_.size();
+  const std::size_t nt = t_.size();
   const double* rates = edge_rates.data();
 
   AbsorbingBatchResult res;
@@ -376,8 +417,10 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
   auto exit = a.make_span<double>(nt * P, 0.0);
   for (std::size_t i = 0; i < nt; ++i) {
     double* row = exit.data() + i * P;
-    for (std::uint32_t k = exit_offsets_[i]; k < exit_offsets_[i + 1]; ++k) {
-      const double* er = rates + static_cast<std::size_t>(exit_edges_[k]) * P;
+    for (std::uint32_t k = t_.exit_offsets[i]; k < t_.exit_offsets[i + 1];
+         ++k) {
+      const double* er =
+          rates + static_cast<std::size_t>(t_.exit_edges[k]) * P;
       for (std::size_t p = 0; p < P; ++p) row[p] += er[p];
     }
   }
@@ -386,17 +429,19 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
   auto local = a.make_span<std::uint32_t>(nt, UINT32_MAX);
 
   // Dense-block scratch, sized once to the largest SCC.
-  const std::size_t kmax = std::max<std::size_t>(max_block_, 1);
+  check_dense_block_limit(t_.max_block);
+  const std::size_t kmax = std::max<std::size_t>(t_.max_block, 1);
   auto b = a.make_span<double>(kmax * P);         // point-major RHS
   auto M = a.make_span<double>(kmax * kmax * P);  // point-major blocks
   auto Mp = a.make_span<double>(kmax * kmax);     // one point's block
-  auto xk = a.make_span<double>(kmax);
   auto ipiv = a.make_span<std::uint32_t>(kmax);
+  auto lane = a.make_span<double>(3 * P);  // lu_solve_point_major scratch
+  auto lane_piv = a.make_span<std::uint32_t>(kmax * P);
   // Factor-reuse scratch.
-  std::span<double> m00, G;
+  std::span<double> scale, G;
   std::span<std::uint32_t> head, member;
-  if (opts.factor_reuse && max_block_ > 1) {
-    m00 = a.make_span<double>(P);
+  if (opts.factor_reuse && t_.max_block > 1) {
+    scale = a.make_span<double>(P);
     G = a.make_span<double>(kmax * P);  // grouped RHS, component-major
     head = a.make_span<std::uint32_t>(P);
     member = a.make_span<std::uint32_t>(P);
@@ -404,8 +449,8 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
 
   // Higher component id = earlier in topological order (sources first) —
   // the scalar solve's order, mirrored exactly.
-  for (std::size_t c = components_.size(); c-- > 0;) {
-    const auto& block = components_[c];
+  for (std::size_t c = t_.components.size(); c-- > 0;) {
+    const auto& block = t_.components[c];
     const auto cc = static_cast<std::uint32_t>(c);
     if (block.size() == 1) {
       const auto j = block[0];
@@ -419,11 +464,12 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
       // External inflow + initial mass, accumulated per point in the
       // scalar external_b's in-CSR order.
       double* bj = b.data();
-      const double init = j == init_compact_ ? 1.0 : 0.0;
+      const double init = j == t_.init_compact ? 1.0 : 0.0;
       for (std::size_t p = 0; p < P; ++p) bj[p] = init;
-      for (std::uint32_t k = in_offsets_[j]; k < in_offsets_[j + 1]; ++k) {
-        const auto& in = in_edges_[k];
-        if (scc_.component[in.src] == cc) continue;
+      for (std::uint32_t k = t_.in_offsets[j]; k < t_.in_offsets[j + 1];
+           ++k) {
+        const auto& in = t_.in_edges[k];
+        if (t_.scc.component[in.src] == cc) continue;
         const double* ts = tau.data() + static_cast<std::size_t>(in.src) * P;
         const double* er = rates + static_cast<std::size_t>(in.edge) * P;
         for (std::size_t p = 0; p < P; ++p) bj[p] += ts[p] * er[p];
@@ -433,11 +479,6 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
       continue;
     }
     const std::size_t k = block.size();
-    if (k > 4096) {
-      throw std::runtime_error(
-          "AbsorbingAnalyzer: transient SCC of size " + std::to_string(k) +
-          " exceeds the dense-block limit");
-    }
     // Point-major assembly:  M[(r·k+c)·P + p],  b[r·P + p].  The scalar
     // solve accumulates b (cross-component in-edges) and the block
     // coefficients (same-component in-edges) from the same ordered
@@ -453,13 +494,15 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
       const double* ej = exit.data() + static_cast<std::size_t>(j) * P;
       for (std::size_t p = 0; p < P; ++p) diag[p] = ej[p];
       double* br = b.data() + r * P;
-      const double init = j == init_compact_ ? 1.0 : 0.0;
+      const double init = j == t_.init_compact ? 1.0 : 0.0;
       for (std::size_t p = 0; p < P; ++p) br[p] = init;
-      for (std::uint32_t e = in_offsets_[j]; e < in_offsets_[j + 1]; ++e) {
-        const auto& in = in_edges_[e];
+      for (std::uint32_t e = t_.in_offsets[j]; e < t_.in_offsets[j + 1];
+           ++e) {
+        const auto& in = t_.in_edges[e];
         const double* er = rates + static_cast<std::size_t>(in.edge) * P;
-        if (scc_.component[in.src] != cc) {
-          const double* ts = tau.data() + static_cast<std::size_t>(in.src) * P;
+        if (t_.scc.component[in.src] != cc) {
+          const double* ts =
+              tau.data() + static_cast<std::size_t>(in.src) * P;
           for (std::size_t p = 0; p < P; ++p) br[p] += ts[p] * er[p];
         } else {
           double* mrc = M.data() + (r * k + local[in.src]) * P;
@@ -468,91 +511,95 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
       }
     }
 
-    // Per-point fallback path: gather point p's block, factor, solve —
-    // bitwise the scalar LuSolver path (shared factor/substitution
-    // kernels, same values in, same order).
+    // Per-point path: every point's block factored and solved, all P
+    // at once in place — bitwise the scalar substitute() path (same
+    // pivots and arithmetic per point, see lu_solve_point_major).
     auto solve_per_point = [&]() {
-      for (std::size_t p = 0; p < P; ++p) {
-        for (std::size_t rc = 0; rc < k * k; ++rc) Mp[rc] = M[rc * P + p];
-        linalg::LuFactorView view{Mp.first(k * k), ipiv.first(k), k};
-        view.factor();
-        for (std::size_t r = 0; r < k; ++r) xk[r] = b[r * P + p];
-        view.solve_to(xk.first(k), xk.first(k));
-        for (std::size_t r = 0; r < k; ++r) {
-          tau[static_cast<std::size_t>(block[r]) * P + p] = xk[r];
-        }
+      linalg::lu_solve_point_major(M.first(k * k * P), b.first(k * P), k, P,
+                                   lane, lane_piv);
+      for (std::size_t r = 0; r < k; ++r) {
+        std::copy_n(b.data() + r * P, P,
+                    tau.data() + static_cast<std::size_t>(block[r]) * P);
       }
       res.blocks_factored += P;
     };
 
     bool can_normalise = opts.factor_reuse;
     if (can_normalise) {
-      // Normalisation scale: the power of two bracketing the head
-      // state's exit rate (block diagonal (0,0)).  A power-of-two
-      // divide is EXACT, so N_p = M_p / 2^e keeps every mantissa:
+      // Normalisation scale 2^-e, with 2^e the power of two bracketing
+      // the head state's exit rate (block diagonal (0,0)).  Scaling by a
+      // power of two is EXACT, so N_p = M_p·2^-e keeps every mantissa:
       // factoring N_p chooses the same pivots and produces the scalar
       // factorisation's values scaled by 2^-e, and the substitution
       // returns bitwise the raw-block solution — factor reuse never
-      // perturbs the arithmetic, it only shares work.  The (0,0) entry
-      // is positive in any well-posed solve; bail out to the per-point
-      // path rather than take ilogb of a degenerate one.
+      // perturbs the arithmetic, it only shares work.  (Multiplying by
+      // the exact reciprocal rounds exactly as dividing by 2^e would.)
+      // The (0,0) entry is positive and normal in any well-posed solve;
+      // bail out to the per-point path on a degenerate one.  For biased
+      // exponent E of the pivot, 2^-e is the double with biased
+      // exponent 2046 − E (normal while the pivot is below 2^1023).
       for (std::size_t p = 0; p < P; ++p) {
         const double pivot = M[p];  // entry (0,0), point-major row 0
-        if (!(pivot > 0.0)) {
+        if (!(std::isnormal(pivot) && pivot > 0.0 && pivot < 0x1p1023)) {
           can_normalise = false;
           break;
         }
-        m00[p] = std::ldexp(1.0, std::ilogb(pivot));
+        const std::uint64_t e = std::bit_cast<std::uint64_t>(pivot) >> 52;
+        scale[p] = std::bit_cast<double>((2046 - e) << 52);
       }
     }
-    if (!can_normalise) {
-      solve_per_point();
-    } else {
-      // N_p = M_p / 2^e_p in place.  Points whose normalised blocks are
-      // bitwise identical (identical blocks, or exact power-of-two
-      // multiples — the common-scalar-multiple structure of rate-scaled
-      // sweeps) share one factorisation; tau_p then depends only on
-      // (N_p, b_p, e_p), never on which points share the batch.
-      for (std::size_t rc = 0; rc < k * k; ++rc) {
-        double* row = M.data() + rc * P;
-        for (std::size_t p = 0; p < P; ++p) row[p] /= m00[p];
-      }
-      auto same_block = [&](std::size_t p, std::size_t q) {
+    if (can_normalise) {
+      // Points whose normalised blocks N_p = M_p·2^-e_p are bitwise
+      // identical (identical blocks, or exact power-of-two multiples —
+      // the common-scalar-multiple structure of rate-scaled sweeps)
+      // share one factorisation; tau_p then depends only on (N_p, b_p,
+      // e_p), never on which points share the batch.
+      const auto same_normalised = [&](std::size_t p, std::size_t q) {
         for (std::size_t rc = 0; rc < k * k; ++rc) {
-          const double* row = M.data() + rc * P;
-          if (std::bit_cast<std::uint64_t>(row[p]) !=
-              std::bit_cast<std::uint64_t>(row[q])) {
+          if (std::bit_cast<std::uint64_t>(M[rc * P + p] * scale[p]) !=
+              std::bit_cast<std::uint64_t>(M[rc * P + q] * scale[q])) {
             return false;
           }
         }
         return true;
       };
+      bool shared = false;
       for (std::size_t p = 0; p < P; ++p) {
         head[p] = static_cast<std::uint32_t>(p);
         for (std::size_t q = 0; q < p; ++q) {
           if (head[q] != q) continue;  // compare against group heads only
-          if (same_block(p, q)) {
+          if (same_normalised(p, q)) {
             head[p] = static_cast<std::uint32_t>(q);
+            shared = true;
             break;
           }
         }
       }
+      // With no group of two, each group's solve would be the per-point
+      // path's bits (the scaling is exact) at extra cost.
+      can_normalise = shared;
+    }
+    if (!can_normalise) {
+      solve_per_point();
+    } else {
       for (std::size_t h = 0; h < P; ++h) {
         if (head[h] != h) continue;
         std::size_t n_g = 0;
         for (std::size_t p = 0; p < P; ++p) {
           if (head[p] == h) member[n_g++] = static_cast<std::uint32_t>(p);
         }
-        for (std::size_t rc = 0; rc < k * k; ++rc) Mp[rc] = M[rc * P + h];
+        for (std::size_t rc = 0; rc < k * k; ++rc) {
+          Mp[rc] = M[rc * P + h] * scale[h];  // N_h
+        }
         linalg::LuFactorView view{Mp.first(k * k), ipiv.first(k), k};
         view.factor();
         ++res.blocks_factored;
-        // Scaled right-hand sides g_p = b_p / m00_p, component-major.
+        // Scaled right-hand sides g_p = b_p·2^-e_p, component-major.
         for (std::size_t r = 0; r < k; ++r) {
           double* gr = G.data() + r * n_g;
           for (std::size_t g = 0; g < n_g; ++g) {
             const std::size_t p = member[g];
-            gr[g] = b[r * P + p] / m00[p];
+            gr[g] = b[r * P + p] * scale[p];
           }
         }
         view.solve_many(G.first(k * n_g), n_g);
@@ -570,13 +617,13 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
     }
   }
 
-  res.solver_blocks = components_.size();
+  res.solver_blocks = t_.components.size();
   res.converged = true;
   double* mtta = res.mtta.data();
   for (std::size_t i = 0; i < nt; ++i) {
     const double* ti = tau.data() + i * P;
     double* so =
-        res.sojourn.data() + static_cast<std::size_t>(expand_[i]) * P;
+        res.sojourn.data() + static_cast<std::size_t>(t_.expand[i]) * P;
     for (std::size_t p = 0; p < P; ++p) so[p] = ti[p];
     for (std::size_t p = 0; p < P; ++p) mtta[p] += ti[p];
   }
@@ -585,8 +632,8 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
   // scalar pass's state/edge order per point.
   for (std::size_t i = 0; i < nt; ++i) {
     const double* ti = tau.data() + i * P;
-    for (std::uint32_t k = abs_offsets_[i]; k < abs_offsets_[i + 1]; ++k) {
-      const auto& ae = abs_edges_[k];
+    for (std::uint32_t k = t_.abs_offsets[i]; k < t_.abs_offsets[i + 1]; ++k) {
+      const auto& ae = t_.abs_edges[k];
       double* ap = res.absorb_probability.data() +
                    static_cast<std::size_t>(ae.dst) * P;
       const double* er = rates + static_cast<std::size_t>(ae.edge) * P;

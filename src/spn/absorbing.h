@@ -11,11 +11,12 @@
 //   P[absorb in a]     = Σ_i τ_i · q_{i,a}
 //
 // The analyzer splits the work into structure and numbers: the absorbing
-// mask, the transient compaction and the SCC condensation are computed
-// once at construction from the graph's CSR adjacency, and each solve()
-// only runs the numeric part.  A parameter sweep therefore constructs
-// one analyzer per explored structure and calls solve(edge_rates) per
-// sweep point (see core::SweepEngine).
+// mask, the transient compaction and the SCC condensation
+// (TransientStructure) are computed once at construction from the
+// graph's CSR adjacency, and each solve() only runs the numeric part.
+// A parameter sweep therefore constructs one analyzer per explored
+// structure and calls solve(edge_rates) per sweep point (see
+// core::SweepEngine).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,85 @@
 #include "util/arena.h"
 
 namespace midas::spn {
+
+/// The transient part of a reachability graph, compacted once for every
+/// linear solve on it.  Both solvers on the transient chain run the same
+/// system,
+///
+///     (shift + exit_j)·x_j − Σ_{i→j} r_ij·x_i = b_j     (j transient),
+///
+/// through substitute(): AbsorbingAnalyzer's sojourn balance is shift 0,
+/// and a θ-step of ReliabilityOde is shift 1/(θh).  Nothing here checks
+/// absorption — a θ-step is well posed on any chain, including one with
+/// no absorbing state; AbsorbingAnalyzer adds the checks its mean time
+/// to absorption needs.
+struct TransientStructure {
+  explicit TransientStructure(const ReachabilityGraph& graph);
+
+  /// An incoming transient→transient edge: compact source index plus the
+  /// global edge index (for per-point rate lookup).
+  struct InEdge {
+    std::uint32_t src;
+    std::uint32_t edge;
+  };
+
+  /// An outgoing transient→absorbing edge: global edge index plus the
+  /// (full-index) absorbing destination.
+  struct AbsEdge {
+    std::uint32_t edge;
+    std::uint32_t dst;
+  };
+
+  /// substitute()'s working storage, sized once to the largest SCC so
+  /// that a loop of solves performs no allocations.
+  struct Scratch {
+    std::vector<std::uint32_t> local;  ///< block-local index, else UINT32_MAX
+    std::vector<double> lu;            ///< one dense block, row-major
+    std::vector<std::uint32_t> ipiv;
+    std::vector<double> rhs;
+  };
+
+  [[nodiscard]] std::size_t size() const noexcept { return expand.size(); }
+
+  /// Total exit rate of each transient state under `edge_rates`
+  /// (self-loops cancel in Q), summed in graph CSR order into `out`.
+  void exit_rates(std::span<const double> edge_rates,
+                  std::span<double> out) const;
+
+  /// Throws when an SCC exceeds the dense-block limit.
+  [[nodiscard]] Scratch make_scratch() const;
+
+  /// Solves the system above exactly, in place: `x` (compact indexing)
+  /// holds b on entry and the solution on return.  Components are taken
+  /// in topological order, so every cross-component inflow is already
+  /// solved; a singleton is one division, a larger block one dense LU
+  /// (linalg::LuFactorView) over `scratch`.  With shift 0 the arithmetic
+  /// is the sojourn balance's, bit for bit.
+  void substitute(std::span<const double> edge_rates,
+                  std::span<const double> exit_rate, double shift,
+                  std::span<double> x, Scratch& scratch) const;
+
+  /// Full → compact index (UINT32_MAX at absorbing states).
+  std::vector<std::uint32_t> compact;
+  std::vector<std::uint32_t> expand;  ///< compact → full
+  /// The initial state's compact index; UINT32_MAX when it is absorbing.
+  std::uint32_t init_compact = UINT32_MAX;
+  /// Incoming transient→transient edges, CSR by destination.
+  std::vector<std::uint32_t> in_offsets;
+  std::vector<InEdge> in_edges;
+  /// Per transient state, the global indices of its non-self-loop
+  /// out-edges (graph CSR order): the `e.src != e.dst` test runs once
+  /// here instead of per solve.
+  std::vector<std::uint32_t> exit_offsets;
+  std::vector<std::uint32_t> exit_edges;
+  /// Absorption flows, likewise compacted: transient→absorbing edges.
+  std::vector<std::uint32_t> abs_offsets;
+  std::vector<AbsEdge> abs_edges;
+  /// Condensation of the transient subgraph.
+  SccResult scc;
+  std::vector<std::vector<std::uint32_t>> components;
+  std::size_t max_block = 0;  ///< largest SCC (dense-block scratch sizing)
+};
 
 struct AbsorbingResult {
   double mtta = 0.0;
@@ -136,8 +216,9 @@ class AbsorbingAnalyzer {
   /// edges·num_points).  One pass over the structure serves all points:
   /// exit rates, singleton-SCC taus and absorption flows are point-major
   /// inner loops over num_points contiguous doubles, and dense SCC
-  /// blocks are assembled point-major then solved per point — or, with
-  /// opts.factor_reuse, shared across points whose normalised blocks
+  /// blocks are assembled, factored and solved point-major
+  /// (linalg::lu_solve_point_major) — or, with opts.factor_reuse, one
+  /// factorisation is shared across points whose normalised blocks
   /// coincide (see BatchSolveOptions).  All scratch and the result spans
   /// come from `arena` (the calling thread's scratch arena when null);
   /// the caller resets the arena between batches.
@@ -184,10 +265,6 @@ class AbsorbingAnalyzer {
   [[nodiscard]] const ReachabilityGraph& graph() const noexcept {
     return graph_;
   }
-  /// The absorbing-state mask computed at construction.
-  [[nodiscard]] const std::vector<char>& absorbing() const noexcept {
-    return absorbing_;
-  }
 
  private:
   /// Shared core of solve()/solve_from(): empty `initial_mass` takes
@@ -196,42 +273,10 @@ class AbsorbingAnalyzer {
       std::span<const double> initial_mass,
       std::span<const double> edge_rates, const SolveOptions& opts) const;
 
-  /// An incoming transient→transient edge: compact source index plus the
-  /// global edge index (for per-sweep-point rate lookup).
-  struct InEdge {
-    std::uint32_t src;
-    std::uint32_t edge;
-  };
-
-  /// An outgoing transient→absorbing edge: global edge index plus the
-  /// (full-index) absorbing destination.
-  struct AbsEdge {
-    std::uint32_t edge;
-    std::uint32_t dst;
-  };
-
   const ReachabilityGraph& graph_;
-  std::vector<char> absorbing_;
-  std::vector<std::uint32_t> compact_;  // full → compact (UINT32_MAX = absorbing)
-  std::vector<std::uint32_t> expand_;   // compact → full
-  std::uint32_t init_compact_ = 0;
-  // Incoming transient→transient edges, CSR by destination.
-  std::vector<std::uint32_t> in_offsets_;
-  std::vector<InEdge> in_edges_;
-  // Exit-rate structure hoisted out of solve(): per transient state, the
-  // global indices of its non-self-loop out-edges (graph CSR order) —
-  // the `e.src != e.dst` test runs once here instead of per sweep point.
-  std::vector<std::uint32_t> exit_offsets_;
-  std::vector<std::uint32_t> exit_edges_;
-  // Absorption flows, likewise compacted: transient→absorbing edges.
-  std::vector<std::uint32_t> abs_offsets_;
-  std::vector<AbsEdge> abs_edges_;
+  const TransientStructure t_;
   // Rates stored on the graph edges at construction (no-arg solve()).
   std::vector<double> stored_rates_;
-  // Condensation of the transient subgraph.
-  SccResult scc_;
-  std::vector<std::vector<std::uint32_t>> components_;
-  std::size_t max_block_ = 0;  // largest SCC (dense-block scratch sizing)
 };
 
 }  // namespace midas::spn

@@ -3,87 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace midas::spn {
 
-ReliabilityOde::ReliabilityOde(const ReachabilityGraph& graph)
-    : ReliabilityOde(graph, {}) {}
+namespace {
 
-ReliabilityOde::ReliabilityOde(const ReachabilityGraph& graph,
-                               std::span<const double> edge_rates)
-    : graph_(graph) {
-  if (!edge_rates.empty() && edge_rates.size() != graph.edges.size()) {
-    throw std::invalid_argument(
-        "ReliabilityOde: edge_rates size " +
-        std::to_string(edge_rates.size()) + " does not match edge count " +
-        std::to_string(graph.edges.size()));
-  }
-  const auto absorbing = graph.absorbing_mask();
-  const std::size_t n = graph.num_states();
-  compact_.assign(n, UINT32_MAX);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!absorbing[s]) {
-      compact_[s] = static_cast<std::uint32_t>(num_transient_++);
-      expand_.push_back(static_cast<std::uint32_t>(s));
-    }
-  }
-  initial_absorbing_ = absorbing[graph.initial];
-  if (!initial_absorbing_) {
-    initial_compact_ = compact_[graph.initial];
-  }
-  assemble(edge_rates);
-}
+constexpr double kTheta = 0.5;    // Crank–Nicolson
+constexpr double kDecades = 8.0;  // log grid spans horizon·10^-8 .. horizon
 
-void ReliabilityOde::assemble(std::span<const double> edge_rates) {
-  // Assemble Q_TT rows: for each transient src, off-diagonal entries to
-  // transient dst plus total exit rate (including flows to absorbing
-  // states, which only appear in the diagonal).  The transpose rows
-  // (incoming edges) are collected in the same pass for propagate().
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> rows(
-      num_transient_);
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> trows(
-      num_transient_);
-  exit_.assign(num_transient_, 0.0);
-  for (std::size_t i = 0; i < graph_.edges.size(); ++i) {
-    const auto& e = graph_.edges[i];
-    if (e.src == e.dst) continue;
-    const auto cs = compact_[e.src];
-    if (cs == UINT32_MAX) continue;
-    const double rate = edge_rates.empty() ? e.rate : edge_rates[i];
-    exit_[cs] += rate;
-    const auto cd = compact_[e.dst];
-    if (cd != UINT32_MAX) {
-      rows[cs].emplace_back(cd, rate);
-      trows[cd].emplace_back(cs, rate);
-    }
-  }
-  auto pack = [this](
-                  const std::vector<
-                      std::vector<std::pair<std::uint32_t, double>>>& src,
-                  std::vector<std::uint32_t>& ptr,
-                  std::vector<std::uint32_t>& col,
-                  std::vector<double>& val) {
-    ptr.assign(num_transient_ + 1, 0);
-    for (std::size_t r = 0; r < num_transient_; ++r) {
-      ptr[r + 1] = ptr[r] + static_cast<std::uint32_t>(src[r].size());
-    }
-    col.resize(ptr.back());
-    val.resize(ptr.back());
-    for (std::size_t r = 0; r < num_transient_; ++r) {
-      std::size_t k = ptr[r];
-      for (const auto& [c, v] : src[r]) {
-        col[k] = c;
-        val[k] = v;
-        ++k;
-      }
-    }
-  };
-  pack(rows, row_ptr_, col_, val_);
-  pack(trows, trow_ptr_, tcol_, tval_);
-}
-
-std::vector<double> ReliabilityOde::make_grid(
-    double horizon, const ReliabilityOdeOptions& opts) const {
+/// The θ-grid over [0, horizon]: log-spaced by default, uniform when
+/// opts.uniform_step_s > 0.
+std::vector<double> make_grid(double horizon,
+                              const ReliabilityOdeOptions& opts) {
   std::vector<double> grid{0.0};
   if (opts.uniform_step_s > 0.0) {
     // Uniform steps: k·h up to the horizon (last step truncated).  A
@@ -106,90 +38,28 @@ std::vector<double> ReliabilityOde::make_grid(
   for (std::size_t j = 1; j <= opts.steps; ++j) {
     const double frac = static_cast<double>(j) /
                         static_cast<double>(opts.steps);
-    grid.push_back(horizon *
-                   std::pow(10.0, -opts.decades * (1.0 - frac)));
+    grid.push_back(horizon * std::pow(10.0, -kDecades * (1.0 - frac)));
   }
   return grid;
 }
 
-std::vector<double> ReliabilityOde::survival_at(
-    std::span<const double> times, const ReliabilityOdeOptions& opts) const {
-  if (opts.theta < 0.5 || opts.theta > 1.0) {
-    throw std::invalid_argument("survival_at: theta must be in [0.5, 1]");
+}  // namespace
+
+ReliabilityOde::ReliabilityOde(const ReachabilityGraph& graph,
+                               std::span<const double> edge_rates)
+    : t_(graph) {
+  if (!edge_rates.empty() && edge_rates.size() != graph.edges.size()) {
+    throw std::invalid_argument(
+        "ReliabilityOde: edge_rates size " +
+        std::to_string(edge_rates.size()) + " does not match edge count " +
+        std::to_string(graph.edges.size()));
   }
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] < 0.0 || (i > 0 && times[i] < times[i - 1])) {
-      throw std::invalid_argument(
-          "survival_at: times must be ascending and non-negative");
-    }
+  if (edge_rates.empty()) {
+    rates_.reserve(graph.edges.size());
+    for (const auto& e : graph.edges) rates_.push_back(e.rate);
+  } else {
+    rates_.assign(edge_rates.begin(), edge_rates.end());
   }
-  std::vector<double> out(times.size(), initial_absorbing_ ? 0.0 : 1.0);
-  if (times.empty() || initial_absorbing_ || num_transient_ == 0) {
-    return out;
-  }
-  const double horizon = times.back();
-  if (horizon == 0.0) return out;
-
-  const std::vector<double> grid = make_grid(horizon, opts);
-
-  std::vector<double> u(num_transient_, 1.0);
-  std::vector<double> rhs(num_transient_);
-  std::vector<double> qu(num_transient_);
-
-  auto apply_q = [&](const std::vector<double>& x, std::vector<double>& y) {
-    for (std::size_t r = 0; r < num_transient_; ++r) {
-      double acc = -exit_[r] * x[r];
-      for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        acc += val_[k] * x[col_[k]];
-      }
-      y[r] = acc;
-    }
-  };
-
-  std::size_t next_time = 0;
-  double prev_now = 0.0;
-  double r_prev = 1.0;
-
-  for (std::size_t j = 1; j < grid.size() && next_time < times.size();
-       ++j) {
-    // θ-method step:  (I − θhQ) u_new = u_old + (1−θ)h Q u_old.
-    const double step = grid[j] - grid[j - 1];
-    apply_q(u, qu);
-    for (std::size_t r = 0; r < num_transient_; ++r) {
-      rhs[r] = u[r] + (1.0 - opts.theta) * step * qu[r];
-    }
-    // Gauss–Seidel on the row-dominant implicit operator.
-    const double th = opts.theta * step;
-    for (std::size_t sweep = 0; sweep < 1000; ++sweep) {
-      double max_delta = 0.0;
-      for (std::size_t r = 0; r < num_transient_; ++r) {
-        double acc = rhs[r];
-        for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-          acc += th * val_[k] * u[col_[k]];
-        }
-        const double next_val = acc / (1.0 + th * exit_[r]);
-        max_delta = std::max(max_delta, std::abs(next_val - u[r]));
-        u[r] = next_val;
-      }
-      if (max_delta <= opts.gs_tolerance) break;
-    }
-
-    // Emit time points that fall inside this step by interpolation (the
-    // grid is dense enough that interpolation error is below the
-    // integrator's own error).
-    const double now = grid[j];
-    const double r_now = u[initial_compact_];
-    while (next_time < times.size() && times[next_time] <= now) {
-      const double t = times[next_time];
-      const double w =
-          now > prev_now ? (t - prev_now) / (now - prev_now) : 1.0;
-      out[next_time] = std::clamp(r_prev + w * (r_now - r_prev), 0.0, 1.0);
-      ++next_time;
-    }
-    prev_now = now;
-    r_prev = r_now;
-  }
-  return out;
 }
 
 ForwardResult ReliabilityOde::propagate(
@@ -197,14 +67,27 @@ ForwardResult ReliabilityOde::propagate(
     std::span<const std::vector<double>> functionals,
     std::span<const double> emit_times,
     const ReliabilityOdeOptions& opts) const {
-  if (opts.theta < 0.5 || opts.theta > 1.0) {
-    throw std::invalid_argument("propagate: theta must be in [0.5, 1]");
+  // Emit times first, so a NaN or infinite horizon handed down from
+  // reliability_at (duration = times.back()) is named by its index.
+  for (std::size_t i = 0; i < emit_times.size(); ++i) {
+    const double t = emit_times[i];
+    if (!std::isfinite(t) || t < 0.0 || (i > 0 && t < emit_times[i - 1])) {
+      throw std::invalid_argument(
+          "propagate: emit_times[" + std::to_string(i) + "] = " +
+          std::to_string(t) +
+          " is not finite, non-negative and ascending");
+    }
   }
   if (!(duration >= 0.0) || std::isinf(duration)) {
     throw std::invalid_argument(
         "propagate: duration must be finite and non-negative");
   }
-  const std::size_t n = graph_.num_states();
+  if (!emit_times.empty() && emit_times.back() > duration) {
+    throw std::invalid_argument(
+        "propagate: emit_times[" + std::to_string(emit_times.size() - 1) +
+        "] lies beyond the duration");
+  }
+  const std::size_t n = t_.compact.size();  // full state count
   if (!initial.empty() && initial.size() != n) {
     throw std::invalid_argument(
         "propagate: initial size " + std::to_string(initial.size()) +
@@ -216,29 +99,21 @@ ForwardResult ReliabilityOde::propagate(
           "propagate: functional size does not match state count");
     }
   }
-  for (std::size_t i = 0; i < emit_times.size(); ++i) {
-    if (emit_times[i] < 0.0 || emit_times[i] > duration ||
-        (i > 0 && emit_times[i] < emit_times[i - 1])) {
-      throw std::invalid_argument(
-          "propagate: emit_times must be ascending within [0, duration]");
-    }
-  }
 
   ForwardResult res;
   res.weights.assign(n, 0.0);
   res.functional_integrals.assign(functionals.size(), 0.0);
   res.survival_at.assign(emit_times.size(), 0.0);
-  if (num_transient_ == 0) return res;
+  const std::size_t nt = t_.size();
+  if (nt == 0) return res;
 
   // Compact working distribution.
-  std::vector<double> w(num_transient_, 0.0);
+  std::vector<double> w(nt, 0.0);
   if (initial.empty()) {
-    if (initial_absorbing_) return res;
-    w[initial_compact_] = 1.0;
+    if (t_.init_compact == UINT32_MAX) return res;  // starts absorbed
+    w[t_.init_compact] = 1.0;
   } else {
-    for (std::size_t c = 0; c < num_transient_; ++c) {
-      w[c] = initial[expand_[c]];
-    }
+    for (std::size_t c = 0; c < nt; ++c) w[c] = initial[t_.expand[c]];
   }
 
   const auto total = [&](const std::vector<double>& x) {
@@ -250,16 +125,12 @@ ForwardResult ReliabilityOde::propagate(
   const auto dot = [&](const std::vector<double>& f,
                        const std::vector<double>& x) {
     double acc = 0.0;
-    for (std::size_t c = 0; c < num_transient_; ++c) {
-      acc += f[expand_[c]] * x[c];
-    }
+    for (std::size_t c = 0; c < nt; ++c) acc += f[t_.expand[c]] * x[c];
     return acc;
   };
 
   const auto scatter = [&] {
-    for (std::size_t c = 0; c < num_transient_; ++c) {
-      res.weights[expand_[c]] = w[c];
-    }
+    for (std::size_t c = 0; c < nt; ++c) res.weights[t_.expand[c]] = w[c];
   };
 
   std::size_t next_emit = 0;
@@ -282,50 +153,38 @@ ForwardResult ReliabilityOde::propagate(
 
   const std::vector<double> grid = make_grid(duration, opts);
 
-  std::vector<double> rhs(num_transient_);
-  std::vector<double> qtw(num_transient_);
+  // Sized once per call: the step loop below allocates nothing.
+  std::vector<double> exit(nt);
+  t_.exit_rates(rates_, exit);
+  auto scratch = t_.make_scratch();
+  std::vector<double> rhs(nt);
   std::vector<double> fdot_prev(functionals.size());
   for (std::size_t k = 0; k < functionals.size(); ++k) {
     fdot_prev[k] = dot(functionals[k], w);
   }
 
-  // Q_TTᵀ · x via the transpose CSR (row r = incoming edges of r).
-  auto apply_qt = [&](const std::vector<double>& x,
-                      std::vector<double>& y) {
-    for (std::size_t r = 0; r < num_transient_; ++r) {
-      double acc = -exit_[r] * x[r];
-      for (std::uint32_t k = trow_ptr_[r]; k < trow_ptr_[r + 1]; ++k) {
-        acc += tval_[k] * x[tcol_[k]];
-      }
-      y[r] = acc;
-    }
-  };
-
   double prev_now = 0.0;
   for (std::size_t j = 1; j < grid.size(); ++j) {
-    // θ-step of the adjoint system:
-    //   (I − θh Qᵀ) w_new = w_old + (1−θ)h Qᵀ w_old.
+    // θ-step of the adjoint system
+    //   (I − θhQᵀ) w_new = w_old + (1−θ)h Qᵀ w_old,
+    // divided through by θh (see the header).  A step too short for
+    // 1/(θh) to be finite (a sub-1e-308 horizon) leaves w unchanged to
+    // working precision.
     const double step = grid[j] - grid[j - 1];
-    apply_qt(w, qtw);
-    for (std::size_t r = 0; r < num_transient_; ++r) {
-      rhs[r] = w[r] + (1.0 - opts.theta) * step * qtw[r];
-    }
-    // Gauss–Seidel: the implicit adjoint operator is strictly
-    // diagonally dominant by columns (its columns are the backward
-    // operator's rows), which is equally sufficient for convergence.
-    const double th = opts.theta * step;
-    for (std::size_t sweep = 0; sweep < 1000; ++sweep) {
-      double max_delta = 0.0;
-      for (std::size_t r = 0; r < num_transient_; ++r) {
-        double acc = rhs[r];
-        for (std::uint32_t k = trow_ptr_[r]; k < trow_ptr_[r + 1]; ++k) {
-          acc += th * tval_[k] * w[tcol_[k]];
+    const double shift = 1.0 / (kTheta * step);
+    if (std::isfinite(shift)) {
+      const double explicit_h = (1.0 - kTheta) * step;
+      for (std::size_t r = 0; r < nt; ++r) {
+        double qtw = -exit[r] * w[r];
+        for (std::uint32_t k = t_.in_offsets[r]; k < t_.in_offsets[r + 1];
+             ++k) {
+          const auto& in = t_.in_edges[k];
+          qtw += rates_[in.edge] * w[in.src];
         }
-        const double next_val = acc / (1.0 + th * exit_[r]);
-        max_delta = std::max(max_delta, std::abs(next_val - w[r]));
-        w[r] = next_val;
+        rhs[r] = (w[r] + explicit_h * qtw) * shift;
       }
-      if (max_delta <= opts.gs_tolerance) break;
+      w.swap(rhs);
+      t_.substitute(rates_, exit, shift, w, scratch);
     }
 
     // Trapezoid accumulation of the survival-time and rate integrals

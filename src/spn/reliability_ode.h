@@ -1,41 +1,44 @@
-// Stiff-horizon survival analysis via the backward Kolmogorov equation.
+// Stiff-horizon transient analysis by the θ-method (Crank–Nicolson).
 //
-// Uniformisation (transient.h) costs O(Λ·t) matrix-vector products; for
-// mission-length horizons with fast IDS rates Λ·t reaches 10⁸ and the
-// method is unusable.  The survival function obeys the backward system
+// Uniformisation costs O(Λ·t) matrix-vector products; for mission-length
+// horizons with fast IDS rates Λ·t reaches 10⁸ and the method is
+// unusable.  propagate() instead advances the transient state
+// DISTRIBUTION through the adjoint backward-Kolmogorov system
 //
-//     u'(t) = Q_TT · u(t),   u(0) = 1,   R(t) = u_init(t),
+//     w'(t) = Q_TTᵀ · w(t),   R(t) = Σ_i w_i(t),
 //
-// where u_i(t) = P[not yet absorbed by t | start in transient state i].
-// The θ-method (Crank–Nicolson by default) advances this stiff ODE with
-// steps limited only by accuracy, not by Λ.  The implicit operator
-// (I − θh·Q_TT) is row-wise strictly diagonally dominant for every
-// h > 0, so Gauss–Seidel is guaranteed to converge at each step.
+// with steps limited only by accuracy, not by Λ.  Dividing one implicit
+// step (I − θh·Q_TTᵀ)·w′ = r through by θh gives the sojourn balance of
+// spn/absorbing.h with every diagonal raised by 1/(θh):
 //
-// Phased missions (core::MissionAnalyzer) chain the same integrator
-// across piecewise-constant segments through propagate(): the ADJOINT
-// system w'(t) = Q_TTᵀ·w(t) advances the transient state DISTRIBUTION
-// forward, so the weights at a phase boundary seed the next phase's
-// integration and R(t) = Σ_i w_i(t).  The implicit adjoint operator
-// (I − θh·Q_TTᵀ) is strictly diagonally dominant by COLUMNS (its
-// columns are the backward operator's rows), which guarantees
-// Gauss–Seidel convergence just the same.  Per-phase generators come
-// from the edge-rate constructor overload (the sweep-engine re-rating
-// idiom), so one explored graph serves every structure-invariant phase.
+//     (1/(θh) + exit_j)·w′_j − Σ_{i→j} r_ij·w′_i = r_j/(θh),
+//
+// so each step is solved EXACTLY by TransientStructure::substitute — the
+// same SCC-condensation pass the mean-time-to-absorption solve runs.
+// In the GCS model the transient chain's only cycles are the group
+// partition/merge flips, so the pass is a division per singleton state
+// plus a small dense LU per flip block, and stays exact however fast
+// the flips are.
+//
+// Phased missions (core::MissionAnalyzer) chain propagate() across
+// piecewise-constant segments: the weights at a phase boundary seed the
+// next phase.  Per-phase generators come from the constructor's
+// edge-rate override (the sweep-engine re-rating idiom), so one explored
+// graph serves every structure-invariant phase.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "spn/absorbing.h"
 #include "spn/reachability.h"
 
 namespace midas::spn {
 
+/// The θ-grid.  θ is fixed at 0.5 (Crank–Nicolson) and the log-spaced
+/// grid spans horizon·10⁻⁸ .. horizon.
 struct ReliabilityOdeOptions {
-  double theta = 0.5;       // 0.5 = Crank–Nicolson, 1.0 = backward Euler
   std::size_t steps = 800;  // integration grid size (log-spaced)
-  double decades = 8.0;     // grid spans horizon·10^-decades .. horizon
-  double gs_tolerance = 1e-12;
   /// > 0 replaces the log-spaced grid with UNIFORM steps of this size
   /// (the last step truncated to the horizon).  Splitting a horizon at
   /// an exact multiple of the step then reproduces the unsplit step
@@ -61,63 +64,33 @@ struct ForwardResult {
 
 class ReliabilityOde {
  public:
-  explicit ReliabilityOde(const ReachabilityGraph& graph);
-
-  /// As above with per-edge rates overriding the stored ones —
-  /// `edge_rates[i]` replaces `graph.edges[i].rate` (the
-  /// AbsorbingAnalyzer::solve(edge_rates) idiom: one explored
-  /// structure, one rate vector per sweep point or mission phase).
-  ReliabilityOde(const ReachabilityGraph& graph,
-                 std::span<const double> edge_rates);
-
-  /// Survival probabilities R(t_j) = P[no absorption by t_j], starting
-  /// from the graph's initial state.  `times` must be ascending and
-  /// non-negative.
-  [[nodiscard]] std::vector<double> survival_at(
-      std::span<const double> times,
-      const ReliabilityOdeOptions& opts = {}) const;
+  /// The generator of `graph`, with per-edge rates overriding the stored
+  /// ones when `edge_rates` is non-empty — `edge_rates[i]` replaces
+  /// `graph.edges[i].rate` (the AbsorbingAnalyzer::solve(edge_rates)
+  /// idiom: one explored structure, one rate vector per sweep point or
+  /// mission phase).
+  explicit ReliabilityOde(const ReachabilityGraph& graph,
+                          std::span<const double> edge_rates = {});
 
   /// Advances the transient distribution `initial` (full-state
   /// indexing; entries at absorbing states must be zero — absorbed mass
   /// has left the survival problem) through `duration` seconds of this
-  /// generator, integrating w' = Q_TTᵀw with the same θ-method/grid as
-  /// survival_at.  Accumulates the survival-time integral, one rate
+  /// generator.  Accumulates the survival-time integral, one rate
   /// integral per functional in `functionals` (each full-state
-  /// indexed), and Σw at each `emit_times` entry (ascending, within
-  /// [0, duration]).  Empty `initial` means the graph's initial state.
+  /// indexed), and Σw at each `emit_times` entry (finite, ascending,
+  /// within [0, duration]; std::invalid_argument names the first bad
+  /// index).  Empty `initial` means the graph's initial state, so
+  /// R(t_j) is propagate({}, times.back(), {}, times).survival_at.
+  /// Any graph is accepted, including one with no absorbing state.
   [[nodiscard]] ForwardResult propagate(
       std::span<const double> initial, double duration,
       std::span<const std::vector<double>> functionals,
       std::span<const double> emit_times,
       const ReliabilityOdeOptions& opts = {}) const;
 
-  [[nodiscard]] std::size_t num_transient() const noexcept {
-    return num_transient_;
-  }
-
  private:
-  void assemble(std::span<const double> edge_rates);
-  /// The θ-grid over [0, horizon]: log-spaced by default, uniform when
-  /// opts.uniform_step_s > 0.
-  [[nodiscard]] std::vector<double> make_grid(
-      double horizon, const ReliabilityOdeOptions& opts) const;
-
-  const ReachabilityGraph& graph_;
-  // Transient-state subsystem in compact indexing.
-  std::vector<std::uint32_t> compact_;  // full → compact (UINT32_MAX = absorbing)
-  std::vector<std::uint32_t> expand_;   // compact → full
-  std::size_t num_transient_ = 0;
-  std::uint32_t initial_compact_ = 0;
-  bool initial_absorbing_ = false;
-  // Q_TT in CSR-like arrays (row = compact transient state).
-  std::vector<std::uint32_t> row_ptr_;
-  std::vector<std::uint32_t> col_;
-  std::vector<double> val_;     // off-diagonal rates into transient states
-  std::vector<double> exit_;    // total exit rate per transient state
-  // Q_TTᵀ rows (incoming transient→transient edges), for propagate().
-  std::vector<std::uint32_t> trow_ptr_;
-  std::vector<std::uint32_t> tcol_;
-  std::vector<double> tval_;
+  const TransientStructure t_;
+  std::vector<double> rates_;  // per-edge rates of this generator
 };
 
 }  // namespace midas::spn

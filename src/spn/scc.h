@@ -1,10 +1,10 @@
 // Strongly-connected components (iterative Tarjan) over a compact
-// directed graph.  The absorbing-state solver uses the condensation to
-// solve expected-sojourn systems exactly: each SCC becomes a small
-// dense block solved in topological order, which is immune to the
-// stiffness that defeats global iterative solvers on nearly-
-// decomposable chains (e.g. fast group merge/partition cycles riding on
-// slow security dynamics).
+// directed graph.  Every linear solve on the transient chain (the
+// expected-sojourn system and each θ-step, spn::TransientStructure) uses
+// the condensation: each SCC becomes a small dense block solved in
+// topological order, which is immune to the stiffness that defeats
+// global iterative solvers on nearly-decomposable chains (e.g. fast
+// group merge/partition cycles riding on slow security dynamics).
 #pragma once
 
 #include <cstdint>

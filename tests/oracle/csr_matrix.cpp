@@ -1,4 +1,4 @@
-#include "linalg/csr_matrix.h"
+#include "oracle/csr_matrix.h"
 
 #include <algorithm>
 #include <cassert>

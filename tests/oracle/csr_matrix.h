@@ -1,6 +1,5 @@
-// Compressed-sparse-row matrix.  This is the backbone of the SPN→CTMC
-// pipeline: generator matrices at N = 100 have ~20k states and ~6 nnz per
-// row, so CSR + iterative solvers handle every experiment in milliseconds.
+// Compressed-sparse-row matrix: the generator storage of the
+// uniformisation test oracle (oracle/ctmc.h, oracle/transient.h).
 #pragma once
 
 #include <cstddef>

@@ -1,4 +1,4 @@
-#include "spn/ctmc.h"
+#include "oracle/ctmc.h"
 
 #include <algorithm>
 

@@ -1,11 +1,11 @@
-// Continuous-time Markov chain extracted from a reachability graph.
-// Self-loop edges are excluded from the generator (they cancel in Q) but
-// are retained by the reward machinery for impulse accounting.
+// Continuous-time Markov chain extracted from a reachability graph, for
+// the uniformisation test oracle (oracle/transient.h).  Self-loop edges
+// are excluded from the generator (they cancel in Q).
 #pragma once
 
 #include <vector>
 
-#include "linalg/csr_matrix.h"
+#include "oracle/csr_matrix.h"
 #include "spn/reachability.h"
 
 namespace midas::spn {

@@ -1,8 +1,8 @@
-#include "spn/transient.h"
+#include "oracle/transient.h"
 
 #include <stdexcept>
 
-#include "linalg/fox_glynn.h"
+#include "oracle/fox_glynn.h"
 
 namespace midas::spn {
 

@@ -1,13 +1,14 @@
 // Transient CTMC solution by uniformisation (Jensen's method):
 //   π(t) = Σ_k  Pois(Λt; k) · π₀ Pᵏ,   P = I + Q/Λ,  Λ ≥ max exit rate.
-// Used for P[state at time t] queries and instantaneous expected rewards
-// (e.g. probability the group has failed by the mission deadline).
+// Test oracle only: an independent numerical path to the survival
+// function spn::ReliabilityOde integrates.  Its cost grows with Λ·t, so
+// it serves short, non-stiff horizons.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include "spn/ctmc.h"
+#include "oracle/ctmc.h"
 #include "spn/reachability.h"
 
 namespace midas::spn {

@@ -1,15 +1,15 @@
 // Closed-form validation of the CTMC machinery: mean time to absorption,
-// absorption probabilities, accumulated rewards, transient solution and
-// steady state are all checked against textbook results.
+// absorption probabilities and accumulated rewards, plus the
+// uniformisation oracle (tests/oracle) the θ-method integrator is
+// cross-checked against, are all checked against textbook results.
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "spn/absorbing.h"
-#include "spn/ctmc.h"
+#include "oracle/ctmc.h"
 #include "spn/reachability.h"
-#include "spn/steady_state.h"
-#include "spn/transient.h"
+#include "oracle/transient.h"
 
 namespace {
 
@@ -254,32 +254,6 @@ TEST(Transient, ExpectedRewardInterpolates)  {
   EXPECT_LT(r2, r1);
   // Linear death at unit per-token rate: E[N(t)] = k·e^{−t}.
   EXPECT_NEAR(r1, k * std::exp(-1.0), 1e-8);
-}
-
-TEST(SteadyState, MM1KMatchesGeometricForm) {
-  const double lambda = 1.0, mu = 2.0;
-  const int cap = 6;
-  PetriNet net;
-  const auto q = net.add_place("Q", 0);
-  net.transition("arrive")
-      .output(q)
-      .rate(lambda)
-      .guard([q, cap](const Marking& m) { return m[q] < cap; })
-      .add();
-  net.transition("serve").input(q).rate(mu).add();
-
-  const auto g = explore(net);
-  const auto res = steady_state(g);
-  ASSERT_TRUE(res.converged);
-
-  // π_n ∝ ρ^n with ρ = λ/μ.
-  const double rho = lambda / mu;
-  double norm = 0.0;
-  for (int n = 0; n <= cap; ++n) norm += std::pow(rho, n);
-  for (std::size_t s = 0; s < g.num_states(); ++s) {
-    const auto n = g.states[s][q];
-    EXPECT_NEAR(res.pi[s], std::pow(rho, n) / norm, 1e-9) << "n=" << n;
-  }
 }
 
 TEST(Ctmc, GeneratorRowsSumToZeroForTransientStates) {

@@ -179,6 +179,41 @@ TEST(LuSolver, SolveManySingleRhsIsBitwiseSolveTo) {
   for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(B[r], x[r]) << r;
 }
 
+TEST(DenseLu, PointMajorIsBitwiseFactorView) {
+  // P systems factored and solved together, point-major, must give each
+  // system's LuFactorView factor + solve_to answer bit for bit, pivots
+  // included: the entries are not diagonally dominant, so the systems
+  // choose different pivot rows.
+  const std::size_t n = 4, P = 5;
+  std::mt19937_64 rng(37);
+  std::uniform_real_distribution<double> uni(-1.0, 1.0);
+  std::vector<double> a(n * n * P), b(n * P);
+  for (auto& v : a) v = uni(rng);
+  for (auto& v : b) v = uni(rng);
+  std::vector<double> lu = a, x = b, lane(3 * P);
+  std::vector<std::uint32_t> lane_piv(n * P);
+  lu_solve_point_major(lu, x, n, P, lane, lane_piv);
+
+  bool pivoted = false;
+  for (std::size_t p = 0; p < P; ++p) {
+    std::vector<double> m(n * n), ref(n);
+    for (std::size_t rc = 0; rc < n * n; ++rc) m[rc] = a[rc * P + p];
+    for (std::size_t r = 0; r < n; ++r) ref[r] = b[r * P + p];
+    std::vector<std::uint32_t> ipiv(n);
+    LuFactorView view{m, ipiv, n};
+    view.factor();
+    view.solve_to(ref, ref);
+    for (std::size_t k = 0; k < n; ++k) pivoted = pivoted || ipiv[k] != k;
+    for (std::size_t rc = 0; rc < n * n; ++rc) {
+      EXPECT_EQ(lu[rc * P + p], m[rc]) << "system " << p << " entry " << rc;
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(x[r * P + p], ref[r]) << "system " << p << " row " << r;
+    }
+  }
+  EXPECT_TRUE(pivoted);
+}
+
 TEST(DenseLu, FactorViewIsBitwiseLuSolver) {
   // LuFactorView::factor over caller storage must reproduce the
   // LuSolver constructor's arithmetic exactly (the scalar/batched

@@ -1,4 +1,4 @@
-#include "linalg/fox_glynn.h"
+#include "oracle/fox_glynn.h"
 
 #include <cmath>
 

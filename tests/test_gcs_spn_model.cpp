@@ -3,6 +3,12 @@
 // the directional responses the paper's analysis predicts.
 #include "core/gcs_spn_model.h"
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "spn/reachability.h"
@@ -221,6 +227,30 @@ TEST(GcsSpnModel, ReliabilityIsOneAtZeroAndDecays) {
   for (std::size_t i = 1; i < r.size(); ++i) {
     EXPECT_LT(r[i], r[i - 1]) << "reliability must decay, t=" << times[i];
     EXPECT_GE(r[i], 0.0);
+  }
+}
+
+TEST(GcsSpnModel, ReliabilityRejectsNonFiniteTimes) {
+  // A NaN or infinite time used to come back as R = 1 (or NaN): the
+  // horizon is times.back(), and a NaN slips through every < / > check.
+  Params p = Params::paper_defaults();
+  p.n_init = 10;
+  p.max_groups = 1;
+  const GcsSpnModel model(p);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::vector<double>, std::string>> cases{
+      {{nan}, "emit_times[0]"},
+      {{1e3, nan}, "emit_times[1]"},
+      {{inf}, "emit_times[0]"}};
+  for (const auto& [times, index] : cases) {
+    try {
+      (void)model.reliability_at(times);
+      FAIL() << "expected std::invalid_argument for " << index;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(index), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -145,6 +145,39 @@ TEST(Mission, AttackerSurgeShortensMttsfAndReliability) {
   EXPECT_GT(r_phased[0], 0.0);
 }
 
+// --- A phase with no absorbing state: the θ-step solve must not
+// inherit the mean-time-to-absorption solve's absorption checks.
+
+TEST(Mission, PhaseWithoutAbsorptionChains) {
+  Params p = Params::paper_defaults();
+  p.n_init = 10;
+  p.max_groups = 3;
+  p.partition_rates = {0.0, 2.5e-3, 1.2e-3, 0.0};
+  p.merge_rates = {0.0, 0.0, 1.4e-2, 2e-2};
+  // No compromise and no false-positive evictions: segment 0's chain is
+  // the 3-state group-count cycle alone, which AbsorbingAnalyzer
+  // rejects ("chain has no absorbing states").
+  p.mission.phases = {MissionPhase{}, MissionPhase{}};
+  p.mission.phases[0].name = "quiet";
+  p.mission.phases[0].duration_s = 36000.0;
+  p.mission.phases[0].lambda_c = 0.0;
+  p.mission.phases[0].p2 = 0.0;
+  p.mission.phases[1].name = "attack";
+
+  const MissionAnalyzer analyzer(p);
+  ASSERT_EQ(analyzer.timeline().size(), 2u);
+  const auto ev = analyzer.evaluate();
+  // Pinned from the Gauss–Seidel integrator this solve replaced.
+  expect_close(ev.mttsf, 288571.41387721139, 1e-8);
+
+  const std::vector<double> times{3600.0, 36000.0, 72000.0};
+  const auto r = analyzer.reliability_at(times);
+  EXPECT_NEAR(r[0], 1.0, 1e-12);
+  EXPECT_NEAR(r[1], 1.0, 1e-12);
+  EXPECT_LT(r[2], 1.0);
+  EXPECT_GT(r[2], 0.98);
+}
+
 // --- Structurally incompatible phases: mass parked at a marking the
 // next phase cannot reach must raise an error naming both segments.
 

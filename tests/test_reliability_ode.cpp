@@ -1,17 +1,28 @@
-// Backward-equation survival integrator: validated against closed forms
-// and against uniformisation (two completely different numerical paths
-// to the same quantity).
+// θ-method transient integrator: validated against closed forms,
+// against uniformisation (a completely different numerical path to the
+// same quantity) and against a dense backward recurrence on its own grid.
 #include "spn/reliability_ode.h"
 
 #include <cmath>
+#include <limits>
+#include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "spn/transient.h"
+#include "linalg/dense_matrix.h"
+#include "oracle/transient.h"
 
 namespace {
 
 using namespace midas::spn;
+
+/// R(t_j) from the graph's initial state: the survival query every
+/// caller makes of the integrator.
+std::vector<double> survival(const ReliabilityOde& ode,
+                             std::span<const double> times) {
+  return ode.propagate({}, times.back(), {}, times).survival_at;
+}
 
 TEST(ReliabilityOde, TwoStateExponentialSurvival) {
   const double lambda = 0.35;
@@ -22,7 +33,7 @@ TEST(ReliabilityOde, TwoStateExponentialSurvival) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> times{0.0, 0.5, 1.0, 3.0, 10.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(r[i], std::exp(-lambda * times[i]), 2e-4)
         << "t=" << times[i];
@@ -39,7 +50,7 @@ TEST(ReliabilityOde, ErlangSurvivalMatchesClosedForm) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> times{0.1, 0.5, 1.0, 2.0, 4.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     // Erlang(k, λ) survival = Σ_{j<k} e^{-λt}(λt)^j / j!.
     double surv = 0.0;
@@ -66,7 +77,7 @@ TEST(ReliabilityOde, AgreesWithUniformisation) {
   const TransientAnalyzer uni(g);
 
   const std::vector<double> times{0.2, 1.0, 2.5, 6.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(r[i], 1.0 - uni.absorbed_probability_at(times[i]), 5e-4)
         << "t=" << times[i];
@@ -86,7 +97,7 @@ TEST(ReliabilityOde, StiffSystemStaysStableAndMonotone) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> times{1e-4, 1e-2, 1.0, 50.0, 500.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < r.size(); ++i) {
     EXPECT_GE(r[i], 0.0);
     EXPECT_LE(r[i], 1.0);
@@ -96,23 +107,33 @@ TEST(ReliabilityOde, StiffSystemStaysStableAndMonotone) {
   EXPECT_NEAR(r.back(), std::exp(-5.0), 5e-3);
 }
 
-TEST(ReliabilityOde, BackwardEulerOptionIsMoreDamped) {
+TEST(ReliabilityOde, StiffCycleStepIsExact) {
+  // A ⇄ B at 1e3/s each way with a 1e-3/s exit from A: one 100 s
+  // Crank–Nicolson step couples the two states by 5e4 per unit.  The
+  // step must be the exact 2×2 solve — (I − 50Q)w₁ = (I + 50Q)w₀ gives
+  // Σw₁ = 97501/102501.05.  (A Gauss–Seidel step capped at 1,000 sweeps
+  // stopped at 0.99804, 4.9% high, without reporting an error.)
   PetriNet net;
-  const auto p = net.add_place("P", 1);
-  net.transition("fail").input(p).rate(1.0).add();
+  const auto a = net.add_place("A", 1);
+  const auto b = net.add_place("B", 0);
+  net.transition("ab").input(a).output(b).rate(1e3).add();
+  net.transition("ba").input(b).output(a).rate(1e3).add();
+  net.transition("die").input(a).rate(1e-3).add();
   const auto g = explore(net);
   const ReliabilityOde ode(g);
 
-  ReliabilityOdeOptions be;
-  be.theta = 1.0;
-  const std::vector<double> times{1.0};
-  const auto r_cn = ode.survival_at(times);
-  const auto r_be = ode.survival_at(times, be);
-  // Both approximate e^{-1}; CN should be closer.
-  EXPECT_NEAR(r_cn[0], std::exp(-1.0), 1e-4);
-  EXPECT_NEAR(r_be[0], std::exp(-1.0), 1e-2);
-  EXPECT_LE(std::abs(r_cn[0] - std::exp(-1.0)),
-            std::abs(r_be[0] - std::exp(-1.0)));
+  const auto absorbing = g.absorbing_mask();
+  std::vector<double> w0(g.num_states(), 0.0);
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    if (!absorbing[s]) w0[s] = 0.5;
+  }
+  ReliabilityOdeOptions opts;
+  opts.uniform_step_s = 100.0;
+  const auto res = ode.propagate(w0, 100.0, {}, {}, opts);
+  double mass = 0.0;
+  for (const double w : res.weights) mass += w;
+  const double exact = 9750100.0 / 10250105.0;
+  EXPECT_NEAR(mass, exact, 1e-12 * exact);
 }
 
 TEST(ReliabilityOde, InputValidation) {
@@ -123,22 +144,77 @@ TEST(ReliabilityOde, InputValidation) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> bad{2.0, 1.0};
-  EXPECT_THROW((void)ode.survival_at(bad), std::invalid_argument);
+  EXPECT_THROW((void)survival(ode, bad), std::invalid_argument);
   const std::vector<double> neg{-1.0};
-  EXPECT_THROW((void)ode.survival_at(neg), std::invalid_argument);
-  ReliabilityOdeOptions opts;
-  opts.theta = 0.3;
-  const std::vector<double> ok{1.0};
-  EXPECT_THROW((void)ode.survival_at(ok, opts), std::invalid_argument);
+  EXPECT_THROW((void)survival(ode, neg), std::invalid_argument);
+  // A NaN passes every < / > comparison; it must still be rejected, by
+  // index, rather than stall the emit cursor.
+  const std::vector<double> nan_inside{
+      1e3, std::numeric_limits<double>::quiet_NaN(), 5e3};
+  try {
+    (void)ode.propagate({}, 5e3, {}, nan_inside);
+    FAIL() << "a NaN emit time must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("emit_times[1]"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- propagate(): the adjoint forward integrator that phased missions
 // chain across segment boundaries (core::MissionAnalyzer).
 
+/// The backward θ-recurrence u_j = (I − θhQ)⁻¹(I + (1−θ)hQ)·u_{j−1}
+/// from u_0 = 1 on the transient states, on dense full-state matrices
+/// and the integrator's default grid (θ = 1/2, 800 log-spaced steps over
+/// 8 decades), with u_init linearly interpolated at `times`.
+std::vector<double> dense_backward_survival(const ReachabilityGraph& g,
+                                            std::span<const double> times) {
+  using midas::linalg::DenseMatrix;
+  const std::size_t n = g.num_states();
+  DenseMatrix q(n, n);
+  for (const auto& e : g.edges) {
+    if (e.src == e.dst) continue;
+    q(e.src, e.dst) += e.rate;
+    q(e.src, e.src) -= e.rate;
+  }
+  const auto absorbing = g.absorbing_mask();
+  std::vector<double> u(n);
+  for (std::size_t s = 0; s < n; ++s) u[s] = absorbing[s] ? 0.0 : 1.0;
+
+  const std::size_t steps = 800;
+  std::vector<double> out(times.size());
+  std::size_t next = 0;
+  double prev_t = 0.0;
+  double prev_r = u[g.initial];
+  for (std::size_t j = 1; j <= steps; ++j) {
+    const double frac =
+        static_cast<double>(j) / static_cast<double>(steps);
+    const double now = times.back() * std::pow(10.0, -8.0 * (1.0 - frac));
+    const double h = now - prev_t;
+    DenseMatrix lhs = DenseMatrix::identity(n);
+    std::vector<double> rhs = u;
+    const auto qu = q.multiply(u);
+    for (std::size_t r = 0; r < n; ++r) {
+      rhs[r] += 0.5 * h * qu[r];
+      for (std::size_t c = 0; c < n; ++c) lhs(r, c) -= 0.5 * h * q(r, c);
+    }
+    u = midas::linalg::LuSolver(std::move(lhs)).solve(std::move(rhs));
+    while (next < times.size() && times[next] <= now) {
+      out[next] = prev_r + (times[next] - prev_t) / (now - prev_t) *
+                               (u[g.initial] - prev_r);
+      ++next;
+    }
+    prev_t = now;
+    prev_r = u[g.initial];
+  }
+  return out;
+}
+
 TEST(ReliabilityOde, PropagateSurvivalMatchesBackwardIntegrator) {
   // Same θ-grid, transposed operator: the forward weight sum Σw(t) and
-  // the backward u_init(t) solve the same linear recurrence and must
-  // agree to Gauss–Seidel tolerance.
+  // the backward u_init(t) solve the same linear recurrence (the step
+  // matrices are functions of one Q, so they commute) and must agree to
+  // rounding.
   PetriNet net;
   const auto a = net.add_place("A", 6);
   net.transition("die")
@@ -149,7 +225,7 @@ TEST(ReliabilityOde, PropagateSurvivalMatchesBackwardIntegrator) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> times{0.5, 1.5, 3.0, 6.0};
-  const auto backward = ode.survival_at(times);
+  const auto backward = dense_backward_survival(g, times);
   const auto fwd = ode.propagate({}, times.back(), {}, times);
   ASSERT_EQ(fwd.survival_at.size(), times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
@@ -243,9 +319,13 @@ TEST(ReliabilityOde, EmptyTimesAndZeroHorizon) {
   net.transition("fail").input(p).rate(1.0).add();
   const auto g = explore(net);
   const ReliabilityOde ode(g);
-  EXPECT_TRUE(ode.survival_at({}).empty());
+  EXPECT_TRUE(ode.propagate({}, 0.0, {}, {}).survival_at.empty());
   const std::vector<double> zero{0.0};
-  EXPECT_DOUBLE_EQ(ode.survival_at(zero)[0], 1.0);
+  EXPECT_DOUBLE_EQ(survival(ode, zero)[0], 1.0);
+  // A horizon so short that 1/(θh) overflows is still a horizon of
+  // (essentially) no time, not a NaN.
+  const std::vector<double> tiny{1e-310};
+  EXPECT_DOUBLE_EQ(survival(ode, tiny)[0], 1.0);
 }
 
 }  // namespace
