@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (build + full gtest suite via ctest),
-# every example program, the declarative experiment-API gates (spec
+# the end-to-end benchmark's build and self-test, every example
+# program, the declarative experiment-API gates (spec
 # round-trip + parity cross-checks via run_experiment), the
 # sweep-engine equivalence/speedup bench, the Monte-Carlo engine bench,
 # the sharded sweep demo (contiguous AND pilot-cost-balanced splits),
@@ -18,6 +19,12 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
+
+# --- End-to-end benchmark self-test: builds perfbench/ (which compiles
+# this checkout's src/) into .bench_build/ and runs its own checks, so a
+# library API change that breaks the benchmark's replay fails CI.  ~2 s
+# once built.
+python3 perfbench/run.py --self-test
 
 # --- Examples: every user-facing walkthrough (build/example_*) must run
 # to completion; a non-zero exit fails CI.  A few seconds in total.

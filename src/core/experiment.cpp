@@ -337,19 +337,19 @@ void describe(Io& io, V& v) {
 
 template <class Io, Of<manet::MobilityParams> M>
 void describe(Io& io, M& m) {
-  io.field("field_radius_m", m.field_radius_m);
-  io.field("speed_min_mps", m.speed_min_mps);
-  io.field("speed_max_mps", m.speed_max_mps);
-  io.field("pause_max_s", m.pause_max_s);
+  io.field("field_radius_m", m.field_radius_m, positive);
+  io.field("speed_min_mps", m.speed_min_mps, positive);
+  io.field("speed_max_mps", m.speed_max_mps, positive);
+  io.field("pause_max_s", m.pause_max_s, nonnegative);
 }
 
 template <class Io, Of<ProtocolOptions> P>
 void describe(Io& io, P& p) {
   io.field("mobility", p.mobility);
-  io.field("radio_range_m", p.radio_range_m);
+  io.field("radio_range_m", p.radio_range_m, positive);
   io.field("tick_s", p.tick_s);
-  io.field("topology_refresh_s", p.topology_refresh_s);
-  io.field("max_time_s", p.max_time_s);
+  io.field("topology_refresh_s", p.topology_refresh_s, positive);
+  io.field("max_time_s", p.max_time_s, positive);
 }
 
 template <class Io, Of<ShardRange> R>
@@ -935,6 +935,10 @@ void ExperimentSpec::validate() const {
     if (protocol.topology_refresh_s < protocol.tick_s) {
       fail("spec.protocol.topology_refresh_s",
            "must be at least tick_s");
+    }
+    if (protocol.mobility.speed_max_mps < protocol.mobility.speed_min_mps) {
+      fail("spec.protocol.mobility.speed_max_mps",
+           "must be at least speed_min_mps");
     }
   }
 

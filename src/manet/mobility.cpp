@@ -9,8 +9,11 @@ RandomWaypointModel::RandomWaypointModel(std::size_t num_nodes,
                                          const MobilityParams& params,
                                          std::uint64_t seed)
     : params_(params), rng_(seed) {
-  if (params.field_radius_m <= 0.0 || params.speed_min_mps <= 0.0 ||
-      params.speed_max_mps < params.speed_min_mps) {
+  // Negated comparisons, so a NaN fails them too; the pause bound keeps
+  // uniform_real_distribution's a <= b precondition.
+  if (!(params.field_radius_m > 0.0) || !(params.speed_min_mps > 0.0) ||
+      !(params.speed_max_mps >= params.speed_min_mps) ||
+      !(params.pause_max_s >= 0.0)) {
     throw std::invalid_argument("RandomWaypointModel: bad parameters");
   }
   positions_.resize(num_nodes);

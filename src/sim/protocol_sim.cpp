@@ -81,8 +81,16 @@ std::size_t poisson_inverse(double lambda, double u) {
 ProtocolSimResult run_protocol_sim(const ProtocolSimParams& params,
                                    std::uint64_t seed, bool antithetic) {
   params.model.validate();
-  if (params.tick_s <= 0.0 || params.topology_refresh_s < params.tick_s) {
+  // Negated comparisons, so a NaN fails them too.
+  if (!(params.tick_s > 0.0) ||
+      !(params.topology_refresh_s >= params.tick_s)) {
     throw std::invalid_argument("run_protocol_sim: bad tick configuration");
+  }
+  if (!(params.radio_range_m > 0.0)) {
+    throw std::invalid_argument("run_protocol_sim: bad radio_range_m");
+  }
+  if (!(params.max_time_s > 0.0)) {
+    throw std::invalid_argument("run_protocol_sim: bad max_time_s");
   }
 
   const auto& mp = params.model;
@@ -170,14 +178,21 @@ ProtocolSimResult run_protocol_sim(const ProtocolSimParams& params,
     return mp.detector.effective(cur->p1, cur->p2, ds);
   };
 
+  // Scratch of the helpers below, refilled on every call so a trajectory
+  // allocates it once.
+  std::vector<Node*> pick_pool;
+  std::vector<std::size_t> live_idx;
+  std::vector<std::size_t> to_evict;
+  std::vector<std::size_t> voters;
+
   // Index helpers over the live population.
   auto pick_live = [&](auto pred) -> Node* {
-    std::vector<Node*> pool;
+    pick_pool.clear();
     for (auto& node : nodes) {
-      if (!node.evicted && pred(node)) pool.push_back(&node);
+      if (!node.evicted && pred(node)) pick_pool.push_back(&node);
     }
-    if (pool.empty()) return nullptr;
-    return pool[pick_index(draw, pool.size())];
+    if (pick_pool.empty()) return nullptr;
+    return pick_pool[pick_index(draw, pick_pool.size())];
   };
 
   // --- Voting round: every live member is evaluated by m voters.
@@ -188,24 +203,24 @@ ProtocolSimResult run_protocol_sim(const ProtocolSimParams& params,
     const auto eff = effective_rates();
     // Snapshot the live membership first: evictions within the round
     // must not change the voter pool mid-iteration.
-    std::vector<std::size_t> live_idx;
+    live_idx.clear();
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (!nodes[i].evicted) live_idx.push_back(i);
     }
-    std::vector<std::size_t> to_evict;
+    to_evict.clear();
     for (const std::size_t target : live_idx) {
       if (live_idx.size() < 2) break;
       // Draw up to m distinct voters (excluding the target).
-      std::vector<std::size_t> pool;
+      voters.clear();
       for (const std::size_t cand : live_idx) {
-        if (cand != target) pool.push_back(cand);
+        if (cand != target) voters.push_back(cand);
       }
-      stream_shuffle(pool, draw);
+      stream_shuffle(voters, draw);
       const auto m_eff = std::min<std::size_t>(
-          static_cast<std::size_t>(mp.num_voters), pool.size());
+          static_cast<std::size_t>(mp.num_voters), voters.size());
       std::size_t negative = 0;
       for (std::size_t v = 0; v < m_eff; ++v) {
-        const Node& voter = nodes[pool[v]];
+        const Node& voter = nodes[voters[v]];
         const Node& subject = nodes[target];
         bool vote_evict;
         if (voter.compromised) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/gcs_spn_model.h"
 
 namespace {
@@ -97,6 +99,21 @@ TEST(ProtocolSim, BadConfigurationThrows) {
   auto params2 = ProtocolSimParams::small_defaults();
   params2.topology_refresh_s = params2.tick_s / 2.0;
   EXPECT_THROW((void)run_protocol_sim(params2, 1), std::invalid_argument);
+  // NaN and out-of-range values a hostile spec could carry.
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto mutate : {+[](ProtocolSimParams& p) { p.radio_range_m = -5.0; },
+                      +[](ProtocolSimParams& p) { p.radio_range_m = nan; },
+                      +[](ProtocolSimParams& p) { p.tick_s = nan; },
+                      +[](ProtocolSimParams& p) { p.topology_refresh_s = nan; },
+                      +[](ProtocolSimParams& p) { p.max_time_s = nan; },
+                      +[](ProtocolSimParams& p) { p.max_time_s = 0.0; },
+                      +[](ProtocolSimParams& p) {
+                        p.mobility.field_radius_m = nan;
+                      }}) {
+    auto bad = ProtocolSimParams::small_defaults();
+    mutate(bad);
+    EXPECT_THROW((void)run_protocol_sim(bad, 1), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <string>
@@ -150,6 +151,52 @@ TEST(WireCodec, EveryParamsRangeCheckNamesItsPath) {
               std::string("ExperimentSpec: spec.base.") + c.field + ": " +
                   c.text);
   }
+}
+
+TEST(WireCodec, EveryProtocolRangeCheckNamesItsPath) {
+  struct Case {
+    const char* path;
+    void (*mutate)(core::ProtocolOptions&);
+    const char* text;
+  };
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  const Case cases[] = {
+      {"radio_range_m", [](auto& p) { p.radio_range_m = -5; },
+       "-5 must be positive"},
+      {"radio_range_m", [](auto& p) { p.radio_range_m = nan; },
+       "nan must be positive"},
+      {"topology_refresh_s", [](auto& p) { p.topology_refresh_s = nan; },
+       "nan must be positive"},
+      {"max_time_s", [](auto& p) { p.max_time_s = nan; },
+       "nan must be positive"},
+      {"mobility.field_radius_m",
+       [](auto& p) { p.mobility.field_radius_m = nan; },
+       "nan must be positive"},
+      {"mobility.speed_min_mps", [](auto& p) { p.mobility.speed_min_mps = 0; },
+       "0 must be positive"},
+      {"mobility.speed_max_mps",
+       [](auto& p) { p.mobility.speed_max_mps = nan; },
+       "nan must be positive"},
+      {"mobility.pause_max_s", [](auto& p) { p.mobility.pause_max_s = -1; },
+       "-1 must be non-negative"},
+      {"mobility.speed_max_mps",
+       [](auto& p) {
+         p.mobility.speed_min_mps = 5;
+         p.mobility.speed_max_mps = 2;
+       },
+       "must be at least speed_min_mps"},
+  };
+  for (const Case& c : cases) {
+    ExperimentSpec spec = core::experiment_preset("val_protocol", true);
+    c.mutate(spec.protocol);
+    EXPECT_EQ(error_of([&] { spec.validate(); }),
+              std::string("ExperimentSpec: spec.protocol.") + c.path + ": " +
+                  c.text);
+  }
+  // +inf stays a legal horizon (the protocol backend's "never time out").
+  ExperimentSpec spec = core::experiment_preset("val_protocol", true);
+  spec.protocol.max_time_s = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(error_of([&] { spec.validate(); }), "");
 }
 
 TEST(WireCodec, NegativeRateInASpecFileNamesItsPath) {
