@@ -126,15 +126,19 @@ void Params::validate() const {
   }
 }
 
-std::vector<TimelineSegment> resolve_timeline(const Params& base) {
-  // Boundaries: t = 0 plus the union of mission and schedule
-  // breakpoints (sorted, exact-duplicate boundaries collapse).
+std::vector<double> timeline_starts(const Params& base) {
+  // t = 0 plus the union of mission and schedule breakpoints (sorted,
+  // exact-duplicate boundaries collapse).
   std::vector<double> bounds{0.0};
   for (const double t : base.mission.breakpoints()) bounds.push_back(t);
   for (const double t : base.schedule.breakpoints()) bounds.push_back(t);
   std::sort(bounds.begin(), bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  return bounds;
+}
 
+std::vector<TimelineSegment> resolve_timeline(const Params& base) {
+  const std::vector<double> bounds = timeline_starts(base);
   std::vector<TimelineSegment> out;
   out.reserve(bounds.size());
   for (const double start : bounds) {

@@ -229,6 +229,11 @@ struct TimelineSegment {
   Params params;
 };
 
+/// Start times of the resolved segments: 0 plus every mission and
+/// schedule breakpoint, ascending and without duplicates.  One entry
+/// for constant params.
+[[nodiscard]] std::vector<double> timeline_starts(const Params& base);
+
 /// Resolves base + mission + schedule into ordered constant segments:
 /// boundaries are the union of mission-phase and schedule breakpoints,
 /// and each segment's params apply the active phase's overrides then

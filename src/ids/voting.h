@@ -50,6 +50,11 @@ struct VotingErrorRates {
 
 /// Memoised wrapper keyed on (n_good, n_bad); the SPN evaluates the
 /// error rates in every marking, so this removes ~all recomputation.
+/// The build runs voting_error_rates' own Equation 1 body over
+/// log_factorial and binomial_tail_geq values computed once per table
+/// (the entries only ever ask for a few hundred distinct ones), so
+/// every entry is bitwise the direct call at a small fraction of the
+/// lgamma/exp/log work.
 class VotingTable {
  public:
   VotingTable(VotingParams params, std::int64_t max_good,

@@ -20,8 +20,7 @@ double log_factorial(std::int64_t n) {
 }
 
 double log_binomial(std::int64_t n, std::int64_t k) {
-  if (k < 0 || k > n || n < 0) return kNegInf;
-  return log_factorial(n) - log_factorial(k) - log_factorial(n - k);
+  return log_binomial_from(log_factorial, n, k);
 }
 
 double binomial(std::int64_t n, std::int64_t k) {
@@ -54,12 +53,7 @@ double binomial_tail_geq(std::int64_t n, std::int64_t k, double p) {
 
 double hypergeometric_pmf(std::int64_t succ, std::int64_t fail,
                           std::int64_t draws, std::int64_t k) {
-  const std::int64_t pop = succ + fail;
-  if (draws < 0 || draws > pop) return 0.0;
-  if (k < 0 || k > succ || draws - k > fail || draws - k < 0) return 0.0;
-  const double lp = log_binomial(succ, k) + log_binomial(fail, draws - k) -
-                    log_binomial(pop, draws);
-  return std::exp(lp);
+  return hypergeometric_pmf_from(log_factorial, succ, fail, draws, k);
 }
 
 double log_sum_exp(double a, double b) {

@@ -4,7 +4,9 @@
 // every pmf here is evaluated through log-gamma.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace midas::linalg {
 
@@ -30,6 +32,34 @@ namespace midas::linalg {
 /// exactly `k` successes.
 [[nodiscard]] double hypergeometric_pmf(std::int64_t succ, std::int64_t fail,
                                         std::int64_t draws, std::int64_t k);
+
+/// log_binomial and hypergeometric_pmf over a caller-supplied ln(n!):
+/// the one body of each.  The plain functions pass log_factorial; a
+/// table of log_factorial values (ids::VotingTable's set-up memo) gives
+/// the same doubles.  `log_fact` is only called for 0 <= n <= succ + fail.
+template <class LogFactorial>
+[[nodiscard]] double log_binomial_from(const LogFactorial& log_fact,
+                                       std::int64_t n, std::int64_t k) {
+  if (k < 0 || k > n || n < 0) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  return log_fact(n) - log_fact(k) - log_fact(n - k);
+}
+
+template <class LogFactorial>
+[[nodiscard]] double hypergeometric_pmf_from(const LogFactorial& log_fact,
+                                             std::int64_t succ,
+                                             std::int64_t fail,
+                                             std::int64_t draws,
+                                             std::int64_t k) {
+  const std::int64_t pop = succ + fail;
+  if (draws < 0 || draws > pop) return 0.0;
+  if (k < 0 || k > succ || draws - k > fail || draws - k < 0) return 0.0;
+  const double lp = log_binomial_from(log_fact, succ, k) +
+                    log_binomial_from(log_fact, fail, draws - k) -
+                    log_binomial_from(log_fact, pop, draws);
+  return std::exp(lp);
+}
 
 /// log(exp(a) + exp(b)) without overflow.
 [[nodiscard]] double log_sum_exp(double a, double b);

@@ -6,8 +6,13 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "gcs/cost_model.h"
+#include "ids/detector_model.h"
+#include "ids/functions.h"
 
 #include "sim/mc_engine.h"
 #include "sim/rng.h"
@@ -23,55 +28,151 @@ std::int64_t per_group(std::int64_t total, std::int64_t groups) {
       static_cast<double>(total) / static_cast<double>(groups)));
 }
 
+std::int64_t group_bound_of(const core::Params& params) {
+  return std::max<std::int64_t>(
+      1, std::min<std::int64_t>(params.max_groups, params.n_init));
+}
+
+/// Index of (Tm, UCm) in the Tm + UCm <= N triangle.
+std::size_t triangle(std::int64_t tm, std::int64_t ucm) {
+  const auto members = static_cast<std::size_t>(tm + ucm);
+  return members * (members + 1) / 2 + static_cast<std::size_t>(ucm);
+}
+
 }  // namespace
 
-DesContext::DesContext(std::shared_ptr<const ids::VotingTable> v,
-                       gcs::CostModel c)
-    : voting(std::move(v)), cost(std::move(c)) {}
-
 DesContext::DesContext(const core::Params& params)
-    : DesContext(ids::shared_voting_table(
-                     ids::VotingParams{params.num_voters, params.p1,
-                                       params.p2},
-                     params.n_init, params.n_init),
-                 gcs::CostModel(params.cost)) {}
+    : DesContext(params, &ids::shared_voting_table) {}
 
 DesContext DesContext::fresh(const core::Params& params) {
-  return DesContext(
-      std::make_shared<const ids::VotingTable>(
-          ids::VotingParams{params.num_voters, params.p1, params.p2},
-          params.n_init, params.n_init),
-      gcs::CostModel(params.cost));
+  return DesContext(params, [](const ids::VotingParams& v, std::int64_t good,
+                               std::int64_t bad) {
+    return std::make_shared<const ids::VotingTable>(v, good, bad);
+  });
+}
+
+DesContext::DesContext(const core::Params& params, VotingSource voting)
+    : n_init_(params.n_init), ng_bound_(group_bound_of(params)) {
+  params.validate();
+  const std::int64_t n = n_init_;
+  const auto width = static_cast<std::size_t>(n + 1);
+
+  per_group_.resize(static_cast<std::size_t>(ng_bound_ + 1) * width);
+  for (std::int64_t ng = 0; ng <= ng_bound_; ++ng) {
+    for (std::int64_t x = 0; x <= n; ++x) {
+      per_group_[static_cast<std::size_t>(ng) * width +
+                 static_cast<std::size_t>(x)] = per_group(x, ng);
+    }
+  }
+
+  // Each table entry is the per-event expression it replaces, on the
+  // same operands: base-params fields where the per-event code read
+  // the base point (n_init, attacker_progress, max_groups, λ, μ, m, the
+  // cost params), segment fields where it read the segment.
+  const gcs::CostModel cost(params.cost);
+  auto add_segment = [&](const core::Params& sp, double start_s) {
+    Segment seg;
+    seg.start_s = start_s;
+    seg.p1 = sp.p1;
+    seg.p2 = sp.p2;
+    seg.lambda_q = sp.lambda_q;
+    seg.voting = voting(ids::VotingParams{sp.num_voters, sp.p1, sp.p2},
+                        sp.n_init, sp.n_init);
+
+    seg.rows.resize(per_group_.size());
+    for (std::int64_t ng = 0; ng <= ng_bound_; ++ng) {
+      for (std::int64_t members = 0; members <= n; ++members) {
+        Row& row = seg.rows[static_cast<std::size_t>(ng) * width +
+                            static_cast<std::size_t>(members)];
+        const double md = std::max(
+            1.0, static_cast<double>(params.n_init) /
+                     static_cast<double>(std::max<std::int64_t>(members, 1)));
+        row.det = ids::detection_rate(sp.detection_shape, sp.t_ids, md,
+                                      sp.p_index);
+        if (params.max_groups > 1) {
+          const auto g = static_cast<std::size_t>(ng);
+          if (ng < params.max_groups && members > ng &&
+              g < sp.partition_rates.size()) {
+            row.r_par = sp.partition_rates[g];
+          }
+          if (ng >= 2 && g < sp.merge_rates.size()) {
+            row.r_mer = sp.merge_rates[g];
+          }
+        }
+        gcs::GroupState gs;
+        gs.members = static_cast<double>(members);
+        gs.groups = static_cast<double>(ng);
+        gs.initial_size = static_cast<double>(params.n_init);
+        row.cost_rate =
+            cost.breakdown(gs, sp.lambda_q, params.lambda_join,
+                           params.mu_leave, row.det,
+                           static_cast<std::size_t>(params.num_voters),
+                           row.r_par + row.r_mer)
+                .total();
+        row.impulse_bits = cost.eviction_impulse_bits(gs);
+      }
+    }
+
+    seg.attack_base.resize(triangle(n + 1, 0));  // first index past N
+    for (std::int64_t members = 0; members <= n; ++members) {
+      for (std::int64_t ucm = 0; ucm <= members; ++ucm) {
+        const std::int64_t tm = members - ucm;
+        // DCm follows from token conservation: evicted = N − Tm − UCm.
+        const double mc =
+            params.attacker_progress ==
+                    core::AttackerProgress::CampaignProgress
+                ? 1.0 + static_cast<double>(params.n_init - tm)
+                : (tm > 0 ? static_cast<double>(members) /
+                                static_cast<double>(tm)
+                          : 1.0);
+        seg.attack_base[triangle(tm, ucm)] =
+            tm > 0 ? ids::attacker_rate(sp.attacker_shape, sp.lambda_c, mc,
+                                        sp.p_index)
+                   : 0.0;
+      }
+    }
+    segments_.push_back(std::move(seg));
+  };
+
+  // A constant point is its own single segment (no resolve, so every
+  // value is read from `params` itself).
+  if (!params.time_varying()) {
+    add_segment(params, 0.0);
+  } else {
+    const auto timeline = core::resolve_timeline(params);
+    segments_.reserve(timeline.size());
+    for (const auto& t : timeline) add_segment(t.params, t.start_s);
+  }
 }
 
 GroupSimulator::GroupSimulator(const core::Params& params,
                                const DesContext& context)
-    : params_(&params), cost_(&context.cost) {
+    : params_(&params), ctx_(&context) {
   params.validate();
-
-  // Time-varying rates: resolve the schedule/mission into constant
-  // segments and treat each breakpoint as a rate-change event.  The
-  // constant case keeps `cur_` pointing at `params` itself and the
-  // boundary at infinity, so every read below is bitwise the legacy
-  // one and the truncation branch never fires.  Per-segment voting
-  // tables come from the shared memo (identity segments re-use the
-  // context's table allocation-free for bitwise-equal (m, p1, p2)).
-  timed_ = params.time_varying();
-  cur_ = &params;
-  voting_ = context.voting.get();
-  next_boundary_ = std::numeric_limits<double>::infinity();
-  if (timed_) {
-    timeline_ = core::resolve_timeline(params);
-    segment_voting_.reserve(timeline_.size());
-    for (const auto& seg : timeline_) {
-      segment_voting_.push_back(ids::shared_voting_table(
-          ids::VotingParams{seg.params.num_voters, seg.params.p1,
-                            seg.params.p2},
-          seg.params.n_init, seg.params.n_init));
+  const auto mismatch = [](const std::string& field, auto ours,
+                           auto context_value) {
+    return std::invalid_argument("GroupSimulator: " + field + " " +
+                                 std::to_string(ours) +
+                                 " differs from the DesContext's " +
+                                 std::to_string(context_value));
+  };
+  if (params.n_init != context.n_init_) {
+    throw mismatch("n_init", params.n_init, context.n_init_);
+  }
+  if (group_bound_of(params) != context.ng_bound_) {
+    throw mismatch("max_groups: group bound", group_bound_of(params),
+                   context.ng_bound_);
+  }
+  const std::vector<double> starts = core::timeline_starts(params);
+  if (starts.size() != context.segments_.size()) {
+    throw mismatch("timeline: segment count", starts.size(),
+                   context.segments_.size());
+  }
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    if (starts[i] != context.segments_[i].start_s) {
+      throw mismatch("timeline: segment " + std::to_string(i) + " start",
+                     starts[i], context.segments_[i].start_s);
     }
-    cur_ = &timeline_[0].params;
-    voting_ = segment_voting_[0].get();
-    if (timeline_.size() > 1) next_boundary_ = timeline_[1].start_s;
   }
 
   s_.tm = params.n_init;
@@ -82,6 +183,16 @@ GroupSimulator::GroupSimulator(const core::Params& params,
   // draw sequence.
   atk_on_ = true;
   static_detector_ = params.detector.kind == ids::DetectorKind::Static;
+  enter(0);
+}
+
+void GroupSimulator::enter(std::size_t idx) {
+  const auto& segments = ctx_->segments_;
+  seg_idx_ = idx;
+  seg_ = &segments[idx];
+  next_boundary_ = idx + 1 < segments.size()
+                       ? segments[idx + 1].start_s
+                       : std::numeric_limits<double>::infinity();
 }
 
 std::int64_t GroupSimulator::compromised() const noexcept { return s_.ucm; }
@@ -107,6 +218,25 @@ GroupSimulator::Snapshot GroupSimulator::snapshot() const {
 }
 
 void GroupSimulator::restore(const Snapshot& snap) {
+  const DesContext& ctx = *ctx_;
+  const std::int64_t n = ctx.n_init_;
+  if (snap.seg_idx >= ctx.segments_.size()) {
+    throw std::invalid_argument(
+        "GroupSimulator::restore: seg_idx " + std::to_string(snap.seg_idx) +
+        " is past the last of " + std::to_string(ctx.segments_.size()) +
+        " segments");
+  }
+  if (snap.tm < 0 || snap.ucm < 0 || snap.tm > n || snap.ucm > n - snap.tm) {
+    throw std::invalid_argument(
+        "GroupSimulator::restore: (tm, ucm) = (" + std::to_string(snap.tm) +
+        ", " + std::to_string(snap.ucm) + ") is outside tm + ucm <= " +
+        std::to_string(n));
+  }
+  if (snap.ng < 0 || snap.ng > ctx.ng_bound_) {
+    throw std::invalid_argument("GroupSimulator::restore: ng " +
+                                std::to_string(snap.ng) + " is outside 0.." +
+                                std::to_string(ctx.ng_bound_));
+  }
   s_.tm = snap.tm;
   s_.ucm = snap.ucm;
   s_.ng = snap.ng;
@@ -114,14 +244,7 @@ void GroupSimulator::restore(const Snapshot& snap) {
   atk_on_ = snap.atk_on;
   traj_ = snap.traj;
   status_ = snap.status;
-  seg_idx_ = snap.seg_idx;
-  if (timed_) {
-    cur_ = &timeline_[seg_idx_].params;
-    voting_ = segment_voting_[seg_idx_].get();
-    next_boundary_ = seg_idx_ + 1 < timeline_.size()
-                         ? timeline_[seg_idx_ + 1].start_s
-                         : std::numeric_limits<double>::infinity();
-  }
+  enter(snap.seg_idx);
 }
 
 GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
@@ -129,7 +252,6 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
     throw std::logic_error("GroupSimulator::step: already absorbed");
   }
   const core::Params& params = *params_;
-  const gcs::CostModel& cost = *cost_;
 
   if (c2_failed()) {
     traj_.ttsf = now_;
@@ -138,69 +260,46 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
     return status_;
   }
 
-  // Detector state observed by the plug-in model: DCm follows from
-  // token conservation (evicted = N − Tm − UCm; the DES has no
-  // join/leave events, mirroring the SPN).
-  auto detector_state = [&] {
+  // The state's tabulated rates (DesContext); only the event
+  // arithmetic below runs per event.
+  const DesContext::Segment& seg = *seg_;
+  const auto width = static_cast<std::size_t>(ctx_->n_init_ + 1);
+  const auto ng = static_cast<std::size_t>(s_.ng);
+  const DesContext::Row& row =
+      seg.rows[ng * width + static_cast<std::size_t>(s_.members())];
+  const std::int64_t* group = &ctx_->per_group_[ng * width];
+
+  // Poisson: event_rate returns the base unchanged (bitwise).
+  const double attack = params.attacker.event_rate(
+      seg.attack_base[triangle(s_.tm, s_.ucm)], atk_on_);
+  const double r_phase = params.attacker.phase_rate(atk_on_);
+  const double det = row.det;
+  // Static detector: effective (p1,p2) == (p1,p2), so the segment's
+  // voting table applies and r_drq is the exact legacy expression.
+  // State-dependent detectors re-evaluate Equation 1 with the effective
+  // rates each event (no table can be keyed ahead of time once elapsed
+  // time enters).  DCm follows from token conservation (evicted =
+  // N − Tm − UCm; the DES has no join/leave events, mirroring the SPN).
+  ids::EffectiveErrorRates eff{seg.p1, seg.p2};
+  ids::VotingErrorRates rates;
+  if (static_detector_) {
+    rates = seg.voting->at(group[s_.tm], group[s_.ucm]);
+  } else {
     ids::DetectorState ds;
     ds.compromised = s_.ucm;
     ds.evicted = std::max<std::int64_t>(params.n_init - s_.members(), 0);
     ds.population = s_.members();
     ds.elapsed_s = now_;
-    return ds;
-  };
-
-  // Rates in the current state (mirrors GcsSpnModel::build()).
-  double mc;
-  if (params.attacker_progress == core::AttackerProgress::CampaignProgress) {
-    // DCm follows from token conservation: evicted = N − Tm − UCm.
-    mc = 1.0 + static_cast<double>(params.n_init - s_.tm);
-  } else {
-    mc = s_.tm > 0 ? static_cast<double>(s_.members()) /
-                         static_cast<double>(s_.tm)
-                   : 1.0;
+    eff = params.detector.effective(seg.p1, seg.p2, ds);
+    rates = ids::voting_error_rates(
+        ids::VotingParams{params.num_voters, eff.p1, eff.p2}, group[s_.tm],
+        group[s_.ucm]);
   }
-  const double md = std::max(
-      1.0, static_cast<double>(params.n_init) /
-               static_cast<double>(std::max<std::int64_t>(s_.members(), 1)));
-
-  const double attack_base =
-      s_.tm > 0 ? ids::attacker_rate(cur_->attacker_shape, cur_->lambda_c,
-                                     mc, cur_->p_index)
-                : 0.0;
-  // Poisson: event_rate returns the base unchanged (bitwise).
-  const double attack = params.attacker.event_rate(attack_base, atk_on_);
-  const double r_phase = params.attacker.phase_rate(atk_on_);
-  const double det = ids::detection_rate(cur_->detection_shape, cur_->t_ids,
-                                         md, cur_->p_index);
-  // Static detector: effective (p1,p2) == (p1,p2), so the shared
-  // precomputed voting table applies and r_drq is the exact legacy
-  // expression.  State-dependent detectors re-evaluate Equation 1
-  // with the effective rates each event (no table can be keyed ahead
-  // of time once elapsed time enters).
-  const auto eff =
-      params.detector.effective(cur_->p1, cur_->p2, detector_state());
-  const auto rates =
-      static_detector_
-          ? voting_->at(per_group(s_.tm, s_.ng), per_group(s_.ucm, s_.ng))
-          : ids::voting_error_rates(
-                ids::VotingParams{params.num_voters, eff.p1, eff.p2},
-                per_group(s_.tm, s_.ng), per_group(s_.ucm, s_.ng));
   const double r_ids = static_cast<double>(s_.ucm) * det * (1.0 - rates.pfn);
   const double r_fa = static_cast<double>(s_.tm) * det * rates.pfp;
-  const double r_drq = eff.p1 * cur_->lambda_q * static_cast<double>(s_.ucm);
-
-  double r_par = 0.0, r_mer = 0.0;
-  if (params.max_groups > 1) {
-    const auto g = static_cast<std::size_t>(s_.ng);
-    if (s_.ng < params.max_groups && s_.members() > s_.ng &&
-        g < cur_->partition_rates.size()) {
-      r_par = cur_->partition_rates[g];
-    }
-    if (s_.ng >= 2 && g < cur_->merge_rates.size()) {
-      r_mer = cur_->merge_rates[g];
-    }
-  }
+  const double r_drq = eff.p1 * seg.lambda_q * static_cast<double>(s_.ucm);
+  const double r_par = row.r_par;
+  const double r_mer = row.r_mer;
 
   const double total = attack + r_ids + r_fa + r_drq + r_par + r_mer + r_phase;
   if (total <= 0.0) {
@@ -209,15 +308,7 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
   }
 
   // Cost accrues at the state's rate until the next event.
-  gcs::GroupState gs;
-  gs.members = static_cast<double>(s_.members());
-  gs.groups = static_cast<double>(s_.ng);
-  gs.initial_size = static_cast<double>(params.n_init);
-  const auto breakdown =
-      cost.breakdown(gs, cur_->lambda_q, params.lambda_join, params.mu_leave,
-                     det, static_cast<std::size_t>(params.num_voters),
-                     r_par + r_mer);
-
+  const double cost_rate = row.cost_rate;
   const double dt = -std::log1p(-draw()) / total;
   if (now_ + dt > next_boundary_) {
     // Schedule/mission breakpoint before the sampled event: accrue
@@ -227,26 +318,21 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
     // accumulators take the truncated dwell as-is (deterministic given
     // the path); their exact-mean property is claimed only for the
     // time-homogeneous model, where this branch never fires.
-    traj_.accumulated_cost += breakdown.total() * (next_boundary_ - now_);
+    traj_.accumulated_cost += cost_rate * (next_boundary_ - now_);
     traj_.expected_dwell += next_boundary_ - now_;
-    traj_.expected_cost += breakdown.total() * (next_boundary_ - now_);
+    traj_.expected_cost += cost_rate * (next_boundary_ - now_);
     now_ = next_boundary_;
-    ++seg_idx_;
-    cur_ = &timeline_[seg_idx_].params;
-    voting_ = segment_voting_[seg_idx_].get();
-    next_boundary_ = seg_idx_ + 1 < timeline_.size()
-                         ? timeline_[seg_idx_ + 1].start_s
-                         : std::numeric_limits<double>::infinity();
+    enter(seg_idx_ + 1);
     return status_;
   }
   now_ += dt;
-  traj_.accumulated_cost += breakdown.total() * dt;
+  traj_.accumulated_cost += cost_rate * dt;
   // The conditional-expectation controls: E[dt | state] = 1/total and
   // E[dwell cost | state] = rate/total; dt and the event choice are
   // drawn independently, so summing these over the realised jump path
   // gives E[TTSF | path] / E[cost | path] exactly (time-homogeneous).
   traj_.expected_dwell += 1.0 / total;
-  traj_.expected_cost += breakdown.total() / total;
+  traj_.expected_cost += cost_rate / total;
 
   // Pick the event (Gillespie direct method).
   double u = draw() * total;
@@ -264,15 +350,15 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
   if ((u -= r_ids) < 0.0) {
     --s_.ucm;
     ++traj_.true_evictions;
-    traj_.accumulated_cost += cost.eviction_impulse_bits(gs);
-    traj_.expected_cost += cost.eviction_impulse_bits(gs);
+    traj_.accumulated_cost += row.impulse_bits;
+    traj_.expected_cost += row.impulse_bits;
     return status_;
   }
   if ((u -= r_fa) < 0.0) {
     --s_.tm;
     ++traj_.false_evictions;
-    traj_.accumulated_cost += cost.eviction_impulse_bits(gs);
-    traj_.expected_cost += cost.eviction_impulse_bits(gs);
+    traj_.accumulated_cost += row.impulse_bits;
+    traj_.expected_cost += row.impulse_bits;
     return status_;
   }
   if ((u -= r_drq) < 0.0) {
@@ -296,7 +382,14 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
     atk_on_ = !atk_on_;  // on/off flip (fallback event)
     return status_;
   }
-  --s_.ng;  // merge
+  // Merge — or, when rounding leaves u >= 0 past the last positive
+  // rate, the same fallback the legacy loop took.  The tables hold
+  // NG = 0 for that; a second overshoot there has no row to read.
+  if (s_.ng == 0) {
+    throw std::logic_error(
+        "GroupSimulator::step: Gillespie selection overshot at NG = 0");
+  }
+  --s_.ng;
   return status_;
 }
 

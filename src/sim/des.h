@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/params.h"
-#include "gcs/cost_model.h"
 #include "ids/voting.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
@@ -44,27 +43,76 @@ struct Trajectory {
   }
 };
 
-/// Immutable per-parameter-point context shared by every replication of
-/// that point: the O(N²) voting table and the cost model.  Building
-/// these once per point instead of once per trajectory is the DES
-/// analog of the sweep engine's shared exploration — at the validation
-/// population the table build costs as much as a whole trajectory.
-struct DesContext {
-  /// Via the process-wide ids::shared_voting_table memo, so a TIDS
-  /// sweep (identical voting parameters at every point) shares one
-  /// table across the entire grid.
+/// Immutable per-parameter-point rate table shared by every replication
+/// of that point (every Monte-Carlo worker reads it at once; nothing in
+/// it changes after construction).  It resolves the timeline once —
+/// segment start times, the segment's p1/p2/λq and its voting table
+/// (through the ids::shared_voting_table memo, so a TIDS sweep shares
+/// one table across the grid) — and tabulates, per segment, everything
+/// in a state's rates that no detector changes:
+///
+///   rows         [ng·(N+1) + members], ng in 0..ng_bound: the detection
+///                rate D(md), the cost rate CostModel::breakdown(...)
+///                .total(), the eviction impulse and r_par / r_mer;
+///   attack_base  [members·(members+1)/2 + ucm] over the
+///                Tm + UCm <= N triangle: the attacker's base rate
+///                A(mc) (0 when Tm = 0);
+///
+/// plus, for the whole timeline, per_group(x, NG) at
+/// [ng·(N+1) + x].  N is n_init and ng_bound = min(max_groups, N).
+/// The NG = 0 rows exist because a rounding-level overshoot of the
+/// Gillespie selection past the last positive rate takes the merge
+/// fallback, which can move NG from 1 to 0.
+///
+/// Every entry is the DES's own expression (not the SPN's, so the DES
+/// stays an independent check of the SPN rate code), evaluated on the
+/// same operands in the same order as the per-event code it replaces,
+/// so GroupSimulator reads bitwise the doubles it used to compute;
+/// tests/oracle/des.h keeps that per-event simulator and the tests hold
+/// the two equal bit for bit.  The rows are factored by what each rate
+/// depends on instead of keyed per full (Tm, UCm, NG, phase) state:
+/// at N = 100 full rows would cost ~1.2 MB per point against ~60 KB
+/// per segment here, and peak RSS is a gated benchmark metric.
+class DesContext {
+ public:
+  /// Validates `params` (throws like GroupSimulator) and fills the
+  /// tables.
   explicit DesContext(const core::Params& params);
 
-  /// Seed-era behaviour: a private table built from scratch (no memo).
-  /// Kept for the benchmark baseline.
+  /// Seed-era behaviour: private voting tables built from scratch (no
+  /// memo).  Kept for the benchmark baseline.
   [[nodiscard]] static DesContext fresh(const core::Params& params);
 
-  std::shared_ptr<const ids::VotingTable> voting;
-  gcs::CostModel cost;
-
  private:
-  DesContext(std::shared_ptr<const ids::VotingTable> v,
-             gcs::CostModel c);
+  friend class GroupSimulator;
+
+  /// The rates of one (NG, members) pair in one segment.
+  struct Row {
+    double det = 0.0;           // D(md), per-node detection rate
+    double cost_rate = 0.0;     // Ĉtotal, hop-bits/s
+    double impulse_bits = 0.0;  // one eviction's rekey cost
+    double r_par = 0.0;
+    double r_mer = 0.0;
+  };
+  struct Segment {
+    double start_s = 0.0;
+    double p1 = 0.0;
+    double p2 = 0.0;
+    double lambda_q = 0.0;
+    std::shared_ptr<const ids::VotingTable> voting;
+    std::vector<Row> rows;
+    std::vector<double> attack_base;
+  };
+  using VotingSource = std::shared_ptr<const ids::VotingTable> (*)(
+      const ids::VotingParams&, std::int64_t, std::int64_t);
+
+  DesContext(const core::Params& params, VotingSource voting);
+
+  // What a GroupSimulator's params and a restored snapshot must fit.
+  std::int64_t n_init_;
+  std::int64_t ng_bound_;
+  std::vector<std::int64_t> per_group_;
+  std::vector<Segment> segments_;
 };
 
 /// Step-wise form of the group DES — the same Gillespie loop as
@@ -79,9 +127,10 @@ class GroupSimulator {
  public:
   enum class Status { Running, FailedC1, FailedC2 };
 
-  /// Resolves the timeline/voting tables once; `context` must be built
-  /// from the same params.  Throws like simulate_group on invalid
-  /// params.
+  /// Reads its rates from `context`, which must be built from the
+  /// same params.  Throws like simulate_group on invalid params, and
+  /// std::invalid_argument naming the field (n_init, max_groups,
+  /// timeline) when `context` was built for a different table shape.
   GroupSimulator(const core::Params& params, const DesContext& context);
 
   /// Advances by one Gillespie iteration (one event, or one
@@ -106,7 +155,9 @@ class GroupSimulator {
   /// Full copyable mid-trajectory state (places, clock, attacker
   /// phase, schedule segment, counters).  restore() on the simulator
   /// that produced it — or any simulator built from the same params —
-  /// reproduces the exact continuation distribution.
+  /// reproduces the exact continuation distribution.  restore() throws
+  /// std::invalid_argument for a seg_idx past the last segment or
+  /// counts outside the context's tables.
   struct Snapshot {
     std::int64_t tm = 0;
     std::int64_t ucm = 0;
@@ -129,16 +180,14 @@ class GroupSimulator {
   };
 
   [[nodiscard]] bool c2_failed() const;
+  /// Makes segment `idx` current and sets the next boundary.
+  void enter(std::size_t idx);
 
   const core::Params* params_;
-  const gcs::CostModel* cost_;
-  bool timed_ = false;
+  const DesContext* ctx_ = nullptr;
   bool static_detector_ = true;
-  std::vector<core::TimelineSegment> timeline_;
-  std::vector<std::shared_ptr<const ids::VotingTable>> segment_voting_;
   std::size_t seg_idx_ = 0;
-  const core::Params* cur_;
-  const ids::VotingTable* voting_;
+  const DesContext::Segment* seg_ = nullptr;
   double next_boundary_ = 0.0;
 
   State s_;

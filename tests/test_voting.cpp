@@ -4,6 +4,7 @@
 // down as invariants.
 #include "ids/voting.h"
 
+#include <cstring>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -146,16 +147,35 @@ TEST(Voting, ProbabilitiesStayInUnitInterval) {
 }
 
 TEST(VotingTable, MatchesDirectEvaluationAndClamps) {
-  const VotingParams p{5, 0.02, 0.03};
-  const VotingTable table(p, 20, 10);
-  for (int g : {0, 1, 7, 20}) {
-    for (int b : {0, 1, 5, 10}) {
-      const auto direct = voting_error_rates(p, g, b);
-      EXPECT_DOUBLE_EQ(table.at(g, b).pfp, direct.pfp);
-      EXPECT_DOUBLE_EQ(table.at(g, b).pfn, direct.pfn);
+  // The table's set-up memo (log_factorial and both vote tails, filled
+  // once) must give exactly the bits of the direct evaluation: every
+  // entry up to (40, 37), across quorum sizes and the edge error rates.
+  std::size_t compared = 0;
+  for (const std::int64_t m : {1, 2, 3, 5, 9, 12}) {
+    for (const double p1 : {0.0, 0.01, 0.5, 1.0}) {
+      for (const double p2 : {0.0, 0.01, 0.5, 1.0}) {
+        const VotingParams p{m, p1, p2};
+        const VotingTable table(p, 40, 37);
+        for (int g = 0; g <= 40; ++g) {
+          for (int b = 0; b <= 37; ++b) {
+            const auto direct = voting_error_rates(p, g, b);
+            const auto& memo = table.at(g, b);
+            ASSERT_EQ(std::memcmp(&memo.pfp, &direct.pfp, sizeof(double)), 0)
+                << "m=" << m << " p1=" << p1 << " p2=" << p2 << " g=" << g
+                << " b=" << b;
+            ASSERT_EQ(std::memcmp(&memo.pfn, &direct.pfn, sizeof(double)), 0)
+                << "m=" << m << " p1=" << p1 << " p2=" << p2 << " g=" << g
+                << " b=" << b;
+            ++compared;
+          }
+        }
+      }
     }
   }
+  EXPECT_EQ(compared, 6u * 16u * 41u * 38u);
+
   // Out-of-range lookups clamp instead of crashing.
+  const VotingTable table(VotingParams{5, 0.02, 0.03}, 20, 10);
   EXPECT_DOUBLE_EQ(table.at(100, 100).pfp, table.at(20, 10).pfp);
   EXPECT_DOUBLE_EQ(table.at(-5, -5).pfn, table.at(0, 0).pfn);
 }
