@@ -36,8 +36,10 @@ done
 # file, execute it end-to-end through run_experiment, and require
 #   * the spec file to round-trip BYTE-FOR-BYTE through parse +
 #     re-serialisation (the wire format must be canonical),
-#   * the batched analytic answer to match the scalar batch=1 path
-#     within 1e-12 (in practice exactly), and
+#   * the batched analytic answer to match the independent per-point
+#     reference (GcsSpnModel::evaluate_reference: fresh exploration,
+#     scalar solve, one reward pass per cost component) within 1e-12
+#     (in practice exactly), and
 #   * a re-parsed-spec rerun and an identity-schedule rerun to
 #     reproduce the canonical result bytes.
 # Non-zero exit on any divergence.
@@ -52,8 +54,8 @@ done
 # end-to-end from their spec files.  The plugin-path check gates that a
 # re-parsed spec reruns to CANONICALLY IDENTICAL bytes, and
 # --round-trip-check that the model descriptors serialise canonically;
-# presets with a constant-model analytic backend also get the scalar
-# batch=1 cross-check, and protocol presets the bare-engine rerun.  rare_event additionally exercises
+# presets with a constant-model analytic backend also get the per-point
+# reference cross-check, and protocol presets the bare-engine rerun.  rare_event additionally exercises
 # the spec.mc.vr round-trip and the vr-neutral parity gate (stripping
 # the vr block must leave the DES mc payload bitwise), val_protocol_ci
 # the CI-targeted pair-averaged stopping on the protocol backend.

@@ -109,8 +109,8 @@ struct ProtocolOptions {
 struct AnalyticOptions {
   /// Grid points per batched solve (SweepEngine::evaluate's width): the
   /// analytic backend chunks same-structure points into batches of this
-  /// width and drives the point-major batch kernels.  1 = the scalar
-  /// per-point path.  Results do not depend on the width.
+  /// width and drives the point-major batch kernels (1 = batches of
+  /// one).  Results do not depend on the width, bit for bit.
   std::size_t batch = kDefaultBatchWidth;
 };
 

@@ -530,88 +530,30 @@ std::vector<double> GcsSpnModel::reliability_at(
       .survival_at;
 }
 
-Evaluation GcsSpnModel::evaluate() const { return evaluate_on(graph()); }
-
-Evaluation GcsSpnModel::evaluate_on(
-    const spn::ReachabilityGraph& graph) const {
-  const spn::AbsorbingAnalyzer analyzer(graph);
-  return evaluate_with(analyzer, {}, {});
-}
-
-Evaluation GcsSpnModel::evaluate_with(
-    const spn::AbsorbingAnalyzer& analyzer,
-    std::span<const double> edge_rates,
-    std::span<const double> edge_impulses) const {
-  const auto& graph = analyzer.graph();
-  // Rates and impulses describe one sweep point together: mixing this
-  // point's rates with the graph's stored impulses (or vice versa)
-  // would silently blend two parameter points.
-  if (edge_rates.empty() != edge_impulses.empty() ||
-      (!edge_rates.empty() && (edge_rates.size() != graph.edges.size() ||
-                               edge_impulses.size() != graph.edges.size()))) {
-    throw std::invalid_argument(
-        "evaluate_with: edge_rates/edge_impulses must both be empty or "
-        "both match the graph's edge count");
+Evaluation GcsSpnModel::evaluate() const {
+  // A batch of one over the stored edge rates.  The arena is local: the
+  // caller may be inside a sweep batch whose spans live in this thread's
+  // scratch arena.
+  const auto& g = graph();
+  const spn::AbsorbingAnalyzer analyzer(g);
+  util::Arena arena;
+  auto rates = arena.make_span<double>(g.edges.size());
+  auto impulses = arena.make_span<double>(g.edges.size());
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    rates[i] = g.edges[i].rate;
+    impulses[i] = g.edges[i].impulse;
   }
-  const auto res =
-      edge_rates.empty() ? analyzer.solve() : analyzer.solve(edge_rates);
-
-  Evaluation ev;
-  ev.num_states = graph.num_states();
-  ev.solver_blocks = res.solver_blocks;
-  ev.mttsf = res.mtta;
-
-  // One pass over the states: the CostBreakdown — detection rate,
-  // voting-table lookup, cost model — is computed once per state and
-  // every component accumulates together; absorption probabilities
-  // classify into C1/C2 in the same sweep.
-  gcs::CostBreakdown acc;
-  for (std::size_t s = 0; s < graph.num_states(); ++s) {
-    const double tau = res.sojourn[s];
-    if (tau > 0.0) {
-      const auto c = cost_rates(graph.states[s]);
-      acc.group_comm += tau * c.group_comm;
-      acc.status += tau * c.status;
-      acc.rekey += tau * c.rekey;
-      acc.ids += tau * c.ids;
-      acc.beacon += tau * c.beacon;
-      acc.partition_merge += tau * c.partition_merge;
-    }
-    const double ap = res.absorb_probability[s];
-    if (ap > 0.0) {
-      if (failed_c1(graph.states[s])) {
-        ev.p_failure_c1 += ap;
-      } else if (failed_c2(graph.states[s])) {
-        ev.p_failure_c2 += ap;
-      }
-    }
-  }
-  // Impulse (eviction rekey) rewards in one pass over the edges — the
-  // overload keyed to the same rate override as the solve above, so
-  // eviction costs never mix stored and per-point rates.
-  const double acc_evict =
-      edge_impulses.empty()
-          ? analyzer.accumulated_impulse_reward(res)
-          : analyzer.accumulated_impulse_reward(res, edge_rates,
-                                                edge_impulses);
-
-  if (ev.mttsf > 0.0) {
-    ev.cost_rates.group_comm = acc.group_comm / ev.mttsf;
-    ev.cost_rates.status = acc.status / ev.mttsf;
-    ev.cost_rates.rekey = acc.rekey / ev.mttsf;
-    ev.cost_rates.ids = acc.ids / ev.mttsf;
-    ev.cost_rates.beacon = acc.beacon / ev.mttsf;
-    ev.cost_rates.partition_merge = acc.partition_merge / ev.mttsf;
-    ev.eviction_cost_rate = acc_evict / ev.mttsf;
-    ev.ctotal = ev.cost_rates.total() + ev.eviction_cost_rate;
-  }
-  return ev;
+  const GcsSpnModel* self = this;
+  return evaluate_with_batch({&self, 1}, analyzer, rates, impulses,
+                             spn::BatchSolveOptions{}.factor_reuse, arena)
+      .front();
 }
 
 Evaluation GcsSpnModel::evaluate_reference() const {
   // The pre-SweepEngine per-point path: re-explore the net and make one
   // full-state reward pass per cost component.  Kept as the equivalence
-  // oracle (tests) and the naive baseline (bench/bench_sweep).
+  // oracle (tests, run_experiment --parity-check) and the naive baseline
+  // (bench/bench_sweep).
   const auto graph = spn::explore(net_);
   const spn::AbsorbingAnalyzer analyzer(graph);
   const auto res = analyzer.solve();
@@ -656,26 +598,50 @@ Evaluation GcsSpnModel::evaluate_reference() const {
   return ev;
 }
 
-std::vector<Evaluation> evaluate_with_batch(
+RewardSums& RewardSums::operator+=(const RewardSums& o) {
+  cost.group_comm += o.cost.group_comm;
+  cost.status += o.cost.status;
+  cost.rekey += o.cost.rekey;
+  cost.ids += o.cost.ids;
+  cost.beacon += o.cost.beacon;
+  cost.partition_merge += o.cost.partition_merge;
+  eviction += o.eviction;
+  p_c1 += o.p_c1;
+  p_c2 += o.p_c2;
+  return *this;
+}
+
+void RewardSums::normalise(Evaluation& ev) const {
+  ev.p_failure_c1 = p_c1;
+  ev.p_failure_c2 = p_c2;
+  if (ev.mttsf > 0.0) {
+    ev.cost_rates.group_comm = cost.group_comm / ev.mttsf;
+    ev.cost_rates.status = cost.status / ev.mttsf;
+    ev.cost_rates.rekey = cost.rekey / ev.mttsf;
+    ev.cost_rates.ids = cost.ids / ev.mttsf;
+    ev.cost_rates.beacon = cost.beacon / ev.mttsf;
+    ev.cost_rates.partition_merge = cost.partition_merge / ev.mttsf;
+    ev.eviction_cost_rate = eviction / ev.mttsf;
+    ev.ctotal = ev.cost_rates.total() + ev.eviction_cost_rate;
+  }
+}
+
+std::vector<RewardSums> accumulate_rewards(
     std::span<const GcsSpnModel* const> models,
-    const spn::AbsorbingAnalyzer& analyzer,
-    std::span<const double> edge_rates, std::span<const double> edge_impulses,
-    bool factor_reuse, util::Arena& arena) {
+    const spn::ReachabilityGraph& graph, std::span<const double> sojourn,
+    std::span<const double> absorb_probability,
+    std::span<const double> edge_rates,
+    std::span<const double> edge_impulses) {
   const std::size_t P = models.size();
-  if (P == 0) {
-    throw std::invalid_argument("evaluate_with_batch: empty model batch");
-  }
-  const auto& graph = analyzer.graph();
-  const std::size_t E = graph.edges.size();
   const std::size_t n = graph.num_states();
-  if (edge_rates.size() != E * P || edge_impulses.size() != E * P) {
+  const std::size_t E = graph.edges.size();
+  if (P == 0 || sojourn.size() != n * P ||
+      absorb_probability.size() != n * P || edge_rates.size() != E * P ||
+      edge_impulses.size() != E * P) {
     throw std::invalid_argument(
-        "evaluate_with_batch: edge_rates/edge_impulses must be edge count x "
-        "batch size");
+        "accumulate_rewards: spans must be state count (sojourn, absorb "
+        "probability) or edge count (rates, impulses) x a non-empty batch");
   }
-  spn::BatchSolveOptions sopts;
-  sopts.factor_reuse = factor_reuse;
-  const auto res = analyzer.solve_batch(edge_rates, P, sopts, &arena);
 
   // cost_rates(m) depends on the marking only through Tm+UCm (members)
   // and max(NG,1) (groups) — every other input is a model parameter.
@@ -704,24 +670,16 @@ std::vector<Evaluation> evaluate_with_batch(
   std::vector<gcs::CostBreakdown> class_cost(n_classes * P);
   std::vector<char> class_filled(n_classes * P, 0);
 
-  std::vector<Evaluation> out(P);
-  std::vector<gcs::CostBreakdown> acc(P);
-  std::vector<double> evict(P, 0.0);
-  for (std::size_t p = 0; p < P; ++p) {
-    out[p].num_states = n;
-    out[p].solver_blocks = res.solver_blocks;
-    out[p].mttsf = res.mtta[p];
-  }
-
+  std::vector<RewardSums> out(P);
   // State pass: rate-cost accumulation over transient mass and C1/C2
-  // classification of absorbing mass — per point, in evaluate_with's
-  // exact state order (states ascending, cost components in member
-  // order), so every point's sums are the scalar sums bitwise.
+  // classification of absorbed mass — per point, states ascending, cost
+  // components in member order.
   for (std::size_t s = 0; s < n; ++s) {
-    const double* tau_row = res.sojourn.data() + s * P;
-    const double* ap_row = res.absorb_probability.data() + s * P;
+    const double* tau_row = sojourn.data() + s * P;
+    const double* ap_row = absorb_probability.data() + s * P;
     const auto cls = static_cast<std::size_t>(state_class[s]);
     for (std::size_t p = 0; p < P; ++p) {
+      auto& acc = out[p];
       const double tau = tau_row[p];
       if (tau > 0.0) {
         const std::size_t slot = cls * P + p;
@@ -731,50 +689,60 @@ std::vector<Evaluation> evaluate_with_batch(
           class_filled[slot] = 1;
         }
         const auto& c = class_cost[slot];
-        acc[p].group_comm += tau * c.group_comm;
-        acc[p].status += tau * c.status;
-        acc[p].rekey += tau * c.rekey;
-        acc[p].ids += tau * c.ids;
-        acc[p].beacon += tau * c.beacon;
-        acc[p].partition_merge += tau * c.partition_merge;
+        acc.cost.group_comm += tau * c.group_comm;
+        acc.cost.status += tau * c.status;
+        acc.cost.rekey += tau * c.rekey;
+        acc.cost.ids += tau * c.ids;
+        acc.cost.beacon += tau * c.beacon;
+        acc.cost.partition_merge += tau * c.partition_merge;
       }
       const double ap = ap_row[p];
       if (ap > 0.0) {
         if (models[p]->failed_c1(graph.states[s])) {
-          out[p].p_failure_c1 += ap;
+          acc.p_c1 += ap;
         } else if (models[p]->failed_c2(graph.states[s])) {
-          out[p].p_failure_c2 += ap;
+          acc.p_c2 += ap;
         }
       }
     }
   }
 
-  // Impulse (eviction rekey) pass: the point-major mirror of
-  // accumulated_impulse_reward(res, edge_rates, edge_impulses) — same
-  // edge order, same zero-impulse skips, per point.
+  // Impulse (eviction rekey) pass: edges in order, zero impulses
+  // skipped, per point.
   for (std::size_t i = 0; i < E; ++i) {
     const double* imp_row = edge_impulses.data() + i * P;
     const double* rate_row = edge_rates.data() + i * P;
     const double* soj_row =
-        res.sojourn.data() + static_cast<std::size_t>(graph.edges[i].src) * P;
+        sojourn.data() + static_cast<std::size_t>(graph.edges[i].src) * P;
     for (std::size_t p = 0; p < P; ++p) {
       if (imp_row[p] == 0.0) continue;
-      evict[p] += soj_row[p] * rate_row[p] * imp_row[p];
+      out[p].eviction += soj_row[p] * rate_row[p] * imp_row[p];
     }
   }
+  return out;
+}
 
+std::vector<Evaluation> evaluate_with_batch(
+    std::span<const GcsSpnModel* const> models,
+    const spn::AbsorbingAnalyzer& analyzer,
+    std::span<const double> edge_rates, std::span<const double> edge_impulses,
+    bool factor_reuse, util::Arena& arena) {
+  // solve_batch validates the batch size and the rate span,
+  // accumulate_rewards every span it reads.
+  const std::size_t P = models.size();
+  const auto& graph = analyzer.graph();
+  spn::BatchSolveOptions sopts;
+  sopts.factor_reuse = factor_reuse;
+  const auto res = analyzer.solve_batch(edge_rates, P, sopts, &arena);
+  const auto sums = accumulate_rewards(models, graph, res.sojourn,
+                                       res.absorb_probability, edge_rates,
+                                       edge_impulses);
+  std::vector<Evaluation> out(P);
   for (std::size_t p = 0; p < P; ++p) {
-    auto& ev = out[p];
-    if (ev.mttsf > 0.0) {
-      ev.cost_rates.group_comm = acc[p].group_comm / ev.mttsf;
-      ev.cost_rates.status = acc[p].status / ev.mttsf;
-      ev.cost_rates.rekey = acc[p].rekey / ev.mttsf;
-      ev.cost_rates.ids = acc[p].ids / ev.mttsf;
-      ev.cost_rates.beacon = acc[p].beacon / ev.mttsf;
-      ev.cost_rates.partition_merge = acc[p].partition_merge / ev.mttsf;
-      ev.eviction_cost_rate = evict[p] / ev.mttsf;
-      ev.ctotal = ev.cost_rates.total() + ev.eviction_cost_rate;
-    }
+    out[p].num_states = graph.num_states();
+    out[p].solver_blocks = res.solver_blocks;
+    out[p].mttsf = res.mtta[p];
+    sums[p].normalise(out[p]);
   }
   return out;
 }

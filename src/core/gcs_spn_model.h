@@ -64,33 +64,16 @@ class GcsSpnModel {
   explicit GcsSpnModel(Params params);
 
   /// Solves the model: reachability → CTMC → absorbing analysis →
-  /// reward accumulation.  Deterministic; throws on solver failure.
-  /// Uses the lazily cached reachability graph (see graph()).
+  /// reward accumulation, as evaluate_with_batch over a batch of one
+  /// with the rates stored on the lazily cached reachability graph (see
+  /// graph()).  Deterministic; throws on solver failure.
   [[nodiscard]] Evaluation evaluate() const;
 
-  /// Solves the model on a caller-supplied reachability graph (which
-  /// must have this net's structure and rates, e.g. a re-rated clone —
-  /// spn::ReachabilityGraph::refresh_rates).  All cost components and
-  /// impulse rewards accumulate in a single pass over states/edges.
-  [[nodiscard]] Evaluation evaluate_on(
-      const spn::ReachabilityGraph& graph) const;
-
-  /// The sweep engine's zero-copy variant: solves on a shared analyzer
-  /// (structure computed once per exploration) with this point's
-  /// per-edge rate/impulse arrays (spn::ReachabilityGraph::
-  /// compute_rates).  Pass both spans (sized to the edge count) or
-  /// neither — both empty falls back to the rates/impulses stored on
-  /// the analyzer's graph; mixing would blend two parameter points and
-  /// throws.  Thread-safe for concurrent points on one analyzer.
-  [[nodiscard]] Evaluation evaluate_with(
-      const spn::AbsorbingAnalyzer& analyzer,
-      std::span<const double> edge_rates,
-      std::span<const double> edge_impulses) const;
-
-  /// The unoptimised per-point path kept as the equivalence/benchmark
-  /// reference: fresh exploration plus one full-state reward pass per
-  /// cost component (what evaluate() did before the single-pass
-  /// accumulator existed).  Bitwise-identical metrics to evaluate().
+  /// The independent per-point oracle: fresh exploration, the scalar
+  /// AbsorbingAnalyzer::solve() and one full-state reward pass per cost
+  /// component through the generic reward API.  Shares no reward code
+  /// with evaluate(); the two agree bitwise.  Gates the batched path in
+  /// tests, bench_sweep and run_experiment --parity-check.
   [[nodiscard]] Evaluation evaluate_reference() const;
 
   /// The explored reachability graph, cached on first use and shared by
@@ -139,8 +122,7 @@ class GcsSpnModel {
   /// values are computed by exactly the un-memoised expression, so
   /// rates stay bitwise identical.  NOT enabled by default — the memo
   /// tables make rate evaluation non-thread-safe, so only the sweep
-  /// engine's batch path (one private model per point per worker)
-  /// turns it on.
+  /// engine (one private model per point per worker) turns it on.
   void enable_factor_memo();
 
   /// D(md(m)) — the T_IDS/T_FA/cost detection factor, memoised when
@@ -219,16 +201,48 @@ class GcsSpnModel {
   mutable std::unique_ptr<const spn::ReachabilityGraph> graph_;
 };
 
-/// Batched counterpart of GcsSpnModel::evaluate_with: one
-/// AbsorbingAnalyzer::solve_batch over the point-major
-/// [edge][point] rate/impulse matrices (ReachabilityGraph::
-/// compute_rates_batch), then a point-major reward/classification pass.
+/// Expected rewards accumulated until absorption: the numerators an
+/// Evaluation divides by MTTSF.
+struct RewardSums {
+  gcs::CostBreakdown cost;  // Σ τ_s·cost_rates(s), per component
+  double eviction = 0.0;    // Σ_e τ_src·rate_e·impulse_e (rekey impulses)
+  double p_c1 = 0.0;        // absorption mass in data-leak (C1) states
+  double p_c2 = 0.0;        // ... in Byzantine (C2, not C1) states
+
+  RewardSums& operator+=(const RewardSums& o);
+
+  /// Sets ev's C1/C2 split and, when ev.mttsf > 0, its cost rates,
+  /// eviction cost rate and Ĉtotal (the sums over ev.mttsf).
+  void normalise(Evaluation& ev) const;
+};
+
+/// The reward pass behind every constant-rate Evaluation, over P points
+/// solved on `graph` (P = models.size()).  All spans are point-major as
+/// AbsorbingAnalyzer::solve_batch returns them — sojourn and
+/// absorb_probability [state][point], edge_rates and edge_impulses
+/// [edge][point] — so a scalar AbsorbingResult with its rate/impulse
+/// vectors is the P = 1 case.  Per point and in state order: the six
+/// cost components over transient mass (one CostBreakdown per
+/// (members, groups) class, bitwise the per-state value), the C1/C2
+/// classification of absorbed mass, then the eviction impulses in edge
+/// order.  models[p] must share the graph's structure.
+[[nodiscard]] std::vector<RewardSums> accumulate_rewards(
+    std::span<const GcsSpnModel* const> models,
+    const spn::ReachabilityGraph& graph, std::span<const double> sojourn,
+    std::span<const double> absorb_probability,
+    std::span<const double> edge_rates,
+    std::span<const double> edge_impulses);
+
+/// The one constant-rate evaluation path: one AbsorbingAnalyzer::
+/// solve_batch over the point-major [edge][point] rate/impulse matrices
+/// (ReachabilityGraph::compute_rates_batch), then accumulate_rewards.
 /// models[p] supplies point p's parameters; all models must share the
 /// analyzer's structure (same places, same edge existence — the sweep
-/// engine batches within one structure_key).  With `factor_reuse` off,
-/// every metric of point p is BITWISE models[p]->evaluate_with(analyzer,
-/// rates_p, impulses_p); with it on, ≤1e-12 relative and independent of
-/// batch grouping.  Scratch comes from `arena` (caller resets between
+/// engine batches within one structure_key), and both spans must hold
+/// edge count × P doubles.  With `factor_reuse` off, every metric of
+/// point p is bitwise GcsSpnModel::evaluate_reference(); with it on,
+/// ≤1e-12 relative (bitwise in practice) and independent of batch
+/// grouping.  Scratch comes from `arena` (caller resets between
 /// batches).
 [[nodiscard]] std::vector<Evaluation> evaluate_with_batch(
     std::span<const GcsSpnModel* const> models,

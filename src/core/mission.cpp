@@ -1,7 +1,6 @@
 #include "core/mission.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
@@ -24,7 +23,7 @@ MissionAnalyzer::MissionAnalyzer(Params params, MissionOptions options)
   if (segments_.size() == 1) return;  // constant: the model IS the answer
 
   // Graph per segment: the first segment explores; later segments with
-  // the same structure key re-rate that graph (one rate vector per
+  // the same structure key re-rate that graph (a batch of one net per
   // phase — the sweep-engine reuse idiom), others explore their own.
   const auto& graph0 = segments_[0].model->graph();
   const std::string key0 = structure_key(timeline_[0].params);
@@ -34,7 +33,8 @@ MissionAnalyzer::MissionAnalyzer(Params params, MissionOptions options)
       s.graph = &graph0;
       s.rates.resize(graph0.edges.size());
       s.impulses.resize(graph0.edges.size());
-      graph0.compute_rates(s.model->net(), s.rates, s.impulses);
+      const spn::PetriNet* net = &s.model->net();
+      graph0.compute_rates_batch({&net, 1}, s.rates, s.impulses);
     } else {
       s.graph = k == 0 ? &graph0 : &s.model->graph();
       s.rates.reserve(s.graph->edges.size());
@@ -97,7 +97,7 @@ Evaluation MissionAnalyzer::evaluate() const {
   constexpr std::size_t kEvict = 6, kC1 = 7, kC2 = 8, kNumF = 9;
   std::vector<double> w;  // boundary weights (full-state, per graph)
   double mttsf = 0.0;
-  std::array<double, kNumF> acc{};
+  RewardSums acc;
 
   for (std::size_t k = 0; k + 1 < segments_.size(); ++k) {
     const auto& seg = segments_[k];
@@ -135,56 +135,28 @@ Evaluation MissionAnalyzer::evaluate() const {
     const spn::ReliabilityOde ode(graph, seg.rates);
     const auto res = ode.propagate(w, duration, f, {}, options_.ode);
     mttsf += res.survival_integral;
-    for (std::size_t j = 0; j < kNumF; ++j) {
-      acc[j] += res.functional_integrals[j];
-    }
+    const auto& fi = res.functional_integrals;
+    acc += RewardSums{{fi[0], fi[1], fi[2], fi[3], fi[4], fi[5]},
+                      fi[kEvict], fi[kC1], fi[kC2]};
     w = remap_weights(res.weights, k, k + 1);
   }
 
   // Final (infinite-horizon) segment: close the chain analytically from
-  // the boundary distribution.
-  const std::size_t last = segments_.size() - 1;
-  const auto& seg = segments_[last];
+  // the boundary distribution, rewarded by the same pass as every
+  // constant-rate evaluation (a batch of one).
+  const auto& seg = segments_.back();
   const spn::AbsorbingAnalyzer analyzer(*seg.graph);
   const auto res = analyzer.solve_from(w, seg.rates);
-  mttsf += res.mtta;
-  const auto tail_cost = [&](double gcs::CostBreakdown::*member) {
-    return analyzer.accumulated_rate_reward(
-        res, [&](const spn::Marking& m) {
-          return seg.model->cost_rates(m).*member;
-        });
-  };
-  acc[0] += tail_cost(&gcs::CostBreakdown::group_comm);
-  acc[1] += tail_cost(&gcs::CostBreakdown::status);
-  acc[2] += tail_cost(&gcs::CostBreakdown::rekey);
-  acc[3] += tail_cost(&gcs::CostBreakdown::ids);
-  acc[4] += tail_cost(&gcs::CostBreakdown::beacon);
-  acc[5] += tail_cost(&gcs::CostBreakdown::partition_merge);
-  acc[kEvict] +=
-      analyzer.accumulated_impulse_reward(res, seg.rates, seg.impulses);
-  acc[kC1] += analyzer.absorption_probability_where(
-      res, [&](const spn::Marking& m) { return seg.model->failed_c1(m); });
-  acc[kC2] += analyzer.absorption_probability_where(
-      res, [&](const spn::Marking& m) {
-        return !seg.model->failed_c1(m) && seg.model->failed_c2(m);
-      });
+  const GcsSpnModel* model = seg.model.get();
+  acc += accumulate_rewards({&model, 1}, *seg.graph, res.sojourn,
+                            res.absorb_probability, seg.rates, seg.impulses)
+             .front();
 
   Evaluation ev;
   ev.num_states = segments_[0].graph->num_states();
   ev.solver_blocks = res.solver_blocks;
-  ev.mttsf = mttsf;
-  ev.p_failure_c1 = acc[kC1];
-  ev.p_failure_c2 = acc[kC2];
-  if (ev.mttsf > 0.0) {
-    ev.cost_rates.group_comm = acc[0] / ev.mttsf;
-    ev.cost_rates.status = acc[1] / ev.mttsf;
-    ev.cost_rates.rekey = acc[2] / ev.mttsf;
-    ev.cost_rates.ids = acc[3] / ev.mttsf;
-    ev.cost_rates.beacon = acc[4] / ev.mttsf;
-    ev.cost_rates.partition_merge = acc[5] / ev.mttsf;
-    ev.eviction_cost_rate = acc[kEvict] / ev.mttsf;
-    ev.ctotal = ev.cost_rates.total() + ev.eviction_cost_rate;
-  }
+  ev.mttsf = mttsf + res.mtta;
+  acc.normalise(ev);
   return ev;
 }
 

@@ -10,7 +10,9 @@
 // integrals, the eviction impulse flux and the C1/C2 absorption
 // fluxes; the weights at each boundary seed the next segment.  The
 // final segment (infinite horizon) closes the chain analytically with
-// spn::AbsorbingAnalyzer::solve_from on the boundary distribution.
+// spn::AbsorbingAnalyzer::solve_from on the boundary distribution, and
+// core::accumulate_rewards — the reward pass of every constant-rate
+// evaluation — rewards it as a batch of one.
 // Every θ-step and the tail are the same exact SCC-block substitution
 // (spn::TransientStructure), so fast partition/merge cycling costs
 // neither accuracy nor iterations.  A non-final segment need not
@@ -18,8 +20,9 @@
 //
 // Structure reuse: segments whose core::structure_key matches the
 // first segment's re-rate the first segment's reachability graph
-// (ReachabilityGraph::compute_rates — the sweep-engine idiom), so
-// phase boundaries cost one rate vector, not one exploration.
+// (ReachabilityGraph::compute_rates_batch over the segment's one net —
+// the sweep-engine idiom), so phase boundaries cost one rate vector,
+// not one exploration.
 // Structurally different segments explore their own graph and the
 // boundary weights are remapped marking-by-marking; mass at a marking
 // the next segment cannot represent is an error naming both segments

@@ -28,7 +28,7 @@ PolicyChoice optimize_policy(const Params& base,
                              std::span<const double> grid,
                              std::optional<double> cost_budget) {
   // One batch over shapes × grid: every point shares the structure, so
-  // the engine explores once and re-rates 3·|grid| clones.
+  // the engine explores once and re-rates it for 3·|grid| points.
   constexpr std::array kShapes{ids::Shape::Logarithmic, ids::Shape::Linear,
                                ids::Shape::Polynomial};
   std::vector<Params> points;

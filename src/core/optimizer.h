@@ -4,8 +4,8 @@
 // constraint (maximise MTTSF subject to Ĉtotal ≤ budget).
 //
 // Both entry points run on core::SweepEngine: the reachability graph is
-// explored once per structural configuration and every sweep point only
-// re-rates a clone of it (see sweep_engine.h).
+// explored once per structural configuration and the sweep points only
+// re-rate it, a batch at a time (see sweep_engine.h).
 #pragma once
 
 #include <optional>

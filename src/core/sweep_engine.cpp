@@ -107,94 +107,68 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
     entry_of[i] = slot.get();
   }
 
-  if (batch_width > 1) {
-    // Batched path: chunk runs of consecutive points that share a
-    // structure into batches of `batch_width` and drive each through the
-    // point-major kernels.  Per-point results are independent of the
-    // chunking (grouping-independence is a design invariant of
-    // solve_batch's factor reuse), so shard boundaries and ragged final
-    // batches cannot perturb a single bit.
-    struct BatchRange {
-      std::size_t begin, end;
-      CacheEntry* entry;
-    };
-    std::vector<BatchRange> batches;
-    for (std::size_t i = 0; i < points.size();) {
-      CacheEntry* entry = entry_of[i];
-      std::size_t run_end = i + 1;
-      while (run_end < points.size() && entry_of[run_end] == entry) {
-        ++run_end;
-      }
-      for (std::size_t begin = i; begin < run_end; begin += batch_width) {
-        batches.push_back(
-            {begin, std::min(begin + batch_width, run_end), entry});
-      }
-      i = run_end;
+  // Chunk runs of consecutive points that share a structure into
+  // batches of `batch_width` (a width <= 1 means batches of one) and
+  // drive each through the point-major kernels.  Per-point results are
+  // independent of the chunking (grouping-independence is a design
+  // invariant of solve_batch's factor reuse), so shard boundaries and
+  // ragged final batches cannot perturb a single bit.
+  const std::size_t width = std::max<std::size_t>(batch_width, 1);
+  struct BatchRange {
+    std::size_t begin, end;
+    CacheEntry* entry;
+  };
+  std::vector<BatchRange> batches;
+  for (std::size_t i = 0; i < points.size();) {
+    CacheEntry* entry = entry_of[i];
+    std::size_t run_end = i + 1;
+    while (run_end < points.size() && entry_of[run_end] == entry) {
+      ++run_end;
     }
-
-    sim::parallel_for(
-        batches.size(),
-        [&](std::size_t bi) {
-          const auto& bt = batches[bi];
-          const std::size_t B = bt.end - bt.begin;
-          // One private model per point (deque: GcsSpnModel is
-          // immovable — it embeds a once_flag).
-          std::deque<GcsSpnModel> models;
-          for (std::size_t j = 0; j < B; ++j) {
-            models.emplace_back(points[bt.begin + j]);
-          }
-          CacheEntry* entry = bt.entry;
-          explore_once(*entry, models.front());
-          // These models are batch-private, so the transcendental factor
-          // memo is safe to turn on; the scalar path never enables it.
-          std::vector<const GcsSpnModel*> model_ptrs(B);
-          std::vector<const spn::PetriNet*> nets(B);
-          for (std::size_t j = 0; j < B; ++j) {
-            models[j].enable_factor_memo();
-            model_ptrs[j] = &models[j];
-            nets[j] = &models[j].net();
-          }
-          util::Arena& arena = util::thread_scratch_arena();
-          arena.reset();
-          const std::size_t E = entry->graph->edges.size();
-          auto rates = arena.make_span<double>(E * B);
-          auto impulses = arena.make_span<double>(E * B);
-          entry->graph->compute_rates_batch(nets, rates, impulses,
-                                            GcsSpnModel::batch_rate_fn(
-                                                model_ptrs));
-          const auto batch_evals = evaluate_with_batch(
-              model_ptrs, *entry->analyzer, rates, impulses,
-              spn::BatchSolveOptions{}.factor_reuse, arena);
-          for (std::size_t j = 0; j < B; ++j) {
-            evals[bt.begin + j] = batch_evals[j];
-          }
-          std::lock_guard lock(stats_mutex_);
-          stats_.points += B;
-          stats_.states_evaluated += entry->graph->num_states() * B;
-        },
-        threads_);
-
-    stats_.seconds += watch.seconds();
-    return evals;
+    for (std::size_t begin = i; begin < run_end; begin += width) {
+      batches.push_back({begin, std::min(begin + width, run_end), entry});
+    }
+    i = run_end;
   }
 
   sim::parallel_for(
-      points.size(),
-      [&](std::size_t i) {
-        // First point of a structural configuration explores and builds
-        // the solver structure; every point then owns only its per-edge
-        // rate/impulse arrays (the mutable slice of the graph) and the
-        // numeric solve.
-        const GcsSpnModel model(points[i]);
-        CacheEntry* entry = entry_of[i];
-        explore_once(*entry, model);
-        std::vector<double> rates(entry->graph->edges.size());
-        std::vector<double> impulses(entry->graph->edges.size());
-        entry->graph->compute_rates(model.net(), rates, impulses);
-        evals[i] = model.evaluate_with(*entry->analyzer, rates, impulses);
+      batches.size(),
+      [&](std::size_t bi) {
+        const auto& bt = batches[bi];
+        const std::size_t B = bt.end - bt.begin;
+        // One private model per point (deque: GcsSpnModel is
+        // immovable — it embeds a once_flag).
+        std::deque<GcsSpnModel> models;
+        for (std::size_t j = 0; j < B; ++j) {
+          models.emplace_back(points[bt.begin + j]);
+        }
+        CacheEntry* entry = bt.entry;
+        explore_once(*entry, models.front());
+        // These models are batch-private, so the transcendental factor
+        // memo is safe to turn on.
+        std::vector<const GcsSpnModel*> model_ptrs(B);
+        std::vector<const spn::PetriNet*> nets(B);
+        for (std::size_t j = 0; j < B; ++j) {
+          models[j].enable_factor_memo();
+          model_ptrs[j] = &models[j];
+          nets[j] = &models[j].net();
+        }
+        util::Arena& arena = util::thread_scratch_arena();
+        arena.reset();
+        const std::size_t E = entry->graph->edges.size();
+        auto rates = arena.make_span<double>(E * B);
+        auto impulses = arena.make_span<double>(E * B);
+        entry->graph->compute_rates_batch(
+            nets, rates, impulses, GcsSpnModel::batch_rate_fn(model_ptrs));
+        const auto batch_evals = evaluate_with_batch(
+            model_ptrs, *entry->analyzer, rates, impulses,
+            spn::BatchSolveOptions{}.factor_reuse, arena);
+        for (std::size_t j = 0; j < B; ++j) {
+          evals[bt.begin + j] = batch_evals[j];
+        }
         std::lock_guard lock(stats_mutex_);
-        ++stats_.points;
-        stats_.states_evaluated += evals[i].num_states;
+        stats_.points += B;
+        stats_.states_evaluated += entry->graph->num_states() * B;
       },
       threads_);
 

@@ -4,12 +4,12 @@
 // edge structure of the SPN, only the rate values.  The engine therefore
 //   1. explores the reachability graph ONCE per structural configuration
 //      (initial marking + guards + edge-existence pattern),
-//   2. re-rates a clone of the cached structure per sweep point
-//      (spn::ReachabilityGraph::refresh_rates) instead of re-running
-//      spn::explore + marking hashing,
-//   3. accumulates every reward component in a single pass
-//      (GcsSpnModel::evaluate_on), and
-//   4. drives the points through sim::parallel_for.
+//   2. re-rates the cached structure for a batch of points at a time
+//      (spn::ReachabilityGraph::compute_rates_batch) instead of
+//      re-running spn::explore + marking hashing,
+//   3. solves the batch and accumulates every reward component in one
+//      point-major pass (evaluate_with_batch), and
+//   4. drives the batches through sim::parallel_for.
 // Structure caching persists across calls, so a bench that sweeps four
 // m-values over the TIDS grid pays for one exploration in total.
 //
@@ -69,12 +69,13 @@ class SweepEngine {
   /// Evaluates every parameter point; points whose structure_key()
   /// matches share one exploration (cached across calls, never
   /// evicted).  `batch_width` is the spec-level analytic.batch knob:
-  /// width <= 1 runs the scalar per-point path; otherwise consecutive
-  /// points sharing a structure are solved `batch_width` at a time
-  /// through the point-major batch kernels, with LU factor reuse at
+  /// consecutive points sharing a structure are solved `batch_width`
+  /// at a time (a width <= 1 means batches of one) through
+  /// evaluate_with_batch, with LU factor reuse at
   /// spn::BatchSolveOptions' default.  Per-point results do not depend
   /// on the width (bitwise: the batch path is grouping-independent by
-  /// construction) nor on the thread count.
+  /// construction) nor on the thread count, and equal
+  /// GcsSpnModel::evaluate() bitwise.
   [[nodiscard]] std::vector<Evaluation> evaluate(
       std::span<const Params> points, std::size_t batch_width);
 
@@ -92,7 +93,7 @@ class SweepEngine {
     std::once_flag once;
     std::shared_ptr<const spn::ReachabilityGraph> graph;
     // Structure shared by every point: absorbing mask, transient
-    // compaction, SCC condensation (solve(edge_rates) is const).
+    // compaction, SCC condensation (solve_batch is const).
     std::unique_ptr<const spn::AbsorbingAnalyzer> analyzer;
   };
 

@@ -8,26 +8,6 @@
 
 namespace midas::linalg {
 
-DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-std::vector<double> DenseMatrix::multiply(const std::vector<double>& x) const {
-  assert(x.size() == cols_);
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-DenseMatrix DenseMatrix::identity(std::size_t n) {
-  DenseMatrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 namespace {
 
 // The one LU implementation: partial-pivoting Gaussian elimination of P
@@ -87,7 +67,7 @@ namespace {
     }
     for (std::size_t p = 0; p < P; ++p) {
       if (best[p] < floor[p]) {
-        throw std::runtime_error("LuSolver: singular matrix");
+        throw std::runtime_error("LU factorisation: singular matrix");
       }
       if (piv[p] != k) {
         for (std::size_t c = 0; c < n; ++c) {
@@ -164,19 +144,14 @@ void LuFactorView::factor() {
 
 void LuFactorView::solve_to(std::span<const double> b,
                             std::span<double> x) const {
-  lu_solve_to(lu, ipiv, n, b, x);
-}
-
-void LuFactorView::solve_many(std::span<double> B, std::size_t n_rhs) const {
-  lu_solve_many(lu, ipiv, n, B, n_rhs);
-}
-
-void lu_solve_to(std::span<const double> lu,
-                 std::span<const std::uint32_t> ipiv, std::size_t n,
-                 std::span<const double> b, std::span<double> x) {
   assert(b.size() == n && x.size() == n);
   if (x.data() != b.data()) std::copy(b.begin(), b.end(), x.begin());
   solve_lanes(lu.data(), ipiv.data(), n, 1, false, x.data());
+}
+
+void LuFactorView::solve_many(std::span<double> B, std::size_t n_rhs) const {
+  assert(B.size() == n * n_rhs);
+  solve_lanes(lu.data(), ipiv.data(), n, n_rhs, true, B.data());
 }
 
 void lu_solve_point_major(std::span<double> a, std::span<double> b,
@@ -187,66 +162,6 @@ void lu_solve_point_major(std::span<double> a, std::span<double> b,
          lane.size() >= 3 * P && lane_piv.size() >= n * P);
   factor_lanes(a.data(), n, P, lane_piv.data(), lane.data());
   solve_lanes(a.data(), lane_piv.data(), n, P, false, b.data());
-}
-
-void lu_solve_many(std::span<const double> lu,
-                   std::span<const std::uint32_t> ipiv, std::size_t n,
-                   std::span<double> B, std::size_t n_rhs) {
-  assert(B.size() == n * n_rhs);
-  solve_lanes(lu.data(), ipiv.data(), n, n_rhs, true, B.data());
-}
-
-LuSolver::LuSolver(DenseMatrix a) : lu_(std::move(a)) {
-  if (lu_.rows() != lu_.cols()) {
-    throw std::invalid_argument("LuSolver: matrix must be square");
-  }
-  const std::size_t n = lu_.rows();
-  ipiv_.resize(n);
-  LuFactorView view{lu_.data(), ipiv_, n};
-  view.factor();
-  // Composed permutation for the gather in solve(): replaying the swap
-  // sequence on an identity map is exactly the bookkeeping the previous
-  // constructor interleaved with elimination.
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (ipiv_[k] != k) std::swap(perm_[k], perm_[ipiv_[k]]);
-  }
-}
-
-std::vector<double> LuSolver::solve(std::vector<double> b) const {
-  const std::size_t n = lu_.rows();
-  if (b.size() != n) {
-    throw std::invalid_argument("LuSolver::solve: size mismatch");
-  }
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  // Forward substitution (unit lower).
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) x[i] -= lu_(i, j) * x[j];
-  }
-  // Back substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= lu_(ii, j) * x[j];
-    x[ii] /= lu_(ii, ii);
-  }
-  return x;
-}
-
-void LuSolver::solve_to(std::span<const double> b, std::span<double> x) const {
-  const std::size_t n = lu_.rows();
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("LuSolver::solve_to: size mismatch");
-  }
-  lu_solve_to(lu_.data(), ipiv_, n, b, x);
-}
-
-void LuSolver::solve_many(std::span<double> B, std::size_t n_rhs) const {
-  const std::size_t n = lu_.rows();
-  if (n_rhs == 0 || B.size() != n * n_rhs) {
-    throw std::invalid_argument("LuSolver::solve_many: size mismatch");
-  }
-  lu_solve_many(lu_.data(), ipiv_, n, B, n_rhs);
 }
 
 }  // namespace midas::linalg

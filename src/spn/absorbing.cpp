@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "linalg/dense_matrix.h"
@@ -288,17 +289,12 @@ AbsorbingResult AbsorbingAnalyzer::solve() const {
 
 AbsorbingResult AbsorbingAnalyzer::solve(
     std::span<const double> edge_rates) const {
-  return solve(edge_rates, SolveOptions{});
-}
-
-AbsorbingResult AbsorbingAnalyzer::solve(std::span<const double> edge_rates,
-                                         const SolveOptions& opts) const {
-  return solve_impl({}, edge_rates, opts);
+  return solve_impl({}, edge_rates);
 }
 
 AbsorbingResult AbsorbingAnalyzer::solve_from(
-    std::span<const double> initial_mass, std::span<const double> edge_rates,
-    const SolveOptions& opts) const {
+    std::span<const double> initial_mass,
+    std::span<const double> edge_rates) const {
   if (!initial_mass.empty() && initial_mass.size() != graph_.num_states()) {
     throw std::invalid_argument(
         "AbsorbingAnalyzer::solve_from: initial_mass size " +
@@ -306,12 +302,37 @@ AbsorbingResult AbsorbingAnalyzer::solve_from(
         " does not match state count " +
         std::to_string(graph_.num_states()));
   }
-  return solve_impl(initial_mass, edge_rates, opts);
+  // The precondition, checked: mass at an absorbing state would be
+  // silently dropped, and a non-finite entry would flow into every
+  // expectation.  Negative entries within rounding of zero are what a
+  // θ-step leaves behind and are accepted.
+  double total = 0.0;
+  for (const double w : initial_mass) {
+    if (std::isfinite(w)) total += std::abs(w);
+  }
+  for (std::size_t s = 0; s < initial_mass.size(); ++s) {
+    const double w = initial_mass[s];
+    const char* defect = nullptr;
+    if (!std::isfinite(w)) {
+      defect = "is not finite";
+    } else if (w != 0.0 && t_.compact[s] == UINT32_MAX) {
+      defect = "is nonzero at an absorbing state";
+    } else if (w < -1e-12 * total) {
+      defect = "is negative beyond rounding";
+    }
+    if (defect == nullptr) continue;
+    std::ostringstream msg;
+    msg << "AbsorbingAnalyzer::solve_from: initial_mass[" << s << "] = " << w
+        << ' ' << defect << " (marking " << graph_.states[s].to_string()
+        << ")";
+    throw std::invalid_argument(msg.str());
+  }
+  return solve_impl(initial_mass, edge_rates);
 }
 
 AbsorbingResult AbsorbingAnalyzer::solve_impl(
-    std::span<const double> initial_mass, std::span<const double> edge_rates,
-    const SolveOptions& opts) const {
+    std::span<const double> initial_mass,
+    std::span<const double> edge_rates) const {
   if (edge_rates.size() != graph_.edges.size()) {
     throw std::invalid_argument(
         "AbsorbingAnalyzer::solve: edge_rates size " +
@@ -322,17 +343,15 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
   const std::size_t nt = t_.size();
 
   AbsorbingResult res;
-  if (opts.sojourn) res.sojourn.assign(n, 0.0);
+  res.sojourn.assign(n, 0.0);
 
   if (nt == 0) {
     // Initial state itself is absorbing: MTTA = 0.  With a custom mass
     // the contract puts nothing at absorbing states, so there is no
     // transient mass at all and every expectation is 0.
     res.mtta = 0.0;
-    if (opts.absorb_probability) {
-      res.absorb_probability.assign(n, 0.0);
-      if (initial_mass.empty()) res.absorb_probability[graph_.initial] = 1.0;
-    }
+    res.absorb_probability.assign(n, 0.0);
+    if (initial_mass.empty()) res.absorb_probability[graph_.initial] = 1.0;
     res.converged = true;
     return res;
   }
@@ -358,21 +377,19 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
   res.converged = true;
   double mtta = 0.0;
   for (std::size_t i = 0; i < nt; ++i) {
-    if (opts.sojourn) res.sojourn[t_.expand[i]] = tau[i];
+    res.sojourn[t_.expand[i]] = tau[i];
     mtta += tau[i];
   }
   res.mtta = mtta;
 
   // Absorption probabilities: flow into each absorbing state, via the
   // compacted transient→absorbing edge list.
-  if (opts.absorb_probability) {
-    res.absorb_probability.assign(n, 0.0);
-    for (std::size_t i = 0; i < nt; ++i) {
-      for (std::uint32_t k = t_.abs_offsets[i]; k < t_.abs_offsets[i + 1];
-           ++k) {
-        const auto& ae = t_.abs_edges[k];
-        res.absorb_probability[ae.dst] += tau[i] * edge_rates[ae.edge];
-      }
+  res.absorb_probability.assign(n, 0.0);
+  for (std::size_t i = 0; i < nt; ++i) {
+    for (std::uint32_t k = t_.abs_offsets[i]; k < t_.abs_offsets[i + 1];
+         ++k) {
+      const auto& ae = t_.abs_edges[k];
+      res.absorb_probability[ae.dst] += tau[i] * edge_rates[ae.edge];
     }
   }
   return res;
@@ -660,40 +677,6 @@ double AbsorbingAnalyzer::accumulated_impulse_reward(
   for (const auto& e : graph_.edges) {
     if (e.impulse == 0.0) continue;
     acc += res.sojourn[e.src] * e.rate * e.impulse;
-  }
-  return acc;
-}
-
-double AbsorbingAnalyzer::accumulated_impulse_reward(
-    const AbsorbingResult& res, std::span<const double> edge_rates) const {
-  if (edge_rates.size() != graph_.edges.size()) {
-    throw std::invalid_argument(
-        "accumulated_impulse_reward: edge_rates size does not match edge "
-        "count");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < graph_.edges.size(); ++i) {
-    const auto& e = graph_.edges[i];
-    if (e.impulse == 0.0) continue;
-    acc += res.sojourn[e.src] * edge_rates[i] * e.impulse;
-  }
-  return acc;
-}
-
-double AbsorbingAnalyzer::accumulated_impulse_reward(
-    const AbsorbingResult& res, std::span<const double> edge_rates,
-    std::span<const double> edge_impulses) const {
-  if (edge_rates.size() != graph_.edges.size() ||
-      edge_impulses.size() != graph_.edges.size()) {
-    throw std::invalid_argument(
-        "accumulated_impulse_reward: edge_rates/edge_impulses size does "
-        "not match edge count");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < graph_.edges.size(); ++i) {
-    if (edge_impulses[i] == 0.0) continue;
-    acc += res.sojourn[graph_.edges[i].src] * edge_rates[i] *
-           edge_impulses[i];
   }
   return acc;
 }

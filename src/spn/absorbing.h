@@ -13,10 +13,11 @@
 // The analyzer splits the work into structure and numbers: the absorbing
 // mask, the transient compaction and the SCC condensation
 // (TransientStructure) are computed once at construction from the
-// graph's CSR adjacency, and each solve() only runs the numeric part.
+// graph's CSR adjacency, and each solve only runs the numeric part.
 // A parameter sweep therefore constructs one analyzer per explored
-// structure and calls solve(edge_rates) per sweep point (see
-// core::SweepEngine).
+// structure and solves its points P at a time with solve_batch (see
+// core::SweepEngine); the scalar solve()/solve_from() serve the
+// reference paths, the mission chain's tail and generic nets.
 #pragma once
 
 #include <cstdint>
@@ -122,14 +123,6 @@ struct AbsorbingResult {
   std::size_t solver_blocks = 0;
 };
 
-/// What solve(edge_rates, opts) materialises.  Callers that only read
-/// mtta (benchmark loops, convergence probes) skip the two full-state
-/// n-sized vector assignments the default result pays for.
-struct SolveOptions {
-  bool sojourn = true;             ///< fill AbsorbingResult::sojourn
-  bool absorb_probability = true;  ///< fill absorb_probability
-};
-
 /// Knobs of the batched multi-point solve.
 struct BatchSolveOptions {
   /// Deduplicate dense SCC blocks across points: every block is
@@ -189,12 +182,6 @@ class AbsorbingAnalyzer {
   [[nodiscard]] AbsorbingResult solve(
       std::span<const double> edge_rates) const;
 
-  /// As above, with control over which full-state vectors the result
-  /// materialises.  A result built with `opts.sojourn == false` must
-  /// not be passed to the reward accessors (they index res.sojourn).
-  [[nodiscard]] AbsorbingResult solve(std::span<const double> edge_rates,
-                                      const SolveOptions& opts) const;
-
   /// Solves from an arbitrary initial distribution instead of the
   /// graph's initial state: `initial_mass` is full-state indexed and
   /// its entries at absorbing states must be zero (mass that has
@@ -203,12 +190,14 @@ class AbsorbingAnalyzer {
   /// this by construction).  The mass need not sum to 1: mtta, rewards
   /// and absorb probabilities scale linearly, so a sub-stochastic tail
   /// distribution yields the correctly weighted partial expectations.
-  /// An empty span means the graph's initial state and is bitwise the
-  /// plain solve(edge_rates, opts).
+  /// Throws std::invalid_argument naming the first offending index and
+  /// its marking when an entry is not finite, is nonzero at an
+  /// absorbing state, or is negative beyond rounding (below
+  /// −1e-12·Σ|w|).  An empty span means the graph's initial state and
+  /// is bitwise the plain solve(edge_rates).
   [[nodiscard]] AbsorbingResult solve_from(
       std::span<const double> initial_mass,
-      std::span<const double> edge_rates,
-      const SolveOptions& opts = {}) const;
+      std::span<const double> edge_rates) const;
 
   /// Batched multi-point solve: `edge_rates` is the point-major
   /// [edge][point] matrix ReachabilityGraph::compute_rates_batch fills
@@ -237,24 +226,12 @@ class AbsorbingAnalyzer {
       const AbsorbingResult& res,
       const std::function<double(const Marking&)>& reward) const;
 
-  /// Expected accumulated impulse reward  Σ_e τ_src · rate_e · imp_e.
-  /// The no-argument form uses the rates/impulses stored on the graph
-  /// edges and pairs with solve(); the overloads pair with
-  /// solve(edge_rates): a result obtained under a rate override MUST be
-  /// rewarded with the same override, or the eviction costs silently
-  /// blend two parameter points (the stored-rate × overridden-sojourn
-  /// defect this overload set fixes).  Spans must match the edge count.
+  /// Expected accumulated impulse reward  Σ_e τ_src · rate_e · imp_e,
+  /// with the rates/impulses stored on the graph edges: pairs with
+  /// solve().  (Re-rated points are rewarded by core::
+  /// accumulate_rewards, which takes the rates the solve used.)
   [[nodiscard]] double accumulated_impulse_reward(
       const AbsorbingResult& res) const;
-  /// Overridden rates, stored impulses (rate-only sweeps).
-  [[nodiscard]] double accumulated_impulse_reward(
-      const AbsorbingResult& res,
-      std::span<const double> edge_rates) const;
-  /// Overridden rates and impulses (full per-point re-rating, e.g.
-  /// core::SweepEngine's compute_rates arrays).
-  [[nodiscard]] double accumulated_impulse_reward(
-      const AbsorbingResult& res, std::span<const double> edge_rates,
-      std::span<const double> edge_impulses) const;
 
   /// Probability-weighted classification of absorption causes:
   /// sums absorb probabilities over states where `pred` holds.
@@ -271,7 +248,7 @@ class AbsorbingAnalyzer {
   /// the legacy unit-mass-at-initial branch bitwise.
   [[nodiscard]] AbsorbingResult solve_impl(
       std::span<const double> initial_mass,
-      std::span<const double> edge_rates, const SolveOptions& opts) const;
+      std::span<const double> edge_rates) const;
 
   const ReachabilityGraph& graph_;
   const TransientStructure t_;

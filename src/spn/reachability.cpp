@@ -68,44 +68,6 @@ std::vector<char> ReachabilityGraph::absorbing_mask() const {
   return mask;
 }
 
-void ReachabilityGraph::compute_rates(const PetriNet& net,
-                                      std::span<double> rates,
-                                      std::span<double> impulses) const {
-  if (rates.size() != edges.size() || impulses.size() != edges.size()) {
-    throw std::invalid_argument(
-        "compute_rates: output spans must match the edge count");
-  }
-  for (StateId s = 0; s < states.size(); ++s) {
-    const Marking& m = states[s];
-    const auto begin = edge_offsets[s];
-    const auto end = edge_offsets[s + 1];
-    // Edges out of one state reuse the (transition, marking) evaluation:
-    // vanishing expansions emit several edges for the same timed firing.
-    TransitionId last_t = UINT32_MAX;
-    double base_rate = 0.0;
-    double timed_impulse = 0.0;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      const Edge& e = edges[i];
-      if (e.transition != last_t) {
-        last_t = e.transition;
-        base_rate = net.rate(e.transition, m);
-        timed_impulse = net.impulse(e.transition, m);
-      }
-      const double rate = base_rate * e.prob;
-      if (rate <= 0.0) {
-        throw std::runtime_error(
-            "compute_rates: transition " + net.transition_name(e.transition) +
-            " re-rates to " + std::to_string(rate) + " at marking " +
-            m.to_string() +
-            "; the parameter change alters the edge structure and requires "
-            "a fresh exploration");
-      }
-      rates[i] = rate;
-      impulses[i] = timed_impulse + e.vanishing_impulse;
-    }
-  }
-}
-
 void ReachabilityGraph::compute_rates_batch(
     std::span<const PetriNet* const> nets, std::span<double> rates,
     std::span<double> impulses, const BatchRateFn& fast) const {
@@ -123,9 +85,8 @@ void ReachabilityGraph::compute_rates_batch(
     const Marking& m = states[s];
     const auto begin = edge_offsets[s];
     const auto end = edge_offsets[s + 1];
-    // As in compute_rates, one (transition, marking) evaluation serves
-    // every vanishing-expansion edge of the firing — here for all P
-    // points at once.
+    // One (transition, marking) evaluation serves every vanishing-
+    // expansion edge of the firing, for all P points at once.
     TransitionId last_t = UINT32_MAX;
     for (std::uint32_t i = begin; i < end; ++i) {
       const Edge& e = edges[i];
@@ -160,16 +121,6 @@ void ReachabilityGraph::compute_rates_batch(
         imp_row[p] = timed_impulse[p] + e.vanishing_impulse;
       }
     }
-  }
-}
-
-void ReachabilityGraph::refresh_rates(const PetriNet& net) {
-  std::vector<double> rates(edges.size());
-  std::vector<double> impulses(edges.size());
-  compute_rates(net, rates, impulses);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    edges[i].rate = rates[i];
-    edges[i].impulse = impulses[i];
   }
 }
 

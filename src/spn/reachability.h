@@ -13,8 +13,9 @@
 // the timed transition's contribution and the vanishing-path factors
 // (`prob`, `vanishing_impulse`).  A parameter sweep that changes only
 // rate values — not the enabled structure — can therefore reuse the
-// explored graph and call `refresh_rates()` per sweep point instead of
-// re-exploring (see core::SweepEngine).
+// explored graph and re-rate it per batch of sweep points with
+// `compute_rates_batch()` instead of re-exploring (see
+// core::SweepEngine).
 #pragma once
 
 #include <cstdint>
@@ -70,28 +71,20 @@ struct ReachabilityGraph {
   /// such states because mean time to absorption would diverge.)
   [[nodiscard]] std::vector<char> absorbing_mask() const;
 
-  /// Evaluates per-edge rates and impulses for `net` into parallel
-  /// arrays (indexed like `edges`) without mutating the graph — the
-  /// sweep engine's zero-copy path: one cached structure, one rate
-  /// vector per point.  Valid only when `net` has the same reachable
-  /// set and enabled structure as the net this graph was explored from —
-  /// i.e. the parameter change scales timed rates/impulses without
-  /// zeroing any or enabling new firings, and leaves immediate weights
-  /// untouched.  Throws std::runtime_error when a stored edge re-rates
-  /// to a non-positive value (structure mismatch).
-  void compute_rates(const PetriNet& net, std::span<double> rates,
-                     std::span<double> impulses) const;
-
-  /// Batched compute_rates: ONE pass over the structure fills
-  /// point-major [edge][point] rate/impulse matrices for P nets that
-  /// share this graph's structure — rates[i*P + p] is edge i's rate
-  /// under nets[p].  The (transition, marking) evaluation is still
-  /// deduplicated across the vanishing-expansion edges of each firing,
-  /// exactly as in compute_rates, and each point's values are bitwise
-  /// the per-point compute_rates answers.  Spans must hold
-  /// edges.size()·P doubles.  Throws std::runtime_error naming the
-  /// edge, transition, marking and batch point when a stored edge
-  /// re-rates to a non-positive value (structure mismatch).
+  /// Evaluates per-edge rates and impulses for P nets that share this
+  /// graph's structure, without mutating the graph: ONE pass over the
+  /// structure fills point-major [edge][point] rate/impulse matrices —
+  /// rates[i*P + p] is edge i's rate under nets[p].  Each net must have
+  /// the same reachable set and enabled structure as the net this graph
+  /// was explored from, i.e. the parameter change scales timed
+  /// rates/impulses without zeroing any or enabling new firings, and
+  /// leaves immediate weights untouched.  One (transition, marking)
+  /// evaluation serves every vanishing-expansion edge of a firing, and
+  /// nets[p]'s values are bitwise what exploring nets[p] stores on its
+  /// edges.  Spans must hold edges.size()·P doubles.  Throws
+  /// std::runtime_error naming the edge, transition, marking and batch
+  /// point when a stored edge re-rates to a non-positive value
+  /// (structure mismatch).
   ///
   /// `fast` (optional) answers whole (transition, marking) pairs across
   /// all P points at once (see BatchRateFn); pairs it declines — and
@@ -100,10 +93,6 @@ struct ReachabilityGraph {
                            std::span<double> rates,
                            std::span<double> impulses,
                            const BatchRateFn& fast = {}) const;
-
-  /// In-place variant of compute_rates(): overwrites every edge's rate
-  /// and impulse.  Same structural contract.
-  void refresh_rates(const PetriNet& net);
 
   [[nodiscard]] std::size_t num_states() const { return states.size(); }
 };

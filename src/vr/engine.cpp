@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "core/gcs_spn_model.h"
+#include "core/sweep_engine.h"
 #include "sim/rng.h"
 #include "vr/sobol.h"
 
@@ -75,14 +75,15 @@ void run_cv_all(const ControlVariateOptions& cv, const sim::McOptions& mc,
   opts.stream_factory = nullptr;
   sim::MonteCarloEngine engine(opts);
   const auto results = engine.run_des(points);
+  // The exact control means come from the analytic backend, one sweep
+  // for every point: E[expected_dwell] = MTTSF and E[expected_cost] =
+  // Ĉtotal·MTTSF (accumulated cost to absorption) — identities of the
+  // time-homogeneous CTMC that spec validation already guarantees.
+  const auto exact_evals = core::SweepEngine(mc.threads)
+                               .evaluate(points, core::kDefaultBatchWidth);
 
   for (std::size_t p = 0; p < points.size(); ++p) {
-    // The exact control means come from the analytic backend:
-    // E[expected_dwell] = MTTSF and E[expected_cost] = Ĉtotal·MTTSF
-    // (accumulated cost to absorption) — identities of the
-    // time-homogeneous CTMC that spec validation already guarantees.
-    const core::Evaluation exact =
-        core::GcsSpnModel(points[p]).evaluate();
+    const core::Evaluation& exact = exact_evals[p];
     const auto& trajs = results[p].trajectories;
     const std::size_t n = opts.antithetic ? trajs.size() / 2 : trajs.size();
     std::vector<double> y_t(n), c_t(n), y_c(n), c_c(n);

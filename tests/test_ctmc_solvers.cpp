@@ -3,6 +3,9 @@
 // uniformisation oracle (tests/oracle) the θ-method integrator is
 // cross-checked against, are all checked against textbook results.
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -132,6 +135,70 @@ TEST(Absorbing, SelfLoopImpulsesAccrueAtRate) {
   const auto res = an.solve();
   EXPECT_NEAR(res.mtta, 1.0 / mu, 1e-10);
   EXPECT_NEAR(an.accumulated_impulse_reward(res), c * rho / mu, 1e-9);
+}
+
+TEST(AbsorbingAnalyzer, SolveFromRejectsBadInitialMass) {
+  // solve_from's precondition, checked: a non-finite entry, mass at an
+  // absorbing state or an entry negative beyond rounding throws, naming
+  // the first offending index and its marking — instead of dropping the
+  // mass or carrying a NaN into the mean time to absorption.
+  const auto net = death_chain(3, 1.0);
+  const auto g = explore(net);
+  const AbsorbingAnalyzer an(g);
+  const std::vector<double> rates = [&] {
+    std::vector<double> r;
+    for (const auto& e : g.edges) r.push_back(e.rate);
+    return r;
+  }();
+  const auto absorbing = g.absorbing_mask();
+  std::size_t dead = 0, alive = 0;
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    if (absorbing[s]) {
+      dead = s;
+    } else if (s != g.initial) {
+      alive = s;
+    }
+  }
+  ASSERT_TRUE(absorbing[dead]);
+  ASSERT_FALSE(absorbing[alive]);
+
+  const auto expect_rejected = [&](std::vector<double> mass, std::size_t at,
+                                   const std::string& defect) {
+    try {
+      (void)an.solve_from(mass, rates);
+      FAIL() << "expected std::invalid_argument for " << defect;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("initial_mass[" + std::to_string(at) + "]"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(defect), std::string::npos) << msg;
+      EXPECT_NE(msg.find(g.states[at].to_string()), std::string::npos)
+          << msg;
+    }
+  };
+  std::vector<double> mass(g.num_states(), 0.0);
+  mass[g.initial] = 0.75;
+  mass[alive] = 0.25;
+
+  auto nan_mass = mass;
+  nan_mass[alive] = std::nan("");
+  expect_rejected(nan_mass, alive, "not finite");
+  auto absorbed = mass;
+  absorbed[dead] = 1e-3;
+  expect_rejected(absorbed, dead, "absorbing");
+  auto negative = mass;
+  negative[alive] = -1e-6;
+  expect_rejected(negative, alive, "negative");
+
+  // Within rounding of zero is what a θ-step leaves behind: accepted.
+  auto rounding = mass;
+  rounding[alive] = -1e-18;
+  EXPECT_NO_THROW((void)an.solve_from(rounding, rates));
+  // And a unit mass at the initial state is the plain solve, bitwise.
+  std::vector<double> unit(g.num_states(), 0.0);
+  unit[g.initial] = 1.0;
+  EXPECT_EQ(an.solve_from(unit, rates).mtta, an.solve().mtta);
 }
 
 TEST(Absorbing, UnreachableAbsorbingStateThrowsAtConstruction) {

@@ -11,45 +11,51 @@ namespace {
 
 using namespace midas::linalg;
 
-TEST(DenseMatrix, IdentityMultiplication) {
-  const auto id = DenseMatrix::identity(4);
-  const std::vector<double> x{1, 2, 3, 4};
-  const auto y = id.multiply(x);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
+/// A row-major n×n matrix factored in place by LuFactorView, with the
+/// storage the view points into.
+struct Factored {
+  Factored(std::vector<double> a, std::size_t n)
+      : lu(std::move(a)), ipiv(n) {
+    view().factor();
+  }
+  LuFactorView view() { return {lu, ipiv, ipiv.size()}; }
+  std::vector<double> solve(std::vector<double> b) {
+    view().solve_to(b, b);
+    return b;
+  }
+
+  std::vector<double> lu;
+  std::vector<std::uint32_t> ipiv;
+};
+
+/// y = A·x for a row-major n×n A.
+std::vector<double> multiply(const std::vector<double>& a,
+                             const std::vector<double>& x) {
+  const std::size_t n = x.size();
+  std::vector<double> y(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) y[r] += a[r * n + c] * x[c];
+  }
+  return y;
 }
 
 TEST(LuSolver, SolvesKnownSystem) {
   // 2x + y = 5; x + 3y = 10  →  x = 1, y = 3.
-  DenseMatrix a(2, 2);
-  a(0, 0) = 2;
-  a(0, 1) = 1;
-  a(1, 0) = 1;
-  a(1, 1) = 3;
-  const LuSolver lu(a);
+  Factored lu({2.0, 1.0, 1.0, 3.0}, 2);
   const auto x = lu.solve({5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
 TEST(LuSolver, PivotingHandlesZeroLeadingEntry) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 0;
-  a(0, 1) = 1;
-  a(1, 0) = 1;
-  a(1, 1) = 0;
-  const LuSolver lu(a);
+  Factored lu({0.0, 1.0, 1.0, 0.0}, 2);
   const auto x = lu.solve({3.0, 7.0});
   EXPECT_NEAR(x[0], 7.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
 TEST(LuSolver, SingularMatrixThrows) {
-  DenseMatrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 2;
-  a(1, 1) = 4;
-  EXPECT_THROW(LuSolver{a}, std::runtime_error);
+  EXPECT_THROW(Factored({1.0, 2.0, 2.0, 4.0}, 2), std::runtime_error);
 }
 
 TEST(LuSolver, SingularToRoundingThrows) {
@@ -57,35 +63,34 @@ TEST(LuSolver, SingularToRoundingThrows) {
   // tiny but nonzero, so the former absolute 1e-300 cutoff accepted it
   // and produced a garbage solution dominated by cancellation noise.
   // The norm-scaled threshold (n·ε·‖A‖∞) must reject it.
-  DenseMatrix a(2, 2);
-  a(0, 0) = 3.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 3.0;
-  a(1, 1) = 1.0 + std::ldexp(1.0, -52);
-  EXPECT_THROW(LuSolver{a}, std::runtime_error);
+  EXPECT_THROW(Factored({3.0, 1.0, 3.0, 1.0 + std::ldexp(1.0, -52)}, 2),
+               std::runtime_error);
 }
 
 TEST(LuSolver, StiffButWellPosedDiagonalSolves) {
   // Rates spanning 14 orders of magnitude (the CTMC blocks' stiffness
   // regime) are ill-conditioned but representable exactly; the scaled
   // threshold must NOT flag them.
-  DenseMatrix a(2, 2);
-  a(0, 0) = 1e8;
-  a(1, 1) = 1e-6;
-  const LuSolver lu(a);
+  Factored lu({1e8, 0.0, 0.0, 1e-6}, 2);
   const auto x = lu.solve({1e8, 2e-6});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(LuSolver, NonSquareThrows) {
-  DenseMatrix a(2, 3);
-  EXPECT_THROW(LuSolver{a}, std::invalid_argument);
+/// A random diagonally dominant (hence nonsingular) row-major n×n matrix.
+std::vector<double> random_dd(std::size_t n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> uni(-1.0, 1.0);
+  std::vector<double> a(n * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) a[r * n + c] = uni(rng);
+    a[r * n + r] += static_cast<double>(n);
+  }
+  return a;
 }
 
-TEST(LuSolver, WrongRhsSizeThrows) {
-  const LuSolver lu(DenseMatrix::identity(3));
-  EXPECT_THROW(lu.solve({1.0, 2.0}), std::invalid_argument);
+std::vector<double> random_dd(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  return random_dd(n, rng);
 }
 
 class LuRandomSystems : public ::testing::TestWithParam<std::size_t> {};
@@ -95,16 +100,12 @@ TEST_P(LuRandomSystems, ResidualIsTiny) {
   std::mt19937_64 rng(n * 7919);
   std::uniform_real_distribution<double> uni(-1.0, 1.0);
 
-  DenseMatrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = uni(rng);
-    a(r, r) += static_cast<double>(n);  // diagonally dominant: nonsingular
-  }
+  const auto a = random_dd(n, rng);
   std::vector<double> x_true(n);
   for (auto& v : x_true) v = uni(rng);
-  const auto b = a.multiply(x_true);
+  const auto b = multiply(a, x_true);
 
-  const LuSolver lu(a);
+  Factored lu(a, n);
   const auto x = lu.solve(b);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x[i], x_true[i], 1e-9) << "i=" << i;
@@ -114,41 +115,13 @@ TEST_P(LuRandomSystems, ResidualIsTiny) {
 INSTANTIATE_TEST_SUITE_P(Sizes, LuRandomSystems,
                          ::testing::Values(1, 2, 3, 5, 10, 25, 60));
 
-DenseMatrix random_dd(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> uni(-1.0, 1.0);
-  DenseMatrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = uni(rng);
-    a(r, r) += static_cast<double>(n);  // diagonally dominant
-  }
-  return a;
-}
-
-TEST(LuSolver, SolveToIsBitwiseSolve) {
-  const std::size_t n = 6;
-  const auto a = random_dd(n, 17);
-  const LuSolver lu(a);
-  std::vector<double> b(n);
-  for (std::size_t i = 0; i < n; ++i) b[i] = 0.25 * double(i) - 1.0;
-  const auto ref = lu.solve(b);
-  std::vector<double> x(n);
-  lu.solve_to(b, x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], ref[i]) << i;
-  // Aliased b/x is allowed.
-  std::vector<double> inplace = b;
-  lu.solve_to(inplace, inplace);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(inplace[i], ref[i]) << i;
-}
-
 TEST(LuSolver, SolveManyColumnsAreBitwiseRepeatedSolves) {
   // Component-major B[r*k + j]: column j of the multi-RHS solve must be
-  // bitwise what a standalone solve of that column produces — the
+  // bitwise what a standalone solve_to of that column produces — the
   // batched solver's factor-reuse path depends on this for grouping
   // independence.
   const std::size_t n = 5, k = 4;
-  const auto a = random_dd(n, 23);
-  const LuSolver lu(a);
+  Factored lu(random_dd(n, 23), n);
   std::vector<std::vector<double>> cols(k, std::vector<double>(n));
   std::vector<double> B(n * k);
   for (std::size_t j = 0; j < k; ++j) {
@@ -157,7 +130,7 @@ TEST(LuSolver, SolveManyColumnsAreBitwiseRepeatedSolves) {
       B[r * k + j] = cols[j][r];
     }
   }
-  lu.solve_many(B, k);
+  lu.view().solve_many(B, k);
   for (std::size_t j = 0; j < k; ++j) {
     const auto ref = lu.solve(cols[j]);
     for (std::size_t r = 0; r < n; ++r) {
@@ -168,15 +141,18 @@ TEST(LuSolver, SolveManyColumnsAreBitwiseRepeatedSolves) {
 
 TEST(LuSolver, SolveManySingleRhsIsBitwiseSolveTo) {
   const std::size_t n = 7;
-  const auto a = random_dd(n, 29);
-  const LuSolver lu(a);
+  Factored lu(random_dd(n, 29), n);
   std::vector<double> b(n);
   for (std::size_t r = 0; r < n; ++r) b[r] = double(r) - 2.5;
   std::vector<double> x(n);
-  lu.solve_to(b, x);
+  lu.view().solve_to(b, x);
   std::vector<double> B = b;
-  lu.solve_many(B, 1);
+  lu.view().solve_many(B, 1);
   for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(B[r], x[r]) << r;
+  // Aliased b/x is allowed and gives the same bits.
+  std::vector<double> inplace = b;
+  lu.view().solve_to(inplace, inplace);
+  for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(inplace[r], x[r]) << r;
 }
 
 TEST(DenseLu, PointMajorIsBitwiseFactorView) {
@@ -212,25 +188,6 @@ TEST(DenseLu, PointMajorIsBitwiseFactorView) {
     }
   }
   EXPECT_TRUE(pivoted);
-}
-
-TEST(DenseLu, FactorViewIsBitwiseLuSolver) {
-  // LuFactorView::factor over caller storage must reproduce the
-  // LuSolver constructor's arithmetic exactly (the scalar/batched
-  // bitwise-parity gate rests on this).
-  const std::size_t n = 6;
-  const auto a = random_dd(n, 31);
-  const LuSolver lu(a);
-  std::vector<double> storage(a.data().begin(), a.data().end());
-  std::vector<std::uint32_t> ipiv(n);
-  LuFactorView view{storage, ipiv, n};
-  view.factor();
-  std::vector<double> b(n);
-  for (std::size_t r = 0; r < n; ++r) b[r] = 1.0 / double(r + 1);
-  const auto ref = lu.solve(b);
-  std::vector<double> x(n);
-  view.solve_to(b, x);
-  for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(x[r], ref[r]) << r;
 }
 
 TEST(DenseLu, FactorViewSingularThrows) {

@@ -4,6 +4,7 @@
 #include "spn/reliability_ode.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
@@ -169,19 +170,20 @@ TEST(ReliabilityOde, InputValidation) {
 /// 8 decades), with u_init linearly interpolated at `times`.
 std::vector<double> dense_backward_survival(const ReachabilityGraph& g,
                                             std::span<const double> times) {
-  using midas::linalg::DenseMatrix;
   const std::size_t n = g.num_states();
-  DenseMatrix q(n, n);
+  std::vector<double> q(n * n, 0.0);  // row-major generator
   for (const auto& e : g.edges) {
     if (e.src == e.dst) continue;
-    q(e.src, e.dst) += e.rate;
-    q(e.src, e.src) -= e.rate;
+    q[e.src * n + e.dst] += e.rate;
+    q[e.src * n + e.src] -= e.rate;
   }
   const auto absorbing = g.absorbing_mask();
   std::vector<double> u(n);
   for (std::size_t s = 0; s < n; ++s) u[s] = absorbing[s] ? 0.0 : 1.0;
 
   const std::size_t steps = 800;
+  std::vector<double> lhs(n * n);
+  std::vector<std::uint32_t> ipiv(n);
   std::vector<double> out(times.size());
   std::size_t next = 0;
   double prev_t = 0.0;
@@ -191,14 +193,18 @@ std::vector<double> dense_backward_survival(const ReachabilityGraph& g,
         static_cast<double>(j) / static_cast<double>(steps);
     const double now = times.back() * std::pow(10.0, -8.0 * (1.0 - frac));
     const double h = now - prev_t;
-    DenseMatrix lhs = DenseMatrix::identity(n);
     std::vector<double> rhs = u;
-    const auto qu = q.multiply(u);
     for (std::size_t r = 0; r < n; ++r) {
-      rhs[r] += 0.5 * h * qu[r];
-      for (std::size_t c = 0; c < n; ++c) lhs(r, c) -= 0.5 * h * q(r, c);
+      double qu = 0.0;
+      for (std::size_t c = 0; c < n; ++c) {
+        qu += q[r * n + c] * u[c];
+        lhs[r * n + c] = (r == c ? 1.0 : 0.0) - 0.5 * h * q[r * n + c];
+      }
+      rhs[r] += 0.5 * h * qu;
     }
-    u = midas::linalg::LuSolver(std::move(lhs)).solve(std::move(rhs));
+    midas::linalg::LuFactorView lu{lhs, ipiv, n};
+    lu.factor();
+    lu.solve_to(rhs, u);
     while (next < times.size() && times[next] <= now) {
       out[next] = prev_r + (times[next] - prev_t) / (now - prev_t) *
                                (u[g.initial] - prev_r);

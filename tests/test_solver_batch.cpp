@@ -1,10 +1,12 @@
 // Batched multi-point solver equivalence: spn::AbsorbingAnalyzer::
-// solve_batch (and the layers above it — evaluate_with_batch,
-// SweepEngine's batch chunking) must reproduce the scalar per-point
-// path BITWISE with factor reuse off, within 1e-12 relative with reuse
-// on, and independently of how points are grouped into batches.  Also
-// covers the util::Arena scratch allocator and the batch rate matrix
-// (ReachabilityGraph::compute_rates_batch) error contract.
+// solve_batch must reproduce the scalar solve BITWISE with factor reuse
+// off and within 1e-12 relative with reuse on; the layers above it —
+// evaluate_with_batch, SweepEngine's batch chunking and
+// GcsSpnModel::evaluate() — must reproduce the independent per-point
+// reference and agree with each other bitwise, however points are
+// grouped into batches.  Also covers the util::Arena scratch allocator
+// and the batch rate matrix (ReachabilityGraph::compute_rates_batch)
+// error contract.
 #include "spn/absorbing.h"
 
 #include <gtest/gtest.h>
@@ -372,7 +374,7 @@ TEST(SolverBatch, BatchRateHookDeclinesUnknownTransitions) {
   }
 }
 
-// --- Lightweight scalar solve modes (PR 7 satellites). -----------------
+// --- Scalar solve entry points. ----------------------------------------
 
 TEST(SolverBatch, StoredRateSolveMatchesExplicitRates) {
   // solve() uses the construction-time rate snapshot; it must equal
@@ -388,22 +390,6 @@ TEST(SolverBatch, StoredRateSolveMatchesExplicitRates) {
   for (std::size_t s = 0; s < g.num_states(); ++s) {
     expect_bitwise(a.sojourn[s], b.sojourn[s], "stored-rate sojourn");
   }
-}
-
-TEST(SolverBatch, LightweightSolveSkipsFullStateVectors) {
-  auto net = cycle_net(1.25, 0.5, 0.75);
-  const auto g = spn::explore(net);
-  const spn::AbsorbingAnalyzer an(g);
-  std::vector<double> stored;
-  for (const auto& e : g.edges) stored.push_back(e.rate);
-  const auto full = an.solve(stored);
-  const auto lean =
-      an.solve(stored, spn::SolveOptions{.sojourn = false,
-                                         .absorb_probability = false});
-  expect_bitwise(lean.mtta, full.mtta, "lean mtta");
-  EXPECT_TRUE(lean.sojourn.empty());
-  EXPECT_TRUE(lean.absorb_probability.empty());
-  ASSERT_TRUE(lean.converged);
 }
 
 // --- Full evaluation pipeline (evaluate_with_batch + engine). ----------
@@ -425,7 +411,11 @@ void expect_eval_bitwise(const core::Evaluation& a, const core::Evaluation& b,
   EXPECT_EQ(a.num_states, b.num_states) << what;
 }
 
-TEST(SolverBatch, EvaluateWithBatchReuseOffIsBitwiseEvaluateWith) {
+TEST(SolverBatch, EvaluateWithBatchReuseOffIsBitwiseEvaluateReference) {
+  // The batched pipeline (re-rated shared structure, solve_batch, one
+  // point-major reward pass) against the oracle that shares none of it:
+  // a fresh exploration per point, the scalar solve and one generic
+  // reward pass per cost component.
   const ModelBatch mb(tids_sweep_points(4));
   util::Arena arena;
   const auto batch =
@@ -433,35 +423,40 @@ TEST(SolverBatch, EvaluateWithBatchReuseOffIsBitwiseEvaluateWith) {
                                 mb.impulses, /*factor_reuse=*/false, arena);
   ASSERT_EQ(batch.size(), mb.num_points);
   for (std::size_t p = 0; p < mb.num_points; ++p) {
-    std::vector<double> rate_col = mb.rate_column(p);
-    std::vector<double> imp_col(mb.num_edges);
-    for (std::size_t i = 0; i < mb.num_edges; ++i) {
-      imp_col[i] = mb.impulses[i * mb.num_points + p];
-    }
-    const auto ref =
-        mb.models[p].evaluate_with(*mb.analyzer, rate_col, imp_col);
-    expect_eval_bitwise(batch[p], ref, "point " + std::to_string(p));
+    expect_eval_bitwise(batch[p], mb.models[p].evaluate_reference(),
+                        "point " + std::to_string(p));
   }
 }
 
 TEST(SolverBatch, EngineResultsAreIndependentOfBatchWidth) {
   // 17 points so widths 3 and 8 leave ragged final batches (17 = 5·3+2
-  // = 2·8+1) and width 17 is one full batch.  With factor reuse ON the
-  // batch path is grouping-independent: every width (> 1) must agree
-  // BITWISE; the scalar width-1 path agrees to 1e-12.
-  const auto pts = tids_sweep_points(17);
+  // = 2·8+1) and width 17 is one full batch.  Point 1 duplicates point
+  // 0, so at every width >= 2 their batch shares LU factorisations.
+  // Factor reuse is grouping-independent and exact, so every width —
+  // including batches of one — and GcsSpnModel::evaluate() must agree
+  // BITWISE.
+  auto pts = tids_sweep_points(16);
+  pts.insert(pts.begin() + 1, pts.front());
+  {
+    const ModelBatch head({pts[0], pts[1], pts[2]});
+    util::Arena arena;
+    const auto res = head.analyzer->solve_batch(
+        head.rates, head.num_points, spn::BatchSolveOptions{}, &arena);
+    ASSERT_GT(res.blocks_reused, 0u) << "the duplicate must share an LU";
+  }
   core::SweepEngine engine(1);
-  const auto scalar = engine.evaluate(pts, 1);
+  const auto w1 = engine.evaluate(pts, 1);
   const auto w3 = engine.evaluate(pts, 3);
   const auto w8 = engine.evaluate(pts, 8);
   const auto w17 = engine.evaluate(pts, 17);
-  ASSERT_EQ(scalar.size(), pts.size());
+  ASSERT_EQ(w1.size(), pts.size());
   for (std::size_t p = 0; p < pts.size(); ++p) {
     const std::string tag = "point " + std::to_string(p);
-    expect_eval_bitwise(w8[p], w3[p], tag + " w8-vs-w3");
-    expect_eval_bitwise(w17[p], w3[p], tag + " w17-vs-w3");
-    expect_rel(w3[p].mttsf, scalar[p].mttsf, 1e-12, tag + " mttsf");
-    expect_rel(w3[p].ctotal, scalar[p].ctotal, 1e-12, tag + " ctotal");
+    const auto single = core::GcsSpnModel(pts[p]).evaluate();
+    expect_eval_bitwise(w1[p], single, tag + " w1-vs-evaluate");
+    expect_eval_bitwise(w3[p], single, tag + " w3-vs-evaluate");
+    expect_eval_bitwise(w8[p], single, tag + " w8-vs-evaluate");
+    expect_eval_bitwise(w17[p], single, tag + " w17-vs-evaluate");
   }
 }
 

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "spn/absorbing.h"
+#include "util/arena.h"
 
 namespace {
 
@@ -112,13 +113,13 @@ TEST(StructureKey, DistinctAcrossStructuralChanges) {
 }
 
 TEST(AbsorbingAnalyzer, ImpulseRewardHonoursRateOverride) {
-  // Regression for the stored-rate defect: accumulated_impulse_reward
+  // Regression for the stored-rate defect: the eviction reward once
   // multiplied sojourn by the graph's stored e.rate even when the
-  // sojourns came from solve(edge_rates) with different rates —
-  // silently mixing two parameter points' eviction costs.  Point A's
-  // structure re-rated to point B (t_ids differs, so T_IDS/T_FA rates
-  // differ while the impulses coincide) must reproduce point B's
-  // impulse reward exactly, and must NOT equal the stored-rate value.
+  // sojourns came from re-rated edges — silently mixing two parameter
+  // points' eviction costs.  Point A's structure re-rated to point B
+  // (t_ids differs, so T_IDS/T_FA rates differ while the impulses
+  // coincide) must reproduce point B's eviction cost rate, and must NOT
+  // equal point A's.
   Params a = small_params();
   a.t_ids = 120.0;
   Params b = small_params();
@@ -129,37 +130,25 @@ TEST(AbsorbingAnalyzer, ImpulseRewardHonoursRateOverride) {
   const auto graph_a = spn::explore(model_a.net());
   const spn::AbsorbingAnalyzer analyzer(graph_a);
 
-  std::vector<double> rates_b(graph_a.edges.size());
-  std::vector<double> impulses_b(graph_a.edges.size());
-  graph_a.compute_rates(model_b.net(), rates_b, impulses_b);
-  const auto res = analyzer.solve(rates_b);
+  const std::size_t edges = graph_a.edges.size();
+  std::vector<double> rates_b(edges);
+  std::vector<double> impulses_b(edges);
+  const spn::PetriNet* net_b = &model_b.net();
+  graph_a.compute_rates_batch({&net_b, 1}, rates_b, impulses_b);
+  const core::GcsSpnModel* batch[] = {&model_b};
+  util::Arena arena;
+  const auto ev = core::evaluate_with_batch(batch, analyzer, rates_b,
+                                            impulses_b, true, arena);
 
-  // Oracle: point B solved on its own freshly explored graph.
-  const auto graph_b = spn::explore(model_b.net());
-  const spn::AbsorbingAnalyzer analyzer_b(graph_b);
-  const double want =
-      analyzer_b.accumulated_impulse_reward(analyzer_b.solve());
-  ASSERT_GT(want, 0.0);
+  // Oracle: point B on its own freshly explored graph, scalar solve.
+  const auto want = model_b.evaluate_reference();
+  ASSERT_GT(want.eviction_cost_rate, 0.0);
+  EXPECT_EQ(ev.front().eviction_cost_rate, want.eviction_cost_rate);
+  EXPECT_EQ(ev.front().ctotal, want.ctotal);
 
-  const double rate_override =
-      analyzer.accumulated_impulse_reward(res, rates_b);
-  const double full_override =
-      analyzer.accumulated_impulse_reward(res, rates_b, impulses_b);
-  EXPECT_NEAR(rate_override, want, 1e-12 * want);
-  EXPECT_NEAR(full_override, want, 1e-12 * want);
-
-  // The pre-fix behaviour — stored rates under overridden sojourns —
-  // is measurably wrong (t_ids 120 vs 30 scales the detection rates).
-  const double stored_rates = analyzer.accumulated_impulse_reward(res);
-  EXPECT_GT(std::fabs(stored_rates - want), 1e-3 * want);
-
-  // Size mismatches throw instead of silently truncating.
-  std::vector<double> short_span(graph_a.edges.size() - 1, 1.0);
-  EXPECT_THROW((void)analyzer.accumulated_impulse_reward(res, short_span),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)analyzer.accumulated_impulse_reward(res, rates_b, short_span),
-      std::invalid_argument);
+  const auto stored = model_a.evaluate_reference();
+  EXPECT_GT(std::fabs(stored.eviction_cost_rate - want.eviction_cost_rate),
+            1e-3 * want.eviction_cost_rate);
 }
 
 TEST(SweepEngine, RejectsMismatchedRateSpans) {
@@ -170,11 +159,22 @@ TEST(SweepEngine, RejectsMismatchedRateSpans) {
   std::vector<double> wrong(edges - 1, 1.0);
   EXPECT_THROW((void)analyzer.solve(wrong), std::invalid_argument);
 
-  std::vector<double> rates(edges, 1.0);
-  // Rates without impulses (or vice versa) would blend two points.
-  EXPECT_THROW((void)model.evaluate_with(analyzer, rates, {}),
+  // Spans must hold edge count x batch size doubles each: a short span,
+  // or rates and impulses sized for different batches, would read past
+  // the matrix or blend two points.
+  const core::GcsSpnModel* batch[] = {&model, &model};
+  std::vector<double> rates(2 * edges, 1.0);
+  std::vector<double> one_point(edges, 1.0);
+  util::Arena arena;
+  EXPECT_THROW((void)core::evaluate_with_batch(batch, analyzer, rates,
+                                               one_point, true, arena),
                std::invalid_argument);
-  EXPECT_THROW((void)model.evaluate_with(analyzer, {}, rates),
+  EXPECT_THROW((void)core::evaluate_with_batch(batch, analyzer, one_point,
+                                               rates, true, arena),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::evaluate_with_batch(
+                   std::span<const core::GcsSpnModel* const>{}, analyzer,
+                   {}, {}, true, arena),
                std::invalid_argument);
 }
 
@@ -204,6 +204,9 @@ TEST(ReachabilityCsr, AdjacencyIsConsistent) {
 }
 
 TEST(ReachabilityCsr, RefreshRatesMatchesFreshExploration) {
+  // Re-rating a cached structure for another point (one net through
+  // compute_rates_batch) must give bitwise the rates and impulses that
+  // exploring that point's net stores on its edges.
   Params a = small_params();
   a.t_ids = 120.0;
   Params b = small_params();
@@ -212,30 +215,22 @@ TEST(ReachabilityCsr, RefreshRatesMatchesFreshExploration) {
 
   const core::GcsSpnModel model_a(a);
   const core::GcsSpnModel model_b(b);
-  auto cached = spn::explore(model_a.net());
+  const auto cached = spn::explore(model_a.net());
   const auto fresh = spn::explore(model_b.net());
   ASSERT_EQ(cached.num_states(), fresh.num_states());
   ASSERT_EQ(cached.edges.size(), fresh.edges.size());
 
-  cached.refresh_rates(model_b.net());
+  std::vector<double> rates(cached.edges.size());
+  std::vector<double> impulses(cached.edges.size());
+  const spn::PetriNet* net_b = &model_b.net();
+  cached.compute_rates_batch({&net_b, 1}, rates, impulses);
   for (std::size_t i = 0; i < fresh.edges.size(); ++i) {
     EXPECT_EQ(cached.edges[i].src, fresh.edges[i].src);
     EXPECT_EQ(cached.edges[i].dst, fresh.edges[i].dst);
     EXPECT_EQ(cached.edges[i].transition, fresh.edges[i].transition);
-    EXPECT_DOUBLE_EQ(cached.edges[i].rate, fresh.edges[i].rate);
-    EXPECT_DOUBLE_EQ(cached.edges[i].impulse, fresh.edges[i].impulse);
+    EXPECT_EQ(rates[i], fresh.edges[i].rate) << "edge " << i;
+    EXPECT_EQ(impulses[i], fresh.edges[i].impulse) << "edge " << i;
   }
-}
-
-TEST(ReachabilityCsr, RefreshRejectsStructuralChange) {
-  Params with_leak = small_params();  // p1 > 0: T_DRQ edges exist
-  Params no_leak = small_params();
-  no_leak.p1 = 0.0;  // T_DRQ rate identically 0
-
-  const core::GcsSpnModel model(with_leak);
-  auto graph = spn::explore(model.net());
-  const core::GcsSpnModel degenerate(no_leak);
-  EXPECT_THROW(graph.refresh_rates(degenerate.net()), std::runtime_error);
 }
 
 TEST(SweepEngine, MatchesFreshPerPointEvaluation) {

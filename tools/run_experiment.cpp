@@ -11,8 +11,9 @@
 //   --round-trip-check 1   re-serialise the parsed spec and fail unless
 //                          it reproduces the input file byte-for-byte
 //                          (the wire format must be canonical);
-//   --parity-check 1       cross-check the answer: the batched analytic
-//                          solve against the scalar batch=1 path (to
+//   --parity-check 1       cross-check the answer: the analytic solve
+//                          against the independent per-point reference
+//                          (GcsSpnModel::evaluate_reference, to
 //                          --tolerance), a re-parsed spec rerun and an
 //                          identity-schedule rerun byte-for-byte, the
 //                          DES payload with spec.mc.vr stripped, and the
@@ -31,7 +32,7 @@
 #include "check_common.h"
 #include "core/experiment.h"
 #include "core/experiment_presets.h"
-#include "core/sweep_engine.h"
+#include "core/gcs_spn_model.h"
 #include "sim/protocol_sim.h"
 #include "util/cli.h"
 #include "util/json.h"
@@ -102,29 +103,24 @@ bool parity_check(const core::ExperimentSpec& spec,
   bool ok = true;
   if (const auto* run = result.find(core::BackendKind::Analytic)) {
     if (spec.base.time_varying()) {
-      std::printf("parity analytic (scalar batch=1 path):     skipped — the "
+      std::printf("parity analytic (per-point reference):     skipped — the "
                   "spec carries a schedule/mission\n");
     } else {
       // The service solves through the batched kernels; cross-check
-      // them against the scalar per-point path (batch width 1) on a
-      // fresh engine.
-      std::vector<core::Params> pts;
-      pts.reserve(run->evals.size());
-      for (std::size_t i = result.range.begin; i < result.range.end; ++i) {
-        pts.push_back(grid.point(spec.base, i));
-      }
-      core::SweepEngine engine;
-      const auto scalar = engine.evaluate(pts, 1);
-      double max_scalar = 0.0;
+      // them against the reference path, which shares neither the
+      // kernels nor the reward pass: a fresh exploration, the scalar
+      // solve and one reward pass per cost component, per point.
+      double max_diff = 0.0;
       for (std::size_t i = 0; i < run->evals.size(); ++i) {
-        max_scalar =
-            std::max(max_scalar, eval_rel_diff(run->evals[i], scalar[i]));
+        const auto reference =
+            core::GcsSpnModel(grid.point(spec.base, result.range.begin + i))
+                .evaluate_reference();
+        max_diff = std::max(max_diff, eval_rel_diff(run->evals[i], reference));
       }
-      std::printf("parity analytic (scalar batch=1 path):     max rel diff "
+      std::printf("parity analytic (per-point reference):     max rel diff "
                   "%.3e (tolerance %.0e) -> %s\n",
-                  max_scalar, tolerance,
-                  max_scalar <= tolerance ? "ok" : "FAIL");
-      ok = ok && max_scalar <= tolerance;
+                  max_diff, tolerance, max_diff <= tolerance ? "ok" : "FAIL");
+      ok = ok && max_diff <= tolerance;
     }
   }
   {
@@ -248,11 +244,13 @@ int main(int argc, char** argv) {
            "fail unless the parsed spec re-serialises to the input file "
            "byte-for-byte (0|1)");
   cli.flag("parity-check", 0,
-           "cross-check the answer against scalar, re-parsed, "
-           "identity-schedule, vr-stripped and bare-engine reruns (0|1)");
+           "cross-check the answer against per-point reference, "
+           "re-parsed, identity-schedule, vr-stripped and bare-engine "
+           "reruns (0|1)");
   cli.flag("tolerance", 1e-12,
-           "max relative batched-vs-scalar analytic difference tolerated "
-           "by --parity-check");
+           "max relative difference between the analytic answer and the "
+           "per-point reference (GcsSpnModel::evaluate_reference) "
+           "tolerated by --parity-check");
 
   try {
     if (!cli.parse(argc, argv)) return 0;
