@@ -55,7 +55,12 @@ done
 # re-parsed spec reruns to CANONICALLY IDENTICAL bytes, and
 # --round-trip-check that the model descriptors serialise canonically;
 # presets with a constant-model analytic backend also get the per-point
-# reference cross-check, and protocol presets the bare-engine rerun.  rare_event additionally exercises
+# reference cross-check, and protocol presets the bare-engine rerun.
+# The phased presets (mission_phased, attacker_surge) get the
+# identical-phase chain check instead: each point's first-segment
+# params, split into all-inherit phases at the spec's boundaries, must
+# chain through MissionAnalyzer back to the per-point reference within
+# 1e-12.  rare_event additionally exercises
 # the spec.mc.vr round-trip and the vr-neutral parity gate (stripping
 # the vr block must leave the DES mc payload bitwise), val_protocol_ci
 # the CI-targeted pair-averaged stopping on the protocol backend.

@@ -1162,56 +1162,9 @@ ExperimentResult merge_experiment_results(
   return merged;
 }
 
-// --- Built-in backends + service. -------------------------------------
+// --- The service and its three backends. -------------------------------
 
 namespace {
-
-class AnalyticBackend final : public Backend {
- public:
-  AnalyticBackend(SweepEngine& engine, std::size_t threads)
-      : engine_(engine), threads_(threads) {}
-  [[nodiscard]] BackendKind kind() const override {
-    return BackendKind::Analytic;
-  }
-  [[nodiscard]] BackendRun run(const ExperimentSpec& spec, const GridSpec&,
-                               std::span<const Params> points,
-                               ShardRange) override {
-    const util::Stopwatch watch;
-    BackendRun out;
-    out.kind = BackendKind::Analytic;
-    if (!spec.base.time_varying()) {
-      out.evals = engine_.evaluate(points, spec.analytic.batch);
-    } else if (resolve_timeline(spec.base).size() == 1) {
-      // Constant variation (identity or a single always-on scaling):
-      // resolve each point to its one constant segment and keep the
-      // batched sweep path.  Identity multipliers are IEEE-exact, so
-      // this payload is bitwise the no-schedule one.
-      std::vector<Params> constant;
-      constant.reserve(points.size());
-      for (const auto& p : points) {
-        constant.push_back(resolve_timeline(p).front().params);
-      }
-      out.evals = engine_.evaluate(constant, spec.analytic.batch);
-    } else {
-      // Phased mission: chain the transient solver across boundaries,
-      // one analyzer per grid point.  Points are independent, so the
-      // MC thread pool shape applies.
-      out.evals.resize(points.size());
-      sim::parallel_for(
-          points.size(),
-          [&](std::size_t i) {
-            out.evals[i] = MissionAnalyzer(points[i]).evaluate();
-          },
-          threads_);
-    }
-    out.seconds = watch.seconds();
-    return out;
-  }
-
- private:
-  SweepEngine& engine_;
-  std::size_t threads_;
-};
 
 /// Shard-invariant MC options: stream keys shifted to GLOBAL point
 /// indices, service-level thread default applied.
@@ -1223,80 +1176,85 @@ sim::McOptions effective_mc(const ExperimentSpec& spec, ShardRange range,
   return mc;
 }
 
-class DesBackend final : public Backend {
- public:
-  explicit DesBackend(std::size_t threads) : threads_(threads) {}
-  [[nodiscard]] BackendKind kind() const override {
-    return BackendKind::Des;
-  }
-  [[nodiscard]] BackendRun run(const ExperimentSpec& spec, const GridSpec&,
-                               std::span<const Params> points,
-                               ShardRange range) override {
-    const util::Stopwatch watch;
-    const sim::McOptions mc = effective_mc(spec, range, threads_);
-    sim::MonteCarloEngine engine(mc);
-    BackendRun out;
-    out.kind = BackendKind::Des;
-    out.mc = engine.run_des(points);
-    out.mc_stats = engine.stats();
-    // The vr layer runs AFTER the plain pass on its own tagged seed
-    // domains: the mc payload above is bitwise the payload of a vr-less
-    // run of the same spec (the parity harness checks exactly this).
-    if (spec.vr.any()) out.vr = vr::run_vr(spec.vr, mc, points);
-    out.seconds = watch.seconds();
-    return out;
-  }
-
- private:
-  std::size_t threads_;
-};
-
-class ProtocolSimBackend final : public Backend {
- public:
-  explicit ProtocolSimBackend(std::size_t threads) : threads_(threads) {}
-  [[nodiscard]] BackendKind kind() const override {
-    return BackendKind::ProtocolSim;
-  }
-  [[nodiscard]] BackendRun run(const ExperimentSpec& spec, const GridSpec&,
-                               std::span<const Params> points,
-                               ShardRange range) override {
-    const util::Stopwatch watch;
-    std::vector<sim::ProtocolSimParams> sim_points;
-    sim_points.reserve(points.size());
-    for (const auto& p : points) {
-      sim::ProtocolSimParams q;
-      q.model = p;
-      q.mobility = spec.protocol.mobility;
-      q.radio_range_m = spec.protocol.radio_range_m;
-      q.tick_s = spec.protocol.tick_s;
-      q.topology_refresh_s = spec.protocol.topology_refresh_s;
-      q.max_time_s = spec.protocol.max_time_s;
-      sim_points.push_back(std::move(q));
-    }
-    sim::MonteCarloEngine engine(effective_mc(spec, range, threads_));
-    BackendRun out;
-    out.kind = BackendKind::ProtocolSim;
-    out.mc = engine.run_protocol(sim_points);
-    out.mc_stats = engine.stats();
-    out.seconds = watch.seconds();
-    return out;
-  }
-
- private:
-  std::size_t threads_;
-};
-
 }  // namespace
 
 ExperimentService::ExperimentService(ExperimentServiceOptions opts)
-    : engine_(opts.threads) {
-  backends_.push_back(
-      std::make_unique<AnalyticBackend>(engine_, opts.threads));
-  backends_.push_back(std::make_unique<DesBackend>(opts.threads));
-  backends_.push_back(std::make_unique<ProtocolSimBackend>(opts.threads));
+    : threads_(opts.threads), engine_(opts.threads) {}
+
+std::vector<Evaluation> ExperimentService::run_analytic(
+    const ExperimentSpec& spec, std::span<const Params> points) {
+  if (!spec.base.time_varying()) {
+    return engine_.evaluate(points, spec.analytic.batch);
+  }
+  if (resolve_timeline(spec.base).size() == 1) {
+    // Constant variation (identity or a single always-on scaling):
+    // resolve each point to its one constant segment and keep the
+    // batched sweep path.  Identity multipliers are IEEE-exact, so
+    // this payload is bitwise the no-schedule one.
+    std::vector<Params> constant;
+    constant.reserve(points.size());
+    for (const auto& p : points) {
+      constant.push_back(resolve_timeline(p).front().params);
+    }
+    return engine_.evaluate(constant, spec.analytic.batch);
+  }
+  // Phased mission: chain the transient solver across boundaries, one
+  // analyzer per grid point.  Points are independent, so the MC thread
+  // pool shape applies.
+  std::vector<Evaluation> evals(points.size());
+  sim::parallel_for(
+      points.size(),
+      [&](std::size_t i) { evals[i] = MissionAnalyzer(points[i]).evaluate(); },
+      threads_);
+  return evals;
 }
 
-ExperimentService::~ExperimentService() = default;
+BackendRun ExperimentService::run_des(const ExperimentSpec& spec,
+                                      std::span<const Params> points,
+                                      ShardRange range,
+                                      const BackendRun* analytic) {
+  const sim::McOptions mc = effective_mc(spec, range, threads_);
+  sim::MonteCarloEngine engine(mc);
+  BackendRun out;
+  out.mc = engine.run_des(points);
+  out.mc_stats = engine.stats();
+  // The vr layer runs AFTER the plain pass on its own tagged seed
+  // domains: the mc payload above is bitwise the payload of a vr-less
+  // run of the same spec (the parity harness checks exactly this).  cv
+  // takes its means from this request's analytic answer, else the warm
+  // engine's.
+  if (spec.vr.any()) {
+    std::vector<Evaluation> solved;
+    if (spec.vr.cv.enabled && analytic == nullptr) {
+      solved = engine_.evaluate(points, spec.analytic.batch);
+    }
+    out.vr = vr::run_vr(spec.vr, mc, points,
+                        analytic != nullptr ? analytic->evals : solved);
+  }
+  return out;
+}
+
+BackendRun ExperimentService::run_protocol(const ExperimentSpec& spec,
+                                           std::span<const Params> points,
+                                           ShardRange range) const {
+  std::vector<sim::ProtocolSimParams> sim_points;
+  sim_points.reserve(points.size());
+  for (const auto& p : points) {
+    sim::ProtocolSimParams q;
+    q.model = p;
+    q.mobility = spec.protocol.mobility;
+    q.radio_range_m = spec.protocol.radio_range_m;
+    q.tick_s = spec.protocol.tick_s;
+    q.topology_refresh_s = spec.protocol.topology_refresh_s;
+    q.max_time_s = spec.protocol.max_time_s;
+    sim_points.push_back(std::move(q));
+  }
+  sim::MonteCarloEngine engine(effective_mc(spec, range, threads_));
+  BackendRun out;
+  out.mc = engine.run_protocol(sim_points);
+  out.mc_stats = engine.stats();
+  return out;
+}
 
 ExperimentResult ExperimentService::run(const ExperimentSpec& spec) {
   spec.validate();
@@ -1319,12 +1277,22 @@ ExperimentResult ExperimentService::run(const ExperimentSpec& spec) {
   result.shard_policy = to_string(spec.shard.policy);
 
   for (const BackendKind kind : spec.backends) {
-    for (auto& backend : backends_) {
-      if (backend->kind() == kind) {
-        result.backends.push_back(backend->run(spec, grid, points, range));
+    const util::Stopwatch watch;
+    BackendRun run;
+    switch (kind) {
+      case BackendKind::Analytic:
+        run.evals = run_analytic(spec, points);
         break;
-      }
+      case BackendKind::Des:
+        run = run_des(spec, points, range, result.find(BackendKind::Analytic));
+        break;
+      case BackendKind::ProtocolSim:
+        run = run_protocol(spec, points, range);
+        break;
     }
+    run.kind = kind;
+    run.seconds = watch.seconds();
+    result.backends.push_back(std::move(run));
   }
   return result;
 }

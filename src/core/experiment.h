@@ -11,11 +11,11 @@
 //     fully determines a worker's job — it is the wire format the
 //     sweep_shard / sweep_merge / run_experiment tools speak, and the
 //     API a network-facing service would accept.
-//   * core::Backend is the small interface every solver implements;
-//     AnalyticBackend (batched SweepEngine solve), DesBackend
-//     (MonteCarloEngine over simulate_group) and ProtocolSimBackend
-//     (MonteCarloEngine over run_protocol_sim) are interchangeable
-//     per request — any subset, one pass each.
+//   * core::BackendKind names the three answers: Analytic (batched
+//     SweepEngine solve, or the MissionAnalyzer chain for a phased
+//     spec), Des (MonteCarloEngine over simulate_group) and
+//     ProtocolSim (MonteCarloEngine over run_protocol_sim) — any
+//     subset per request, one pass each.
 //   * core::ExperimentService::run(spec) validates, expands the grid,
 //     resolves the shard slice, runs every requested backend and
 //     returns an ExperimentResult whose JSON form (raw Welford states,
@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -224,20 +223,6 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult merge_experiment_results(
     std::span<const ExperimentResult> parts);
 
-/// One solver behind the service.  Implementations must answer the
-/// point slice independently of which shard runs it (the merge
-/// invariant): MC substream keys are global (point_stream_offset),
-/// analytic solves are per-point.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  [[nodiscard]] virtual BackendKind kind() const = 0;
-  [[nodiscard]] virtual BackendRun run(const ExperimentSpec& spec,
-                                       const GridSpec& grid,
-                                       std::span<const Params> points,
-                                       ShardRange range) = 0;
-};
-
 struct ExperimentServiceOptions {
   /// Worker threads for every backend (0 = hardware concurrency).
   /// A non-zero spec.mc.threads takes precedence for the simulation
@@ -247,12 +232,13 @@ struct ExperimentServiceOptions {
 
 /// The one entry point: run(spec) → ExperimentResult.  Holds the
 /// analytic SweepEngine (structure cache shared across requests — a
-/// figure grid and its validation grid explore once) and the three
-/// built-in backends.
+/// figure grid and its validation grid explore once).  Every backend
+/// answers the point slice independently of which shard runs it (the
+/// merge invariant): MC substream keys are global
+/// (point_stream_offset), analytic solves are per-point.
 class ExperimentService {
  public:
   explicit ExperimentService(ExperimentServiceOptions opts = {});
-  ~ExperimentService();
   ExperimentService(const ExperimentService&) = delete;
   ExperimentService& operator=(const ExperimentService&) = delete;
 
@@ -263,8 +249,19 @@ class ExperimentService {
   [[nodiscard]] SweepEngine& sweep_engine() noexcept { return engine_; }
 
  private:
+  [[nodiscard]] std::vector<Evaluation> run_analytic(
+      const ExperimentSpec& spec, std::span<const Params> points);
+  /// `analytic`: this request's Analytic run, if it came first.
+  [[nodiscard]] BackendRun run_des(const ExperimentSpec& spec,
+                                   std::span<const Params> points,
+                                   ShardRange range,
+                                   const BackendRun* analytic);
+  [[nodiscard]] BackendRun run_protocol(const ExperimentSpec& spec,
+                                        std::span<const Params> points,
+                                        ShardRange range) const;
+
+  std::size_t threads_;
   SweepEngine engine_;
-  std::vector<std::unique_ptr<Backend>> backends_;
 };
 
 }  // namespace midas::core

@@ -526,7 +526,7 @@ std::vector<double> GcsSpnModel::reliability_at(
   // times.
   if (times.empty()) return {};
   return spn::ReliabilityOde(graph())
-      .propagate({}, times.back(), {}, times)
+      .propagate({}, times.back(), times)
       .survival_at;
 }
 

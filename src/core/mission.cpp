@@ -29,21 +29,13 @@ MissionAnalyzer::MissionAnalyzer(Params params, MissionOptions options)
   const std::string key0 = structure_key(timeline_[0].params);
   for (std::size_t k = 0; k < segments_.size(); ++k) {
     auto& s = segments_[k];
-    if (k > 0 && structure_key(timeline_[k].params) == key0) {
-      s.graph = &graph0;
-      s.rates.resize(graph0.edges.size());
-      s.impulses.resize(graph0.edges.size());
-      const spn::PetriNet* net = &s.model->net();
-      graph0.compute_rates_batch({&net, 1}, s.rates, s.impulses);
-    } else {
-      s.graph = k == 0 ? &graph0 : &s.model->graph();
-      s.rates.reserve(s.graph->edges.size());
-      s.impulses.reserve(s.graph->edges.size());
-      for (const auto& e : s.graph->edges) {
-        s.rates.push_back(e.rate);
-        s.impulses.push_back(e.impulse);
-      }
-    }
+    s.graph = k == 0 || structure_key(timeline_[k].params) == key0
+                  ? &graph0
+                  : &s.model->graph();
+    s.rates.resize(s.graph->edges.size());
+    s.impulses.resize(s.graph->edges.size());
+    const spn::PetriNet* net = &s.model->net();
+    s.graph->compute_rates_batch({&net, 1}, s.rates, s.impulses);
   }
 }
 
@@ -91,66 +83,43 @@ std::vector<double> MissionAnalyzer::remap_weights(
 Evaluation MissionAnalyzer::evaluate() const {
   if (segments_.size() == 1) return segments_[0].model->evaluate();
 
-  // Functional layout per segment: 6 cost components in CostBreakdown
-  // member order, then eviction impulse flux, then C1/C2 absorption
-  // fluxes.
-  constexpr std::size_t kEvict = 6, kC1 = 7, kC2 = 8, kNumF = 9;
+  // Every segment is rewarded by the one reward pass of every
+  // constant-rate evaluation, as a batch of one: a finite phase with
+  // its occupancy and absorbed mass, the tail with its sojourn and
+  // absorption probabilities.
+  RewardSums acc;
+  const auto reward = [&](std::size_t k, std::span<const double> sojourn,
+                          std::span<const double> absorbed) {
+    const auto& seg = segments_[k];
+    const GcsSpnModel* model = seg.model.get();
+    acc += accumulate_rewards({&model, 1}, *seg.graph, sojourn, absorbed,
+                              seg.rates, seg.impulses)
+               .front();
+  };
   std::vector<double> w;  // boundary weights (full-state, per graph)
   double mttsf = 0.0;
-  RewardSums acc;
-
   for (std::size_t k = 0; k + 1 < segments_.size(); ++k) {
     const auto& seg = segments_[k];
-    const auto& graph = *seg.graph;
-    const std::size_t n = graph.num_states();
-    const auto absorbing = graph.absorbing_mask();
-
-    std::vector<std::vector<double>> f(kNumF, std::vector<double>(n, 0.0));
-    for (std::size_t s = 0; s < n; ++s) {
-      if (absorbing[s]) continue;
-      const auto c = seg.model->cost_rates(graph.states[s]);
-      f[0][s] = c.group_comm;
-      f[1][s] = c.status;
-      f[2][s] = c.rekey;
-      f[3][s] = c.ids;
-      f[4][s] = c.beacon;
-      f[5][s] = c.partition_merge;
-    }
-    for (std::size_t i = 0; i < graph.edges.size(); ++i) {
-      const auto& e = graph.edges[i];
-      if (seg.impulses[i] != 0.0) {
-        f[kEvict][e.src] += seg.rates[i] * seg.impulses[i];
-      }
-      if (e.src != e.dst && absorbing[e.dst]) {
-        if (seg.model->failed_c1(graph.states[e.dst])) {
-          f[kC1][e.src] += seg.rates[i];
-        } else if (seg.model->failed_c2(graph.states[e.dst])) {
-          f[kC2][e.src] += seg.rates[i];
-        }
-      }
-    }
-
     const double duration =
         timeline_[k + 1].start_s - timeline_[k].start_s;
-    const spn::ReliabilityOde ode(graph, seg.rates);
-    const auto res = ode.propagate(w, duration, f, {}, options_.ode);
+    const spn::ReliabilityOde ode(*seg.graph, seg.rates);
+    const auto res = ode.propagate(w, duration, {}, options_.ode);
+    // accumulate_rewards skips non-positive sojourn: a negative entry
+    // must fail here rather than drop out of every reward.
+    spn::check_transient_mass(
+        res.occupancy, *seg.graph,
+        "MissionAnalyzer: phase '" + timeline_[k].label + "' occupancy");
     mttsf += res.survival_integral;
-    const auto& fi = res.functional_integrals;
-    acc += RewardSums{{fi[0], fi[1], fi[2], fi[3], fi[4], fi[5]},
-                      fi[kEvict], fi[kC1], fi[kC2]};
+    reward(k, res.occupancy, res.absorbed);
     w = remap_weights(res.weights, k, k + 1);
   }
 
   // Final (infinite-horizon) segment: close the chain analytically from
-  // the boundary distribution, rewarded by the same pass as every
-  // constant-rate evaluation (a batch of one).
+  // the boundary distribution.
   const auto& seg = segments_.back();
   const spn::AbsorbingAnalyzer analyzer(*seg.graph);
   const auto res = analyzer.solve_from(w, seg.rates);
-  const GcsSpnModel* model = seg.model.get();
-  acc += accumulate_rewards({&model, 1}, *seg.graph, res.sojourn,
-                            res.absorb_probability, seg.rates, seg.impulses)
-             .front();
+  reward(segments_.size() - 1, res.sojourn, res.absorb_probability);
 
   Evaluation ev;
   ev.num_states = segments_[0].graph->num_states();
@@ -198,7 +167,7 @@ std::vector<double> MissionAnalyzer::reliability_at(
     const spn::ReliabilityOde ode(*segments_[k].graph,
                                   segments_[k].rates);
     const auto res =
-        ode.propagate(w, end - start, {}, emit, options_.ode);
+        ode.propagate(w, end - start, emit, options_.ode);
     for (std::size_t j = 0; j < emit.size(); ++j) {
       out[first + j] = res.survival_at[j];
     }

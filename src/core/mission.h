@@ -6,13 +6,14 @@
 // each non-final segment the transient distribution advances by
 // Crank–Nicolson steps of the adjoint backward-Kolmogorov system
 // (spn::ReliabilityOde::propagate), accumulating the segment's
-// survival-time integral (its MTTSF share), the six cost-rate
-// integrals, the eviction impulse flux and the C1/C2 absorption
-// fluxes; the weights at each boundary seed the next segment.  The
-// final segment (infinite horizon) closes the chain analytically with
-// spn::AbsorbingAnalyzer::solve_from on the boundary distribution, and
-// core::accumulate_rewards — the reward pass of every constant-rate
-// evaluation — rewards it as a batch of one.
+// survival-time integral (its MTTSF share), its occupancy ∫w dt and
+// the mass it absorbed; the weights at each boundary seed the next
+// segment.  The final segment (infinite horizon) closes the chain
+// analytically with spn::AbsorbingAnalyzer::solve_from on the boundary
+// distribution.  core::accumulate_rewards — the reward pass of every
+// constant-rate evaluation — rewards each segment as a batch of one,
+// the phases' occupancy and absorbed mass standing in for the tail's
+// sojourn and absorption probabilities.
 // Every θ-step and the tail are the same exact SCC-block substitution
 // (spn::TransientStructure), so fast partition/merge cycling costs
 // neither accuracy nor iterations.  A non-final segment need not

@@ -195,6 +195,51 @@ void TransientStructure::substitute(std::span<const double> edge_rates,
   }
 }
 
+void TransientStructure::absorption_flow(std::span<const double> edge_rates,
+                                         std::span<const double> x,
+                                         std::span<double> absorbed) const {
+  for (std::size_t i = 0; i < size(); ++i) {
+    for (std::uint32_t k = abs_offsets[i]; k < abs_offsets[i + 1]; ++k) {
+      const auto& ae = abs_edges[k];
+      absorbed[ae.dst] += x[i] * edge_rates[ae.edge];
+    }
+  }
+}
+
+void check_transient_mass(std::span<const double> mass,
+                          const ReachabilityGraph& graph,
+                          const std::string& name) {
+  if (mass.size() != graph.num_states()) {
+    throw std::invalid_argument(name + " size " + std::to_string(mass.size()) +
+                                " does not match state count " +
+                                std::to_string(graph.num_states()));
+  }
+  // Mass at an absorbing state would be silently dropped, and a
+  // non-finite entry would flow into every expectation.  Negative
+  // entries within rounding of zero are what a θ-step leaves behind.
+  double total = 0.0;
+  for (const double w : mass) {
+    if (std::isfinite(w)) total += std::abs(w);
+  }
+  const auto absorbing = graph.absorbing_mask();
+  for (std::size_t s = 0; s < mass.size(); ++s) {
+    const double w = mass[s];
+    const char* defect = nullptr;
+    if (!std::isfinite(w)) {
+      defect = "is not finite";
+    } else if (w != 0.0 && absorbing[s]) {
+      defect = "is nonzero at an absorbing state";
+    } else if (w < -1e-12 * total) {
+      defect = "is negative beyond rounding";
+    }
+    if (defect == nullptr) continue;
+    std::ostringstream msg;
+    msg << name << '[' << s << "] = " << w << ' ' << defect << " (marking "
+        << graph.states[s].to_string() << ")";
+    throw std::invalid_argument(msg.str());
+  }
+}
+
 AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
     : graph_(graph), t_(graph) {
   const std::size_t nt = t_.size();
@@ -289,48 +334,10 @@ AbsorbingResult AbsorbingAnalyzer::solve() const {
 
 AbsorbingResult AbsorbingAnalyzer::solve(
     std::span<const double> edge_rates) const {
-  return solve_impl({}, edge_rates);
+  return solve_from({}, edge_rates);
 }
 
 AbsorbingResult AbsorbingAnalyzer::solve_from(
-    std::span<const double> initial_mass,
-    std::span<const double> edge_rates) const {
-  if (!initial_mass.empty() && initial_mass.size() != graph_.num_states()) {
-    throw std::invalid_argument(
-        "AbsorbingAnalyzer::solve_from: initial_mass size " +
-        std::to_string(initial_mass.size()) +
-        " does not match state count " +
-        std::to_string(graph_.num_states()));
-  }
-  // The precondition, checked: mass at an absorbing state would be
-  // silently dropped, and a non-finite entry would flow into every
-  // expectation.  Negative entries within rounding of zero are what a
-  // θ-step leaves behind and are accepted.
-  double total = 0.0;
-  for (const double w : initial_mass) {
-    if (std::isfinite(w)) total += std::abs(w);
-  }
-  for (std::size_t s = 0; s < initial_mass.size(); ++s) {
-    const double w = initial_mass[s];
-    const char* defect = nullptr;
-    if (!std::isfinite(w)) {
-      defect = "is not finite";
-    } else if (w != 0.0 && t_.compact[s] == UINT32_MAX) {
-      defect = "is nonzero at an absorbing state";
-    } else if (w < -1e-12 * total) {
-      defect = "is negative beyond rounding";
-    }
-    if (defect == nullptr) continue;
-    std::ostringstream msg;
-    msg << "AbsorbingAnalyzer::solve_from: initial_mass[" << s << "] = " << w
-        << ' ' << defect << " (marking " << graph_.states[s].to_string()
-        << ")";
-    throw std::invalid_argument(msg.str());
-  }
-  return solve_impl(initial_mass, edge_rates);
-}
-
-AbsorbingResult AbsorbingAnalyzer::solve_impl(
     std::span<const double> initial_mass,
     std::span<const double> edge_rates) const {
   if (edge_rates.size() != graph_.edges.size()) {
@@ -338,6 +345,10 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
         "AbsorbingAnalyzer::solve: edge_rates size " +
         std::to_string(edge_rates.size()) + " does not match edge count " +
         std::to_string(graph_.edges.size()));
+  }
+  if (!initial_mass.empty()) {
+    check_transient_mass(initial_mass, graph_,
+                         "AbsorbingAnalyzer::solve_from: initial_mass");
   }
   const std::size_t n = graph_.num_states();
   const std::size_t nt = t_.size();
@@ -382,16 +393,8 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
   }
   res.mtta = mtta;
 
-  // Absorption probabilities: flow into each absorbing state, via the
-  // compacted transient→absorbing edge list.
   res.absorb_probability.assign(n, 0.0);
-  for (std::size_t i = 0; i < nt; ++i) {
-    for (std::uint32_t k = t_.abs_offsets[i]; k < t_.abs_offsets[i + 1];
-         ++k) {
-      const auto& ae = t_.abs_edges[k];
-      res.absorb_probability[ae.dst] += tau[i] * edge_rates[ae.edge];
-    }
-  }
+  t_.absorption_flow(edge_rates, tau, res.absorb_probability);
   return res;
 }
 

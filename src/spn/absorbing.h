@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "spn/reachability.h"
@@ -87,6 +88,13 @@ struct TransientStructure {
   void substitute(std::span<const double> edge_rates,
                   std::span<const double> exit_rate, double shift,
                   std::span<double> x, Scratch& scratch) const;
+
+  /// absorbed[a] += Σ_i x_i·r(i→a) for compact `x` and full-state
+  /// `absorbed`: the absorption probabilities of a sojourn τ, or the
+  /// mass a θ-phase absorbed from its occupancy ∫w dt.
+  void absorption_flow(std::span<const double> edge_rates,
+                       std::span<const double> x,
+                       std::span<double> absorbed) const;
 
   /// Full → compact index (UINT32_MAX at absorbing states).
   std::vector<std::uint32_t> compact;
@@ -156,6 +164,14 @@ struct AbsorbingBatchResult {
   std::size_t blocks_reused = 0;    ///< point-solves served by a shared LU
 };
 
+/// Throws std::invalid_argument naming `name` when `mass` is not
+/// full-state sized, or naming `name`[s] and its marking when an entry is
+/// not finite, is nonzero at an absorbing state, or is negative beyond
+/// rounding (below −1e-12·Σ|mass|).
+void check_transient_mass(std::span<const double> mass,
+                          const ReachabilityGraph& graph,
+                          const std::string& name);
+
 class AbsorbingAnalyzer {
  public:
   /// The graph must contain at least one absorbing state, reachable
@@ -190,11 +206,8 @@ class AbsorbingAnalyzer {
   /// this by construction).  The mass need not sum to 1: mtta, rewards
   /// and absorb probabilities scale linearly, so a sub-stochastic tail
   /// distribution yields the correctly weighted partial expectations.
-  /// Throws std::invalid_argument naming the first offending index and
-  /// its marking when an entry is not finite, is nonzero at an
-  /// absorbing state, or is negative beyond rounding (below
-  /// −1e-12·Σ|w|).  An empty span means the graph's initial state and
-  /// is bitwise the plain solve(edge_rates).
+  /// check_transient_mass vets it first.  An empty span means the
+  /// graph's initial state and is bitwise the plain solve(edge_rates).
   [[nodiscard]] AbsorbingResult solve_from(
       std::span<const double> initial_mass,
       std::span<const double> edge_rates) const;
@@ -244,12 +257,6 @@ class AbsorbingAnalyzer {
   }
 
  private:
-  /// Shared core of solve()/solve_from(): empty `initial_mass` takes
-  /// the legacy unit-mass-at-initial branch bitwise.
-  [[nodiscard]] AbsorbingResult solve_impl(
-      std::span<const double> initial_mass,
-      std::span<const double> edge_rates) const;
-
   const ReachabilityGraph& graph_;
   const TransientStructure t_;
   // Rates stored on the graph edges at construction (no-arg solve()).

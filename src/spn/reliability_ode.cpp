@@ -64,7 +64,6 @@ ReliabilityOde::ReliabilityOde(const ReachabilityGraph& graph,
 
 ForwardResult ReliabilityOde::propagate(
     std::span<const double> initial, double duration,
-    std::span<const std::vector<double>> functionals,
     std::span<const double> emit_times,
     const ReliabilityOdeOptions& opts) const {
   // Emit times first, so a NaN or infinite horizon handed down from
@@ -93,16 +92,11 @@ ForwardResult ReliabilityOde::propagate(
         "propagate: initial size " + std::to_string(initial.size()) +
         " does not match state count " + std::to_string(n));
   }
-  for (const auto& f : functionals) {
-    if (f.size() != n) {
-      throw std::invalid_argument(
-          "propagate: functional size does not match state count");
-    }
-  }
 
   ForwardResult res;
   res.weights.assign(n, 0.0);
-  res.functional_integrals.assign(functionals.size(), 0.0);
+  res.occupancy.assign(n, 0.0);
+  res.absorbed.assign(n, 0.0);
   res.survival_at.assign(emit_times.size(), 0.0);
   const std::size_t nt = t_.size();
   if (nt == 0) return res;
@@ -121,16 +115,14 @@ ForwardResult ReliabilityOde::propagate(
     for (const double v : x) acc += v;
     return acc;
   };
-  // ⟨f, w⟩ with f full-state indexed and w compact.
-  const auto dot = [&](const std::vector<double>& f,
-                       const std::vector<double>& x) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < nt; ++c) acc += f[t_.expand[c]] * x[c];
-    return acc;
-  };
 
+  std::vector<double> occupancy(nt, 0.0);  // compact ∫w dt
   const auto scatter = [&] {
-    for (std::size_t c = 0; c < nt; ++c) res.weights[t_.expand[c]] = w[c];
+    for (std::size_t c = 0; c < nt; ++c) {
+      res.weights[t_.expand[c]] = w[c];
+      res.occupancy[t_.expand[c]] = occupancy[c];
+    }
+    t_.absorption_flow(rates_, occupancy, res.absorbed);
   };
 
   std::size_t next_emit = 0;
@@ -158,10 +150,6 @@ ForwardResult ReliabilityOde::propagate(
   t_.exit_rates(rates_, exit);
   auto scratch = t_.make_scratch();
   std::vector<double> rhs(nt);
-  std::vector<double> fdot_prev(functionals.size());
-  for (std::size_t k = 0; k < functionals.size(); ++k) {
-    fdot_prev[k] = dot(functionals[k], w);
-  }
 
   double prev_now = 0.0;
   for (std::size_t j = 1; j < grid.size(); ++j) {
@@ -172,7 +160,8 @@ ForwardResult ReliabilityOde::propagate(
     // working precision.
     const double step = grid[j] - grid[j - 1];
     const double shift = 1.0 / (kTheta * step);
-    if (std::isfinite(shift)) {
+    const bool stepped = std::isfinite(shift);
+    if (stepped) {
       const double explicit_h = (1.0 - kTheta) * step;
       for (std::size_t r = 0; r < nt; ++r) {
         double qtw = -exit[r] * w[r];
@@ -187,15 +176,15 @@ ForwardResult ReliabilityOde::propagate(
       t_.substitute(rates_, exit, shift, w, scratch);
     }
 
-    // Trapezoid accumulation of the survival-time and rate integrals
-    // over this step, then interpolated emissions.
+    // Trapezoid accumulation of the survival time and the occupancy
+    // over this step (after a step, rhs holds the previous iterate),
+    // then interpolated emissions.
     const double now = grid[j];
     const double s_now = total(w);
     res.survival_integral += 0.5 * step * (s_prev + s_now);
-    for (std::size_t k = 0; k < functionals.size(); ++k) {
-      const double fd = dot(functionals[k], w);
-      res.functional_integrals[k] += 0.5 * step * (fdot_prev[k] + fd);
-      fdot_prev[k] = fd;
+    const std::vector<double>& w_prev = stepped ? rhs : w;
+    for (std::size_t c = 0; c < nt; ++c) {
+      occupancy[c] += 0.5 * step * (w_prev[c] + w[c]);
     }
     emit_upto(prev_now, now, s_now);
     prev_now = now;

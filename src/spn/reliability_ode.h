@@ -25,6 +25,10 @@
 // next phase.  Per-phase generators come from the constructor's
 // edge-rate override (the sweep-engine re-rating idiom), so one explored
 // graph serves every structure-invariant phase.
+// A CN step is w_{j+1} − w_j = Q_TTᵀ·h_j/2·(w_j + w_{j+1}), so the
+// trapezoid occupancy ∫w dt telescopes to Q_TTᵀ·occupancy = w_N − w_0:
+// a phase's occupancy plus the exact sojourn from its end weights is the
+// exact sojourn from its start weights, whatever the grid.
 #pragma once
 
 #include <span>
@@ -54,9 +58,12 @@ struct ForwardResult {
   /// ∫₀^duration Σ_i w_i(t) dt — the phase's survival-time integral
   /// (its MTTSF contribution).
   double survival_integral = 0.0;
-  /// ∫₀^duration ⟨f_k, w(t)⟩ dt per supplied functional f_k (rate
-  /// rewards: cost components, absorption fluxes, ...).
-  std::vector<double> functional_integrals;
+  /// ∫₀^duration w(t) dt per state (full-state, 0 at absorbing states):
+  /// the phase's sojourn.
+  std::vector<double> occupancy;
+  /// Mass absorbed per absorbing state during the phase (full-state):
+  /// Σ_i occupancy_i·r(i→a), so Σw(duration) + Σabsorbed = Σw(0).
+  std::vector<double> absorbed;
   /// Σ_i w_i(t_j) at each requested emit time (linear interpolation on
   /// the integration grid, clamped to [0, 1]).
   std::vector<double> survival_at;
@@ -75,16 +82,14 @@ class ReliabilityOde {
   /// Advances the transient distribution `initial` (full-state
   /// indexing; entries at absorbing states must be zero — absorbed mass
   /// has left the survival problem) through `duration` seconds of this
-  /// generator.  Accumulates the survival-time integral, one rate
-  /// integral per functional in `functionals` (each full-state
-  /// indexed), and Σw at each `emit_times` entry (finite, ascending,
-  /// within [0, duration]; std::invalid_argument names the first bad
-  /// index).  Empty `initial` means the graph's initial state, so
-  /// R(t_j) is propagate({}, times.back(), {}, times).survival_at.
+  /// generator.  Accumulates the survival-time integral, the occupancy
+  /// and absorbed mass, and Σw at each `emit_times` entry (finite,
+  /// ascending, within [0, duration]; std::invalid_argument names the
+  /// first bad index).  Empty `initial` means the graph's initial
+  /// state, so R(t_j) is propagate({}, times.back(), times).survival_at.
   /// Any graph is accepted, including one with no absorbing state.
   [[nodiscard]] ForwardResult propagate(
       std::span<const double> initial, double duration,
-      std::span<const std::vector<double>> functionals,
       std::span<const double> emit_times,
       const ReliabilityOdeOptions& opts = {}) const;
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
-#include "core/sweep_engine.h"
 #include "sim/rng.h"
 #include "vr/sobol.h"
 
@@ -63,6 +64,7 @@ CvMetric reduce_cv_metric(const std::vector<double>& y,
 
 void run_cv_all(const ControlVariateOptions& cv, const sim::McOptions& mc,
                 std::span<const core::Params> points,
+                std::span<const core::Evaluation> exact_evals,
                 std::vector<VrPointResult>& out) {
   sim::McOptions opts = mc;
   opts.base_seed = sim::splitmix64(mc.base_seed ^ kCvTag);
@@ -75,13 +77,10 @@ void run_cv_all(const ControlVariateOptions& cv, const sim::McOptions& mc,
   opts.stream_factory = nullptr;
   sim::MonteCarloEngine engine(opts);
   const auto results = engine.run_des(points);
-  // The exact control means come from the analytic backend, one sweep
-  // for every point: E[expected_dwell] = MTTSF and E[expected_cost] =
-  // Ĉtotal·MTTSF (accumulated cost to absorption) — identities of the
-  // time-homogeneous CTMC that spec validation already guarantees.
-  const auto exact_evals = core::SweepEngine(mc.threads)
-                               .evaluate(points, core::kDefaultBatchWidth);
-
+  // The exact control means: E[expected_dwell] = MTTSF and
+  // E[expected_cost] = Ĉtotal·MTTSF (accumulated cost to absorption) —
+  // identities of the time-homogeneous CTMC that spec validation
+  // already guarantees.
   for (std::size_t p = 0; p < points.size(); ++p) {
     const core::Evaluation& exact = exact_evals[p];
     const auto& trajs = results[p].trajectories;
@@ -157,11 +156,18 @@ void run_sobol_all(const SobolOptions& so, const sim::McOptions& mc,
 
 std::vector<VrPointResult> run_vr(const VrOptions& vr,
                                   const sim::McOptions& mc,
-                                  std::span<const core::Params> points) {
+                                  std::span<const core::Params> points,
+                                  std::span<const core::Evaluation> exact) {
+  if (vr.cv.enabled && exact.size() != points.size()) {
+    throw std::invalid_argument("run_vr: cv needs " +
+                                std::to_string(points.size()) +
+                                " exact evaluations, got " +
+                                std::to_string(exact.size()));
+  }
   std::vector<VrPointResult> out(points.size());
   if (!vr.any() || points.empty()) return out;
 
-  if (vr.cv.enabled) run_cv_all(vr.cv, mc, points, out);
+  if (vr.cv.enabled) run_cv_all(vr.cv, mc, points, exact, out);
   if (vr.sobol.enabled) run_sobol_all(vr.sobol, mc, points, out);
   if (vr.splitting.enabled) {
     const std::uint64_t base = sim::splitmix64(mc.base_seed ^ kSplitTag);

@@ -1,5 +1,5 @@
 // The variance-reduction estimation layer: sits between the experiment
-// API (core::DesBackend) and sim::MonteCarloEngine, running whichever
+// API (the Des backend) and sim::MonteCarloEngine, running whichever
 // estimators the `spec.mc.vr` block enables ALONGSIDE the plain
 // replication pass — the plain pass's results stay bitwise identical
 // whether or not this layer runs, because every estimator here draws
@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "core/gcs_spn_model.h"
 #include "core/params.h"
 #include "sim/mc_engine.h"
 #include "sim/stats.h"
@@ -55,11 +56,13 @@ struct VrPointResult {
 /// Runs the enabled estimators over a DES parameter grid.  `mc` must be
 /// the SAME engine options the plain replication pass used (including
 /// the shard-effective point_stream_offset), so the vr seed domains and
-/// stream keys line up with the full-grid run.  Throws what the
-/// underlying engines throw (invalid params, analytic-incompatible
-/// models for cv).
+/// stream keys line up with the full-grid run.  `exact` holds each
+/// point's analytic Evaluation (cv's exact control means); with cv on,
+/// a size other than points.size() throws std::invalid_argument.
+/// Throws what the underlying engines throw (invalid params).
 [[nodiscard]] std::vector<VrPointResult> run_vr(
     const VrOptions& vr, const sim::McOptions& mc,
-    std::span<const core::Params> points);
+    std::span<const core::Params> points,
+    std::span<const core::Evaluation> exact);
 
 }  // namespace midas::vr

@@ -1,13 +1,16 @@
 // Phased-mission analytic solver: the constant case must route bitwise
 // through GcsSpnModel, phase-boundary chaining must be exact on a
-// uniform integration grid (two half-phases == one whole phase), and
-// structurally incompatible phases must fail loudly, naming both
-// segments.
+// uniform integration grid (two half-phases == one whole phase),
+// identical phases chained into the tail must reproduce the independent
+// constant-rate solve, and structurally incompatible phases must fail
+// loudly, naming both segments.
 #include "core/mission.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +121,46 @@ TEST(Mission, TwoHalfPhasesMatchOneWholePhase) {
   const auto rb = b.reliability_at(times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     expect_close(ra[i], rb[i], 1e-12);
+  }
+}
+
+// --- Identical phases chained into the exact tail ARE the constant
+// model: each θ-step's trapezoid telescopes (Q_TTᵀ·occupancy =
+// w_end − w_start), so a phase's occupancy plus the tail's sojourn is
+// the constant solve's sojourn, and every reward built from them agrees
+// with the independent reference to rounding, whatever the grid.
+
+TEST(Mission, IdenticalPhasesReproduceConstantEvaluation) {
+  for (const std::int32_t max_groups : {1, 3}) {
+    Params base = Params::paper_defaults();  // partition/merge on
+    base.n_init = 10;
+    base.max_groups = max_groups;
+    const auto ref = core::GcsSpnModel(base).evaluate_reference();
+    for (const double split : {3600.0, 86400.0, 864000.0}) {
+      SCOPED_TRACE("max_groups " + std::to_string(max_groups) + ", split " +
+                   std::to_string(split));
+      Params chained = base;
+      chained.mission.phases = {MissionPhase{}, MissionPhase{}};
+      chained.mission.phases[0].name = "first";
+      chained.mission.phases[0].duration_s = split;
+      chained.mission.phases[1].name = "rest";
+      const MissionAnalyzer analyzer(chained);
+      ASSERT_EQ(analyzer.timeline().size(), 2u);
+      const auto ev = analyzer.evaluate();
+      expect_close(ev.mttsf, ref.mttsf, 1e-12);
+      expect_close(ev.ctotal, ref.ctotal, 1e-12);
+      expect_close(ev.cost_rates.group_comm, ref.cost_rates.group_comm,
+                   1e-12);
+      expect_close(ev.cost_rates.status, ref.cost_rates.status, 1e-12);
+      expect_close(ev.cost_rates.rekey, ref.cost_rates.rekey, 1e-12);
+      expect_close(ev.cost_rates.ids, ref.cost_rates.ids, 1e-12);
+      expect_close(ev.cost_rates.beacon, ref.cost_rates.beacon, 1e-12);
+      expect_close(ev.cost_rates.partition_merge,
+                   ref.cost_rates.partition_merge, 1e-12);
+      expect_close(ev.eviction_cost_rate, ref.eviction_cost_rate, 1e-12);
+      expect_close(ev.p_failure_c1, ref.p_failure_c1, 1e-12);
+      expect_close(ev.p_failure_c2, ref.p_failure_c2, 1e-12);
+    }
   }
 }
 

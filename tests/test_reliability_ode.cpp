@@ -22,7 +22,7 @@ using namespace midas::spn;
 /// caller makes of the integrator.
 std::vector<double> survival(const ReliabilityOde& ode,
                              std::span<const double> times) {
-  return ode.propagate({}, times.back(), {}, times).survival_at;
+  return ode.propagate({}, times.back(), times).survival_at;
 }
 
 TEST(ReliabilityOde, TwoStateExponentialSurvival) {
@@ -130,7 +130,7 @@ TEST(ReliabilityOde, StiffCycleStepIsExact) {
   }
   ReliabilityOdeOptions opts;
   opts.uniform_step_s = 100.0;
-  const auto res = ode.propagate(w0, 100.0, {}, {}, opts);
+  const auto res = ode.propagate(w0, 100.0, {}, opts);
   double mass = 0.0;
   for (const double w : res.weights) mass += w;
   const double exact = 9750100.0 / 10250105.0;
@@ -153,7 +153,7 @@ TEST(ReliabilityOde, InputValidation) {
   const std::vector<double> nan_inside{
       1e3, std::numeric_limits<double>::quiet_NaN(), 5e3};
   try {
-    (void)ode.propagate({}, 5e3, {}, nan_inside);
+    (void)ode.propagate({}, 5e3, nan_inside);
     FAIL() << "a NaN emit time must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("emit_times[1]"), std::string::npos)
@@ -232,7 +232,7 @@ TEST(ReliabilityOde, PropagateSurvivalMatchesBackwardIntegrator) {
 
   const std::vector<double> times{0.5, 1.5, 3.0, 6.0};
   const auto backward = dense_backward_survival(g, times);
-  const auto fwd = ode.propagate({}, times.back(), {}, times);
+  const auto fwd = ode.propagate({}, times.back(), times);
   ASSERT_EQ(fwd.survival_at.size(), times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(fwd.survival_at[i], backward[i], 1e-9)
@@ -256,7 +256,7 @@ TEST(ReliabilityOde, PropagateAgreesWithUniformisationShortHorizon) {
   const TransientAnalyzer uni(g);
 
   const std::vector<double> times{0.25, 0.75, 1.5, 3.0};
-  const auto fwd = ode.propagate({}, times.back(), {}, times);
+  const auto fwd = ode.propagate({}, times.back(), times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(fwd.survival_at[i],
                 1.0 - uni.absorbed_probability_at(times[i]), 1e-4)
@@ -279,9 +279,9 @@ TEST(ReliabilityOde, UniformStepChainingReproducesUnsplitRun) {
 
   ReliabilityOdeOptions opts;
   opts.uniform_step_s = 0.1;
-  const auto whole = ode.propagate({}, 4.0, {}, {}, opts);
-  const auto first = ode.propagate({}, 2.0, {}, {}, opts);
-  const auto second = ode.propagate(first.weights, 2.0, {}, {}, opts);
+  const auto whole = ode.propagate({}, 4.0, {}, opts);
+  const auto first = ode.propagate({}, 2.0, {}, opts);
+  const auto second = ode.propagate(first.weights, 2.0, {}, opts);
 
   ASSERT_EQ(whole.weights.size(), second.weights.size());
   for (std::size_t s = 0; s < whole.weights.size(); ++s) {
@@ -294,29 +294,40 @@ TEST(ReliabilityOde, UniformStepChainingReproducesUnsplitRun) {
               1e-12 * whole.survival_integral);
 }
 
-TEST(ReliabilityOde, PropagateAccumulatesFunctionalIntegrals) {
-  // One state, rate λ: with f ≡ c on the transient state,
-  // ∫ f·w dt over [0, T] = c·(1 − e^{-λT})/λ.
-  const double lambda = 0.8, c = 3.0, horizon = 2.0;
+TEST(ReliabilityOde, PropagateOccupancyAndAbsorbedMassMatchClosedForm) {
+  // One state, rate λ: over [0, T] the occupancy ∫w dt is
+  // (1 − e^{-λT})/λ and the absorbed mass 1 − e^{-λT}; the surviving
+  // and absorbed mass add up to the initial unit.
+  const double lambda = 0.8, horizon = 2.0;
   PetriNet net;
   const auto p = net.add_place("P", 1);
   net.transition("fail").input(p).rate(lambda).add();
   const auto g = explore(net);
   const ReliabilityOde ode(g);
 
-  std::vector<std::vector<double>> f(1);
-  f[0].assign(g.num_states(), 0.0);
+  const auto res = ode.propagate({}, horizon, {});
+  ASSERT_EQ(res.occupancy.size(), g.num_states());
+  ASSERT_EQ(res.absorbed.size(), g.num_states());
   const auto absorbing = g.absorbing_mask();
+  double occupancy = 0.0, absorbed = 0.0, mass = 0.0;
   for (std::size_t s = 0; s < g.num_states(); ++s) {
-    if (!absorbing[s]) f[0][s] = c;
+    if (absorbing[s]) {
+      EXPECT_EQ(res.occupancy[s], 0.0) << "state " << s;
+      absorbed += res.absorbed[s];
+    } else {
+      EXPECT_EQ(res.absorbed[s], 0.0) << "state " << s;
+      occupancy += res.occupancy[s];
+    }
+    mass += res.weights[s];
   }
-  const auto res = ode.propagate({}, horizon, f, {});
-  ASSERT_EQ(res.functional_integrals.size(), 1u);
-  const double expected =
-      c * (1.0 - std::exp(-lambda * horizon)) / lambda;
-  EXPECT_NEAR(res.functional_integrals[0], expected, 1e-3 * expected);
-  EXPECT_NEAR(res.survival_integral, expected / c,
-              1e-3 * expected / c);
+  const double expected_occupancy =
+      (1.0 - std::exp(-lambda * horizon)) / lambda;
+  const double expected_absorbed = 1.0 - std::exp(-lambda * horizon);
+  EXPECT_NEAR(occupancy, expected_occupancy, 1e-3 * expected_occupancy);
+  EXPECT_NEAR(absorbed, expected_absorbed, 1e-3 * expected_absorbed);
+  EXPECT_NEAR(res.survival_integral, expected_occupancy,
+              1e-3 * expected_occupancy);
+  EXPECT_NEAR(mass + absorbed, 1.0, 1e-12);
 }
 
 TEST(ReliabilityOde, EmptyTimesAndZeroHorizon) {
@@ -325,7 +336,7 @@ TEST(ReliabilityOde, EmptyTimesAndZeroHorizon) {
   net.transition("fail").input(p).rate(1.0).add();
   const auto g = explore(net);
   const ReliabilityOde ode(g);
-  EXPECT_TRUE(ode.propagate({}, 0.0, {}, {}).survival_at.empty());
+  EXPECT_TRUE(ode.propagate({}, 0.0, {}).survival_at.empty());
   const std::vector<double> zero{0.0};
   EXPECT_DOUBLE_EQ(survival(ode, zero)[0], 1.0);
   // A horizon so short that 1/(θh) overflows is still a horizon of

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -310,6 +311,38 @@ TEST(VrEngine, PlainMcPayloadIsBitwiseUntouchedByTheVrLayer) {
               core::mc_point_to_json(db.mc[i]).dump())
         << i;
   }
+}
+
+TEST(VrEngine, CvMeansAreTheRequestsAnalyticAnswerInEitherBackendOrder) {
+  // cv takes its exact means from the Analytic run when it came first in
+  // the request, else from the service's warm engine: the same numbers.
+  auto spec = vr_spec();
+  spec.vr.sobol.enabled = false;
+  spec.vr.splitting.enabled = false;
+  auto des_first = spec;
+  des_first.backends = {BackendKind::Des, BackendKind::Analytic};
+  ExperimentService service;
+  const auto a = service.run(spec);
+  const auto b = service.run(des_first);
+  const auto& evals = a.at(BackendKind::Analytic).evals;
+  const auto& va = a.at(BackendKind::Des).vr;
+  const auto& vb = b.at(BackendKind::Des).vr;
+  ASSERT_EQ(va.size(), evals.size());
+  ASSERT_EQ(vb.size(), evals.size());
+  for (std::size_t i = 0; i < evals.size(); ++i) {
+    EXPECT_EQ(va[i].cv.ttsf.control_mean, evals[i].mttsf) << i;
+    EXPECT_EQ(vb[i].cv.ttsf.control_mean, evals[i].mttsf) << i;
+    EXPECT_EQ(va[i].cv.cost.control_mean, vb[i].cv.cost.control_mean) << i;
+    EXPECT_EQ(va[i].cv.ttsf.adjusted.mean, vb[i].cv.ttsf.adjusted.mean) << i;
+  }
+
+  // Means that do not cover every point are refused before any work.
+  const auto grid = spec.grid();
+  const std::vector<core::Params> points{grid.point(spec.base, 0),
+                                         grid.point(spec.base, 1)};
+  EXPECT_THROW((void)vr::run_vr(spec.vr, spec.mc, points,
+                                std::span(evals).first(1)),
+               std::invalid_argument);
 }
 
 // --- Codec: spec round-trip, result round-trip, validation paths -----

@@ -14,7 +14,10 @@
 //   --parity-check 1       cross-check the answer: the analytic solve
 //                          against the independent per-point reference
 //                          (GcsSpnModel::evaluate_reference, to
-//                          --tolerance), a re-parsed spec rerun and an
+//                          --tolerance) — for a phased spec, the mission
+//                          chain run with identical phases at the spec's
+//                          boundaries against the reference of its first
+//                          segment — a re-parsed spec rerun and an
 //                          identity-schedule rerun byte-for-byte, the
 //                          DES payload with spec.mc.vr stripped, and the
 //                          protocol payload against a bare
@@ -33,6 +36,7 @@
 #include "core/experiment.h"
 #include "core/experiment_presets.h"
 #include "core/gcs_spn_model.h"
+#include "core/mission.h"
 #include "sim/protocol_sim.h"
 #include "util/cli.h"
 #include "util/json.h"
@@ -102,26 +106,43 @@ bool parity_check(const core::ExperimentSpec& spec,
                   const core::ExperimentResult& result, double tolerance) {
   bool ok = true;
   if (const auto* run = result.find(core::BackendKind::Analytic)) {
-    if (spec.base.time_varying()) {
-      std::printf("parity analytic (per-point reference):     skipped — the "
-                  "spec carries a schedule/mission\n");
-    } else {
-      // The service solves through the batched kernels; cross-check
-      // them against the reference path, which shares neither the
-      // kernels nor the reward pass: a fresh exploration, the scalar
-      // solve and one reward pass per cost component, per point.
-      double max_diff = 0.0;
-      for (std::size_t i = 0; i < run->evals.size(); ++i) {
-        const auto reference =
-            core::GcsSpnModel(grid.point(spec.base, result.range.begin + i))
-                .evaluate_reference();
+    // The reference path shares neither the batched kernels nor the
+    // reward pass: a fresh exploration, the scalar solve and one reward
+    // pass per cost component, per point.  A constant point's answer is
+    // compared with it directly.  A phased answer has no closed-form
+    // oracle, so its chain is checked instead: the first segment's
+    // constant params, split by all-inherit phases at the spec's own
+    // boundaries, must chain back to that segment's reference (the
+    // θ-step trapezoid telescopes, spn/reliability_ode.h).
+    const bool phased = core::resolve_timeline(spec.base).size() > 1;
+    double max_diff = 0.0;
+    for (std::size_t i = 0; i < run->evals.size(); ++i) {
+      const auto timeline =
+          core::resolve_timeline(grid.point(spec.base, result.range.begin + i));
+      const core::Params& constant = timeline.front().params;
+      const auto reference = core::GcsSpnModel(constant).evaluate_reference();
+      if (!phased) {
         max_diff = std::max(max_diff, eval_rel_diff(run->evals[i], reference));
+        continue;
       }
-      std::printf("parity analytic (per-point reference):     max rel diff "
-                  "%.3e (tolerance %.0e) -> %s\n",
-                  max_diff, tolerance, max_diff <= tolerance ? "ok" : "FAIL");
-      ok = ok && max_diff <= tolerance;
+      core::Params chained = constant;
+      for (std::size_t k = 0; k < timeline.size(); ++k) {
+        core::MissionPhase phase;  // inherits every field
+        phase.name = timeline[k].label;
+        if (k + 1 < timeline.size()) {
+          phase.duration_s = timeline[k + 1].start_s - timeline[k].start_s;
+        }
+        chained.mission.phases.push_back(phase);
+      }
+      max_diff = std::max(
+          max_diff,
+          eval_rel_diff(core::MissionAnalyzer(chained).evaluate(), reference));
     }
+    std::printf("%smax rel diff %.3e (tolerance %.0e) -> %s\n",
+                phased ? "parity analytic (identical-phase chain):   "
+                       : "parity analytic (per-point reference):     ",
+                max_diff, tolerance, max_diff <= tolerance ? "ok" : "FAIL");
+    ok = ok && max_diff <= tolerance;
   }
   {
     // Plugin-path parity: the detector/attacker model descriptors must
@@ -244,13 +265,13 @@ int main(int argc, char** argv) {
            "fail unless the parsed spec re-serialises to the input file "
            "byte-for-byte (0|1)");
   cli.flag("parity-check", 0,
-           "cross-check the answer against per-point reference, "
-           "re-parsed, identity-schedule, vr-stripped and bare-engine "
-           "reruns (0|1)");
+           "cross-check the answer against per-point reference (for a "
+           "phased spec, an identical-phase mission chain), re-parsed, "
+           "identity-schedule, vr-stripped and bare-engine reruns (0|1)");
   cli.flag("tolerance", 1e-12,
-           "max relative difference between the analytic answer and the "
-           "per-point reference (GcsSpnModel::evaluate_reference) "
-           "tolerated by --parity-check");
+           "max relative difference between the analytic answer (or the "
+           "identical-phase chain) and the per-point reference "
+           "(GcsSpnModel::evaluate_reference) tolerated by --parity-check");
 
   try {
     if (!cli.parse(argc, argv)) return 0;
