@@ -174,9 +174,11 @@ done
 # --- Batched-solver kernel bench: standalone (always built), so it runs
 # unconditionally.  Exits non-zero if the batched solve falls below its
 # per-profile kernel speedup floor, if reuse-off stops being bitwise the
-# scalar solve, if reuse-on leaves 1e-12, or if factor reuse stops
-# sharing factorisations on the identical-point profile.  Records
-# BENCH_solver.json.
+# one-lane solve() (the same substitution kernel, so a lane must not
+# depend on its neighbours), if reuse-on leaves 1e-12, or if factor
+# reuse stops sharing factorisations on the identical-point profile.
+# The kernel's independent bitwise reference is the scalar pass in
+# tests/oracle (SolverBatch.*).  Records BENCH_solver.json.
 (cd build && ./micro_solver --smoke)
 
 # --- Micro benches, smoke budget (skipped when Google Benchmark absent).

@@ -160,6 +160,14 @@ void lu_solve_point_major(std::span<double> a, std::span<double> b,
                           std::span<std::uint32_t> lane_piv) {
   assert(a.size() == n * n * P && b.size() == n * P &&
          lane.size() >= 3 * P && lane_piv.size() >= n * P);
+  if (P == 1) {
+    // A compile-time 1 with stack lanes (no alias with `a`): the straight
+    // scalar loops of LuFactorView::factor and solve_to.
+    double one[3] = {};
+    factor_lanes(a.data(), n, 1, lane_piv.data(), one);
+    solve_lanes(a.data(), lane_piv.data(), n, 1, false, b.data());
+    return;
+  }
   factor_lanes(a.data(), n, P, lane_piv.data(), lane.data());
   solve_lanes(a.data(), lane_piv.data(), n, P, false, b.data());
 }

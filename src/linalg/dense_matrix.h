@@ -1,9 +1,10 @@
-// Dense LU kernels over caller storage: LuFactorView and the
-// point-major lu_solve_point_major, the allocation-free block kernels
-// behind spn::TransientStructure::substitute (every absorbing solve and
-// θ-step) and spn::AbsorbingAnalyzer::solve_batch.  One elimination
-// routine serves both, so the scalar and batched solves share pivots
-// and arithmetic bit for bit.
+// Dense LU kernels over caller storage: the point-major
+// lu_solve_point_major, which factors and solves every lane's dense
+// block in spn::TransientStructure::substitute (every absorbing solve,
+// batched or not, and every θ-step), and LuFactorView, which serves the
+// substitution's shared-factor blocks under factor reuse.  One
+// elimination routine serves both, so every lane count shares pivots
+// and arithmetic bit for bit; one lane runs as a compile-time 1.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +44,10 @@ struct LuFactorView {
 /// and component r of its right-hand side b[r·P + p], so every step
 /// updates P contiguous doubles.  Per system, the pivot choices,
 /// singularity test and arithmetic are LuFactorView::factor followed by
-/// solve_to, bit for bit (both are this routine's P = 1 case).  On
-/// return `a` holds the factors and `b` the solutions; `lane` (3·P
-/// doubles) and `lane_piv` (n·P pivot rows) are scratch.
+/// solve_to, bit for bit (both are this routine's P = 1 case, and P = 1
+/// compiles to their scalar loops).  On return `a` holds the factors and
+/// `b` the solutions; `lane` (3·P doubles) and `lane_piv` (n·P pivot
+/// rows) are scratch.
 void lu_solve_point_major(std::span<double> a, std::span<double> b,
                           std::size_t n, std::size_t P,
                           std::span<double> lane,

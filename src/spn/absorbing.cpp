@@ -5,20 +5,110 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "linalg/dense_matrix.h"
 
 namespace midas::spn {
 
 namespace {
-// Largest SCC solved as one dense block (k² doubles of scratch, O(k³)
-// per factorisation).  The model's only cycles are the group
-// partition/merge flips, so real blocks have a handful of states.
-void check_dense_block_limit(std::size_t k) {
-  if (k > 4096) {
-    throw std::runtime_error("transient SCC of size " + std::to_string(k) +
-                             " exceeds the dense-block limit");
+
+/// Runs body(P) with P a compile-time 1 when `lanes` is 1, so one-lane
+/// callers get straight scalar loops (linalg/dense_matrix.cpp's idiom),
+/// and with the runtime lane count otherwise.  Bodies are marked
+/// always_inline, so their captures stay in registers.
+template <class Body>
+[[gnu::always_inline]] inline void with_lanes(std::size_t lanes,
+                                              Body&& body) {
+  if (lanes == 1) {
+    body(std::integral_constant<std::size_t, 1>{});
+  } else {
+    body(lanes);
   }
+}
+
+/// Factor reuse (BatchSolveOptions) for one assembled k×k block in P > 1
+/// lanes, solved into s.rhs; false, having solved nothing, when no two
+/// lanes share a normalised block.
+bool solve_shared(std::size_t k, std::size_t P,
+                  TransientStructure::Scratch& s) {
+  const double* M = s.lu.data();
+  double* b = s.rhs.data();
+  // Scale 2^-e, with 2^e the power of two bracketing block entry (0,0).
+  // The scaling is EXACT, so factoring N_p = M_p·2^-e picks the same
+  // pivots and yields the per-lane factors times 2^-e: the solution is
+  // bitwise the raw block's.  Entry (0,0) is positive and normal in any
+  // well-posed solve; a degenerate one takes the per-lane path.  For
+  // biased exponent E, 2^-e has biased exponent 2046 − E.
+  for (std::size_t p = 0; p < P; ++p) {
+    const double pivot = M[p];  // entry (0,0), point-major row 0
+    if (!(std::isnormal(pivot) && pivot > 0.0 && pivot < 0x1p1023)) {
+      return false;
+    }
+    const std::uint64_t e = std::bit_cast<std::uint64_t>(pivot) >> 52;
+    s.scale[p] = std::bit_cast<double>((2046 - e) << 52);
+  }
+  // Lanes with bitwise-identical N_p share one factorisation, so a
+  // lane's answer depends only on (N_p, b_p, e_p), not on its batch.
+  const auto same_normalised = [&](std::size_t p, std::size_t q) {
+    for (std::size_t rc = 0; rc < k * k; ++rc) {
+      if (std::bit_cast<std::uint64_t>(M[rc * P + p] * s.scale[p]) !=
+          std::bit_cast<std::uint64_t>(M[rc * P + q] * s.scale[q])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  bool shared = false;
+  for (std::size_t p = 0; p < P; ++p) {
+    s.head[p] = static_cast<std::uint32_t>(p);
+    for (std::size_t q = 0; q < p; ++q) {
+      if (s.head[q] != q) continue;  // compare against group heads only
+      // Equal normalised blocks share entry (0,0)'s mantissa bits.
+      const std::uint64_t m00 = std::bit_cast<std::uint64_t>(M[p]) ^
+                                std::bit_cast<std::uint64_t>(M[q]);
+      if ((m00 << 12) != 0) continue;
+      if (same_normalised(p, q)) {
+        s.head[p] = static_cast<std::uint32_t>(q);
+        shared = true;
+        break;
+      }
+    }
+  }
+  // With no group of two, each group's solve would be the per-lane
+  // path's bits (the scaling is exact) at extra cost.
+  if (!shared) return false;
+  double* G = s.shared_rhs.data();
+  for (std::size_t h = 0; h < P; ++h) {
+    if (s.head[h] != h) continue;
+    std::size_t n_g = 0;
+    for (std::size_t p = 0; p < P; ++p) {
+      if (s.head[p] == h) s.member[n_g++] = static_cast<std::uint32_t>(p);
+    }
+    for (std::size_t rc = 0; rc < k * k; ++rc) {
+      s.shared_lu[rc] = M[rc * P + h] * s.scale[h];  // N_h
+    }
+    linalg::LuFactorView view{s.shared_lu.first(k * k), s.ipiv.first(k),
+                              k};
+    view.factor();
+    ++s.blocks_factored;
+    // Scaled right-hand sides g_p = b_p·2^-e_p, component-major; the
+    // solutions go back to the members' lanes.
+    for (std::size_t r = 0; r < k; ++r) {
+      for (std::size_t g = 0; g < n_g; ++g) {
+        const std::size_t p = s.member[g];
+        G[r * n_g + g] = b[r * P + p] * s.scale[p];
+      }
+    }
+    view.solve_many(s.shared_rhs.first(k * n_g), n_g);
+    for (std::size_t r = 0; r < k; ++r) {
+      for (std::size_t g = 0; g < n_g; ++g) {
+        b[r * P + s.member[g]] = G[r * n_g + g];
+      }
+    }
+    s.blocks_reused += n_g - 1;
+  }
+  return true;
 }
 }  // namespace
 
@@ -103,36 +193,86 @@ TransientStructure::TransientStructure(const ReachabilityGraph& graph) {
 
   scc = strongly_connected_components(out_offsets, out_targets);
   components = scc.members();
+  std::vector<std::uint32_t> block_row(nt);  // position in its component
   for (const auto& block : components) {
     max_block = std::max(max_block, block.size());
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      block_row[block[r]] = static_cast<std::uint32_t>(r);
+    }
+  }
+  term_offsets.reserve(components.size() + 1);
+  term_offsets.push_back(0);
+  for (const auto& block : components) {
+    const std::size_t k = block.size();
+    for (std::size_t r = 0; r < k; ++r) {
+      const auto j = block[r];
+      for (std::uint32_t e = in_offsets[j]; e < in_offsets[j + 1]; ++e) {
+        const auto& in = in_edges[e];
+        if (scc.component[in.src] != scc.component[j]) continue;
+        terms.push_back(
+            {static_cast<std::uint32_t>(r * k + block_row[in.src]), in.edge});
+      }
+    }
+    term_offsets.push_back(static_cast<std::uint32_t>(terms.size()));
+  }
+  ext_offsets.reserve(nt + 1);
+  ext_offsets.push_back(0);
+  for (std::size_t j = 0; j < nt; ++j) {
+    for (std::uint32_t k = in_offsets[j]; k < in_offsets[j + 1]; ++k) {
+      if (scc.component[in_edges[k].src] != scc.component[j]) {
+        ext_edges.push_back(in_edges[k]);
+      }
+    }
+    ext_offsets.push_back(static_cast<std::uint32_t>(ext_edges.size()));
   }
 }
 
 void TransientStructure::exit_rates(std::span<const double> edge_rates,
-                                    std::span<double> out) const {
-  for (std::size_t i = 0; i < size(); ++i) {
-    double acc = 0.0;
-    for (std::uint32_t k = exit_offsets[i]; k < exit_offsets[i + 1]; ++k) {
-      acc += edge_rates[exit_edges[k]];
+                                    std::span<double> out,
+                                    std::size_t lanes) const {
+  with_lanes(lanes, [&](auto P) __attribute__((always_inline)) {
+    for (std::size_t i = 0; i < size(); ++i) {
+      double* row = out.data() + i * P;
+      for (std::size_t p = 0; p < P; ++p) row[p] = 0.0;
+      for (std::uint32_t k = exit_offsets[i]; k < exit_offsets[i + 1]; ++k) {
+        const double* er =
+            edge_rates.data() + std::size_t{exit_edges[k]} * P;
+        for (std::size_t p = 0; p < P; ++p) row[p] += er[p];
+      }
     }
-    out[i] = acc;
-  }
+  });
 }
 
-TransientStructure::Scratch TransientStructure::make_scratch() const {
-  check_dense_block_limit(max_block);
+TransientStructure::Scratch TransientStructure::make_scratch(
+    std::size_t lanes, util::Arena& arena, bool factor_reuse) const {
+  // One dense block is k² doubles per lane and O(k³) to factor; the
+  // model's only cycles are the group partition/merge flips.
+  if (max_block > 4096) {
+    throw std::runtime_error("transient SCC of size " +
+                             std::to_string(max_block) +
+                             " exceeds the dense-block limit");
+  }
+  const std::size_t k = std::max<std::size_t>(max_block, 1);
   Scratch s;
-  s.local.assign(size(), UINT32_MAX);
-  s.lu.resize(max_block * max_block);
-  s.ipiv.resize(max_block);
-  s.rhs.resize(max_block);
+  s.lanes = lanes;
+  s.lu = arena.make_span<double>(k * k * lanes);
+  s.rhs = arena.make_span<double>(k * lanes);
+  s.ipiv = arena.make_span<std::uint32_t>(k * lanes);
+  s.pivot_lanes = arena.make_span<double>(3 * lanes);
+  if (factor_reuse && lanes > 1 && max_block > 1) {
+    s.scale = arena.make_span<double>(lanes);
+    s.head = arena.make_span<std::uint32_t>(lanes);
+    s.member = arena.make_span<std::uint32_t>(lanes);
+    s.shared_lu = arena.make_span<double>(k * k);
+    s.shared_rhs = arena.make_span<double>(k * lanes);
+  }
   return s;
 }
 
 void TransientStructure::substitute(std::span<const double> edge_rates,
                                     std::span<const double> exit_rate,
                                     double shift, std::span<double> x,
-                                    Scratch& scratch) const {
+                                    Scratch& s) const {
   // Tarjan SCCs of the transient graph form a DAG: processing components
   // in topological order makes every cross-component inflow a known
   // quantity, and each component reduces to a dense system of its own
@@ -140,70 +280,89 @@ void TransientStructure::substitute(std::span<const double> edge_rates,
   // This is immune to the stiffness that defeats global iterative
   // solvers when the cycle rates exceed the security rates by many
   // orders of magnitude.
-  auto& local = scratch.local;
-  // Higher component id = earlier in topological order (sources first).
-  for (std::size_t c = components.size(); c-- > 0;) {
-    const auto& block = components[c];
-    const auto cc = static_cast<std::uint32_t>(c);
-    // b_j plus the inflow from already-solved predecessor components.
-    const auto external_b = [&](std::uint32_t j) {
-      double b = x[j];
-      for (std::uint32_t k = in_offsets[j]; k < in_offsets[j + 1]; ++k) {
-        const auto& in = in_edges[k];
-        if (scc.component[in.src] != cc) {
-          b += x[in.src] * edge_rates[in.edge];
+  with_lanes(s.lanes, [&](auto P) __attribute__((always_inline)) {
+    const double* rates = edge_rates.data();
+    double* lu = s.lu.data();
+    double* b = s.rhs.data();
+    // Higher component id = earlier in topological order (sources first).
+    for (std::size_t c = components.size(); c-- > 0;) {
+      const auto& block = components[c];
+      // bj[p] = b_j plus the inflow from already-solved predecessor
+      // components, in lane p.  A single lane accumulates in a local,
+      // which nothing aliases, so it stays in a register.
+      const auto external_b = [&](std::uint32_t j, double* bj) {
+        double one = 0.0;
+        double* acc = P == 1 ? &one : bj;
+        const double* xj = x.data() + std::size_t{j} * P;
+        for (std::size_t p = 0; p < P; ++p) acc[p] = xj[p];
+        for (std::uint32_t e = ext_offsets[j]; e < ext_offsets[j + 1]; ++e) {
+          const auto& in = ext_edges[e];
+          const double* xs = x.data() + std::size_t{in.src} * P;
+          const double* er = rates + std::size_t{in.edge} * P;
+          for (std::size_t p = 0; p < P; ++p) acc[p] += xs[p] * er[p];
         }
+        if (P == 1) bj[0] = one;
+      };
+      if (block.size() == 1) {
+        const auto j = block[0];
+        external_b(j, b);
+        double* xj = x.data() + std::size_t{j} * P;
+        const double* ej = exit_rate.data() + std::size_t{j} * P;
+        for (std::size_t p = 0; p < P; ++p) {
+          const double diag = ej[p] + shift;
+          if (diag <= 0.0) {
+            throw std::runtime_error(
+                "TransientStructure: transient state with zero exit rate");
+          }
+          xj[p] = b[p] / diag;
+        }
+        continue;
       }
-      return b;
-    };
-    if (block.size() == 1) {
-      const auto j = block[0];
-      const double diag = exit_rate[j] + shift;
-      if (diag <= 0.0) {
-        throw std::runtime_error(
-            "TransientStructure: transient state with zero exit rate");
+      // Dense block:  (shift + exit_j)·x_j − Σ_{i∈block} r_ij·x_i = b_j,
+      // point-major: entry (r, c) of lane p at lu[(r·k + c)·P + p] and
+      // row r's right-hand side at b[r·P + p].
+      const std::size_t k = block.size();
+      std::fill_n(lu, k * k * P, 0.0);
+      for (std::size_t r = 0; r < k; ++r) {
+        const auto j = block[r];
+        double* diag = lu + (r * k + r) * P;
+        const double* ej = exit_rate.data() + std::size_t{j} * P;
+        for (std::size_t p = 0; p < P; ++p) diag[p] = ej[p] + shift;
+        external_b(j, b + r * P);
       }
-      x[j] = external_b(j) / diag;
-      continue;
-    }
-    // Dense block:  (shift + exit_j)·x_j − Σ_{i∈block} r_ij·x_i = b_j.
-    const std::size_t k = block.size();
-    double* m = scratch.lu.data();
-    std::fill_n(m, k * k, 0.0);
-    for (std::size_t r = 0; r < k; ++r) {
-      local[block[r]] = static_cast<std::uint32_t>(r);
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-      const auto j = block[r];
-      m[r * k + r] = exit_rate[j] + shift;
-      scratch.rhs[r] = external_b(j);
-      for (std::uint32_t e = in_offsets[j]; e < in_offsets[j + 1]; ++e) {
-        const auto& in = in_edges[e];
-        const auto li = local[in.src];
-        if (li != UINT32_MAX) m[r * k + li] -= edge_rates[in.edge];
+      for (std::uint32_t t = term_offsets[c]; t < term_offsets[c + 1]; ++t) {
+        double* m = lu + std::size_t{terms[t].entry} * P;
+        const double* er = rates + std::size_t{terms[t].edge} * P;
+        for (std::size_t p = 0; p < P; ++p) m[p] -= er[p];
+      }
+      if (s.scale.empty() || !solve_shared(k, P, s)) {
+        linalg::lu_solve_point_major(s.lu.first(k * k * P),
+                                     s.rhs.first(k * P), k, P,
+                                     s.pivot_lanes, s.ipiv);
+        s.blocks_factored += P;
+      }
+      for (std::size_t r = 0; r < k; ++r) {
+        std::copy_n(b + r * P, P, x.data() + std::size_t{block[r]} * P);
       }
     }
-    const std::span<double> b = std::span(scratch.rhs).first(k);
-    linalg::LuFactorView view{std::span(scratch.lu).first(k * k),
-                              std::span(scratch.ipiv).first(k), k};
-    view.factor();
-    view.solve_to(b, b);
-    for (std::size_t r = 0; r < k; ++r) {
-      x[block[r]] = b[r];
-      local[block[r]] = UINT32_MAX;  // reset for the next block
-    }
-  }
+  });
 }
 
 void TransientStructure::absorption_flow(std::span<const double> edge_rates,
                                          std::span<const double> x,
-                                         std::span<double> absorbed) const {
-  for (std::size_t i = 0; i < size(); ++i) {
-    for (std::uint32_t k = abs_offsets[i]; k < abs_offsets[i + 1]; ++k) {
-      const auto& ae = abs_edges[k];
-      absorbed[ae.dst] += x[i] * edge_rates[ae.edge];
+                                         std::span<double> absorbed,
+                                         std::size_t lanes) const {
+  with_lanes(lanes, [&](auto P) __attribute__((always_inline)) {
+    for (std::size_t i = 0; i < size(); ++i) {
+      const double* xi = x.data() + i * P;
+      for (std::uint32_t k = abs_offsets[i]; k < abs_offsets[i + 1]; ++k) {
+        const auto& ae = abs_edges[k];
+        double* ap = absorbed.data() + std::size_t{ae.dst} * P;
+        const double* er = edge_rates.data() + std::size_t{ae.edge} * P;
+        for (std::size_t p = 0; p < P; ++p) ap[p] += xi[p] * er[p];
+      }
     }
-  }
+  });
 }
 
 void check_transient_mass(std::span<const double> mass,
@@ -340,327 +499,102 @@ AbsorbingResult AbsorbingAnalyzer::solve(
 AbsorbingResult AbsorbingAnalyzer::solve_from(
     std::span<const double> initial_mass,
     std::span<const double> edge_rates) const {
-  if (edge_rates.size() != graph_.edges.size()) {
-    throw std::invalid_argument(
-        "AbsorbingAnalyzer::solve: edge_rates size " +
-        std::to_string(edge_rates.size()) + " does not match edge count " +
-        std::to_string(graph_.edges.size()));
-  }
   if (!initial_mass.empty()) {
     check_transient_mass(initial_mass, graph_,
                          "AbsorbingAnalyzer::solve_from: initial_mass");
   }
-  const std::size_t n = graph_.num_states();
-  const std::size_t nt = t_.size();
-
   AbsorbingResult res;
-  res.sojourn.assign(n, 0.0);
-
-  if (nt == 0) {
-    // Initial state itself is absorbing: MTTA = 0.  With a custom mass
-    // the contract puts nothing at absorbing states, so there is no
-    // transient mass at all and every expectation is 0.
-    res.mtta = 0.0;
-    res.absorb_probability.assign(n, 0.0);
-    if (initial_mass.empty()) res.absorb_probability[graph_.initial] = 1.0;
-    res.converged = true;
-    return res;
-  }
-
-  // Sojourn balance  exit_j·τ_j − Σ_{i→j} r_ij·τ_i = π0_j,  solved by
-  // the shared condensation pass with no diagonal shift.  π₀ is the
-  // default unit mass at the initial state, or the caller's full-state
-  // distribution (solve_from).
-  std::vector<double> exit_rate(nt);
-  t_.exit_rates(edge_rates, exit_rate);
-  std::vector<double> tau(nt, 0.0);
-  if (initial_mass.empty()) {
-    tau[t_.init_compact] = 1.0;
-  } else {
-    for (std::size_t j = 0; j < nt; ++j) {
-      tau[j] = initial_mass[t_.expand[j]];
-    }
-  }
-  auto scratch = t_.make_scratch();
-  t_.substitute(edge_rates, exit_rate, 0.0, tau, scratch);
-
-  res.solver_blocks = t_.components.size();
-  res.converged = true;
-  double mtta = 0.0;
-  for (std::size_t i = 0; i < nt; ++i) {
-    res.sojourn[t_.expand[i]] = tau[i];
-    mtta += tau[i];
-  }
-  res.mtta = mtta;
-
-  res.absorb_probability.assign(n, 0.0);
-  t_.absorption_flow(edge_rates, tau, res.absorb_probability);
+  res.sojourn.assign(graph_.num_states(), 0.0);
+  res.absorb_probability.assign(graph_.num_states(), 0.0);
+  AbsorbingBatchResult lane{.num_points = 1,
+                            .mtta = {&res.mtta, 1},
+                            .sojourn = res.sojourn,
+                            .absorb_probability = res.absorb_probability};
+  util::Arena arena;
+  solve_lanes(initial_mass, edge_rates, false, arena, lane);
+  res.solver_blocks = lane.solver_blocks;
   return res;
 }
 
 AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
     std::span<const double> edge_rates, std::size_t num_points,
     const BatchSolveOptions& opts, util::Arena* arena) const {
-  const std::size_t P = num_points;
+  util::Arena& a = arena != nullptr ? *arena : util::thread_scratch_arena();
+  const std::size_t n = graph_.num_states();
+  AbsorbingBatchResult res{
+      .num_points = num_points,
+      .mtta = a.make_span<double>(num_points, 0.0),
+      .sojourn = a.make_span<double>(n * num_points, 0.0),
+      .absorb_probability = a.make_span<double>(n * num_points, 0.0)};
+  solve_lanes({}, edge_rates, opts.factor_reuse, a, res);
+  return res;
+}
+
+void AbsorbingAnalyzer::solve_lanes(std::span<const double> initial_mass,
+                                    std::span<const double> edge_rates,
+                                    bool factor_reuse, util::Arena& a,
+                                    AbsorbingBatchResult& res) const {
+  const std::size_t P = res.num_points;
   if (P == 0) {
     throw std::invalid_argument(
-        "AbsorbingAnalyzer::solve_batch: num_points must be positive");
+        "AbsorbingAnalyzer: num_points must be positive");
   }
   if (edge_rates.size() != graph_.edges.size() * P) {
     throw std::invalid_argument(
-        "AbsorbingAnalyzer::solve_batch: edge_rates size " +
+        "AbsorbingAnalyzer: edge_rates size " +
         std::to_string(edge_rates.size()) +
         " does not match edge count x num_points = " +
         std::to_string(graph_.edges.size() * P));
   }
-  util::Arena& a = arena != nullptr ? *arena : util::thread_scratch_arena();
-  const std::size_t n = graph_.num_states();
   const std::size_t nt = t_.size();
-  const double* rates = edge_rates.data();
-
-  AbsorbingBatchResult res;
-  res.num_points = P;
-  res.mtta = a.make_span<double>(P, 0.0);
-  res.sojourn = a.make_span<double>(n * P, 0.0);
-  res.absorb_probability = a.make_span<double>(n * P, 0.0);
+  res.solver_blocks = t_.components.size();
 
   if (nt == 0) {
-    double* row = res.absorb_probability.data() +
-                  static_cast<std::size_t>(graph_.initial) * P;
-    for (std::size_t p = 0; p < P; ++p) row[p] = 1.0;
-    res.converged = true;
-    return res;
-  }
-
-  // Exit rates, point-major: each compacted edge contributes a
-  // contiguous row of P rates to its source's row.
-  auto exit = a.make_span<double>(nt * P, 0.0);
-  for (std::size_t i = 0; i < nt; ++i) {
-    double* row = exit.data() + i * P;
-    for (std::uint32_t k = t_.exit_offsets[i]; k < t_.exit_offsets[i + 1];
-         ++k) {
-      const double* er =
-          rates + static_cast<std::size_t>(t_.exit_edges[k]) * P;
-      for (std::size_t p = 0; p < P; ++p) row[p] += er[p];
+    // The initial state is absorbing: MTTA = 0.  A caller's mass is all
+    // at transient states, so here it is zero, and so is everything.
+    if (initial_mass.empty()) {
+      std::fill_n(res.absorb_probability.data() +
+                      std::size_t{graph_.initial} * P,
+                  P, 1.0);
     }
+    return;
   }
 
+  // Sojourn balance  exit_j·τ_j − Σ_{i→j} r_ij·τ_i = π0_j  in every lane,
+  // solved by the shared condensation pass with no diagonal shift.  π₀
+  // is unit mass at the initial state, or the caller's distribution.
   auto tau = a.make_span<double>(nt * P, 0.0);
-  auto local = a.make_span<std::uint32_t>(nt, UINT32_MAX);
+  with_lanes(P, [&](auto lanes) __attribute__((always_inline)) {
+    if (initial_mass.empty()) {
+      double* init = tau.data() + std::size_t{t_.init_compact} * lanes;
+      for (std::size_t p = 0; p < lanes; ++p) init[p] = 1.0;
+      return;
+    }
+    for (std::size_t j = 0; j < nt; ++j) {
+      const double* row =
+          initial_mass.data() + std::size_t{t_.expand[j]} * lanes;
+      for (std::size_t p = 0; p < lanes; ++p) tau[j * lanes + p] = row[p];
+    }
+  });
+  auto exit = a.make_span<double>(nt * P);
+  auto scratch = t_.make_scratch(P, a, factor_reuse);
+  t_.exit_rates(edge_rates, exit, P);
+  t_.substitute(edge_rates, exit, 0.0, tau, scratch);
+  res.blocks_factored = scratch.blocks_factored;
+  res.blocks_reused = scratch.blocks_reused;
 
-  // Dense-block scratch, sized once to the largest SCC.
-  check_dense_block_limit(t_.max_block);
-  const std::size_t kmax = std::max<std::size_t>(t_.max_block, 1);
-  auto b = a.make_span<double>(kmax * P);         // point-major RHS
-  auto M = a.make_span<double>(kmax * kmax * P);  // point-major blocks
-  auto Mp = a.make_span<double>(kmax * kmax);     // one point's block
-  auto ipiv = a.make_span<std::uint32_t>(kmax);
-  auto lane = a.make_span<double>(3 * P);  // lu_solve_point_major scratch
-  auto lane_piv = a.make_span<std::uint32_t>(kmax * P);
-  // Factor-reuse scratch.
-  std::span<double> scale, G;
-  std::span<std::uint32_t> head, member;
-  if (opts.factor_reuse && t_.max_block > 1) {
-    scale = a.make_span<double>(P);
-    G = a.make_span<double>(kmax * P);  // grouped RHS, component-major
-    head = a.make_span<std::uint32_t>(P);
-    member = a.make_span<std::uint32_t>(P);
-  }
-
-  // Higher component id = earlier in topological order (sources first) —
-  // the scalar solve's order, mirrored exactly.
-  for (std::size_t c = t_.components.size(); c-- > 0;) {
-    const auto& block = t_.components[c];
-    const auto cc = static_cast<std::uint32_t>(c);
-    if (block.size() == 1) {
-      const auto j = block[0];
-      const double* ej = exit.data() + static_cast<std::size_t>(j) * P;
-      for (std::size_t p = 0; p < P; ++p) {
-        if (ej[p] <= 0.0) {
-          throw std::runtime_error(
-              "AbsorbingAnalyzer: transient state with zero exit rate");
-        }
-      }
-      // External inflow + initial mass, accumulated per point in the
-      // scalar external_b's in-CSR order.
-      double* bj = b.data();
-      const double init = j == t_.init_compact ? 1.0 : 0.0;
-      for (std::size_t p = 0; p < P; ++p) bj[p] = init;
-      for (std::uint32_t k = t_.in_offsets[j]; k < t_.in_offsets[j + 1];
-           ++k) {
-        const auto& in = t_.in_edges[k];
-        if (t_.scc.component[in.src] == cc) continue;
-        const double* ts = tau.data() + static_cast<std::size_t>(in.src) * P;
-        const double* er = rates + static_cast<std::size_t>(in.edge) * P;
-        for (std::size_t p = 0; p < P; ++p) bj[p] += ts[p] * er[p];
-      }
-      double* tj = tau.data() + static_cast<std::size_t>(j) * P;
-      for (std::size_t p = 0; p < P; ++p) tj[p] = bj[p] / ej[p];
-      continue;
+  with_lanes(P, [&](auto lanes) __attribute__((always_inline)) {
+    double* mtta = res.mtta.data();
+    for (std::size_t i = 0; i < nt; ++i) {
+      const double* ti = tau.data() + i * lanes;
+      double* so = res.sojourn.data() + std::size_t{t_.expand[i]} * lanes;
+      for (std::size_t p = 0; p < lanes; ++p) so[p] = ti[p];
     }
-    const std::size_t k = block.size();
-    // Point-major assembly:  M[(r·k+c)·P + p],  b[r·P + p].  The scalar
-    // solve accumulates b (cross-component in-edges) and the block
-    // coefficients (same-component in-edges) from the same ordered
-    // in-CSR scan; the targets are disjoint, so one interleaved scan
-    // reproduces both accumulation sequences bitwise.
-    std::fill_n(M.data(), k * k * P, 0.0);
-    for (std::size_t r = 0; r < k; ++r) {
-      local[block[r]] = static_cast<std::uint32_t>(r);
+    for (std::size_t i = 0; i < nt; ++i) {
+      for (std::size_t p = 0; p < lanes; ++p) mtta[p] += tau[i * lanes + p];
     }
-    for (std::size_t r = 0; r < k; ++r) {
-      const auto j = block[r];
-      double* diag = M.data() + (r * k + r) * P;
-      const double* ej = exit.data() + static_cast<std::size_t>(j) * P;
-      for (std::size_t p = 0; p < P; ++p) diag[p] = ej[p];
-      double* br = b.data() + r * P;
-      const double init = j == t_.init_compact ? 1.0 : 0.0;
-      for (std::size_t p = 0; p < P; ++p) br[p] = init;
-      for (std::uint32_t e = t_.in_offsets[j]; e < t_.in_offsets[j + 1];
-           ++e) {
-        const auto& in = t_.in_edges[e];
-        const double* er = rates + static_cast<std::size_t>(in.edge) * P;
-        if (t_.scc.component[in.src] != cc) {
-          const double* ts =
-              tau.data() + static_cast<std::size_t>(in.src) * P;
-          for (std::size_t p = 0; p < P; ++p) br[p] += ts[p] * er[p];
-        } else {
-          double* mrc = M.data() + (r * k + local[in.src]) * P;
-          for (std::size_t p = 0; p < P; ++p) mrc[p] -= er[p];
-        }
-      }
-    }
-
-    // Per-point path: every point's block factored and solved, all P
-    // at once in place — bitwise the scalar substitute() path (same
-    // pivots and arithmetic per point, see lu_solve_point_major).
-    auto solve_per_point = [&]() {
-      linalg::lu_solve_point_major(M.first(k * k * P), b.first(k * P), k, P,
-                                   lane, lane_piv);
-      for (std::size_t r = 0; r < k; ++r) {
-        std::copy_n(b.data() + r * P, P,
-                    tau.data() + static_cast<std::size_t>(block[r]) * P);
-      }
-      res.blocks_factored += P;
-    };
-
-    bool can_normalise = opts.factor_reuse;
-    if (can_normalise) {
-      // Normalisation scale 2^-e, with 2^e the power of two bracketing
-      // the head state's exit rate (block diagonal (0,0)).  Scaling by a
-      // power of two is EXACT, so N_p = M_p·2^-e keeps every mantissa:
-      // factoring N_p chooses the same pivots and produces the scalar
-      // factorisation's values scaled by 2^-e, and the substitution
-      // returns bitwise the raw-block solution — factor reuse never
-      // perturbs the arithmetic, it only shares work.  (Multiplying by
-      // the exact reciprocal rounds exactly as dividing by 2^e would.)
-      // The (0,0) entry is positive and normal in any well-posed solve;
-      // bail out to the per-point path on a degenerate one.  For biased
-      // exponent E of the pivot, 2^-e is the double with biased
-      // exponent 2046 − E (normal while the pivot is below 2^1023).
-      for (std::size_t p = 0; p < P; ++p) {
-        const double pivot = M[p];  // entry (0,0), point-major row 0
-        if (!(std::isnormal(pivot) && pivot > 0.0 && pivot < 0x1p1023)) {
-          can_normalise = false;
-          break;
-        }
-        const std::uint64_t e = std::bit_cast<std::uint64_t>(pivot) >> 52;
-        scale[p] = std::bit_cast<double>((2046 - e) << 52);
-      }
-    }
-    if (can_normalise) {
-      // Points whose normalised blocks N_p = M_p·2^-e_p are bitwise
-      // identical (identical blocks, or exact power-of-two multiples —
-      // the common-scalar-multiple structure of rate-scaled sweeps)
-      // share one factorisation; tau_p then depends only on (N_p, b_p,
-      // e_p), never on which points share the batch.
-      const auto same_normalised = [&](std::size_t p, std::size_t q) {
-        for (std::size_t rc = 0; rc < k * k; ++rc) {
-          if (std::bit_cast<std::uint64_t>(M[rc * P + p] * scale[p]) !=
-              std::bit_cast<std::uint64_t>(M[rc * P + q] * scale[q])) {
-            return false;
-          }
-        }
-        return true;
-      };
-      bool shared = false;
-      for (std::size_t p = 0; p < P; ++p) {
-        head[p] = static_cast<std::uint32_t>(p);
-        for (std::size_t q = 0; q < p; ++q) {
-          if (head[q] != q) continue;  // compare against group heads only
-          if (same_normalised(p, q)) {
-            head[p] = static_cast<std::uint32_t>(q);
-            shared = true;
-            break;
-          }
-        }
-      }
-      // With no group of two, each group's solve would be the per-point
-      // path's bits (the scaling is exact) at extra cost.
-      can_normalise = shared;
-    }
-    if (!can_normalise) {
-      solve_per_point();
-    } else {
-      for (std::size_t h = 0; h < P; ++h) {
-        if (head[h] != h) continue;
-        std::size_t n_g = 0;
-        for (std::size_t p = 0; p < P; ++p) {
-          if (head[p] == h) member[n_g++] = static_cast<std::uint32_t>(p);
-        }
-        for (std::size_t rc = 0; rc < k * k; ++rc) {
-          Mp[rc] = M[rc * P + h] * scale[h];  // N_h
-        }
-        linalg::LuFactorView view{Mp.first(k * k), ipiv.first(k), k};
-        view.factor();
-        ++res.blocks_factored;
-        // Scaled right-hand sides g_p = b_p·2^-e_p, component-major.
-        for (std::size_t r = 0; r < k; ++r) {
-          double* gr = G.data() + r * n_g;
-          for (std::size_t g = 0; g < n_g; ++g) {
-            const std::size_t p = member[g];
-            gr[g] = b[r * P + p] * scale[p];
-          }
-        }
-        view.solve_many(G.first(k * n_g), n_g);
-        for (std::size_t r = 0; r < k; ++r) {
-          const double* gr = G.data() + r * n_g;
-          for (std::size_t g = 0; g < n_g; ++g) {
-            tau[static_cast<std::size_t>(block[r]) * P + member[g]] = gr[g];
-          }
-        }
-        res.blocks_reused += n_g - 1;
-      }
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-      local[block[r]] = UINT32_MAX;  // reset for the next block
-    }
-  }
-
-  res.solver_blocks = t_.components.size();
-  res.converged = true;
-  double* mtta = res.mtta.data();
-  for (std::size_t i = 0; i < nt; ++i) {
-    const double* ti = tau.data() + i * P;
-    double* so =
-        res.sojourn.data() + static_cast<std::size_t>(t_.expand[i]) * P;
-    for (std::size_t p = 0; p < P; ++p) so[p] = ti[p];
-    for (std::size_t p = 0; p < P; ++p) mtta[p] += ti[p];
-  }
-
-  // Absorption probabilities: flow into each absorbing state, in the
-  // scalar pass's state/edge order per point.
-  for (std::size_t i = 0; i < nt; ++i) {
-    const double* ti = tau.data() + i * P;
-    for (std::uint32_t k = t_.abs_offsets[i]; k < t_.abs_offsets[i + 1]; ++k) {
-      const auto& ae = t_.abs_edges[k];
-      double* ap = res.absorb_probability.data() +
-                   static_cast<std::size_t>(ae.dst) * P;
-      const double* er = rates + static_cast<std::size_t>(ae.edge) * P;
-      for (std::size_t p = 0; p < P; ++p) ap[p] += ti[p] * er[p];
-    }
-  }
-  return res;
+  });
+  t_.absorption_flow(edge_rates, tau, res.absorb_probability, P);
 }
 
 double AbsorbingAnalyzer::accumulated_rate_reward(

@@ -16,8 +16,9 @@
 // graph's CSR adjacency, and each solve only runs the numeric part.
 // A parameter sweep therefore constructs one analyzer per explored
 // structure and solves its points P at a time with solve_batch (see
-// core::SweepEngine); the scalar solve()/solve_from() serve the
-// reference paths, the mission chain's tail and generic nets.
+// core::SweepEngine); solve()/solve_from() run the same body with one
+// lane for the reference paths, the mission chain's tail and generic
+// nets.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +34,8 @@
 namespace midas::spn {
 
 /// The transient part of a reachability graph, compacted once for every
-/// linear solve on it.  Both solvers on the transient chain run the same
-/// system,
+/// linear solve on it.  Every solver on the transient chain runs the
+/// same system,
 ///
 ///     (shift + exit_j)·x_j − Σ_{i→j} r_ij·x_i = b_j     (j transient),
 ///
@@ -43,6 +44,11 @@ namespace midas::spn {
 /// absorption — a θ-step is well posed on any chain, including one with
 /// no absorbing state; AbsorbingAnalyzer adds the checks its mean time
 /// to absorption needs.
+///
+/// The kernels run `lanes` independent systems over point-major spans
+/// (entry [i·lanes + p] is row i in lane p), so inner loops walk `lanes`
+/// contiguous doubles.  A lane's arithmetic does not depend on the other
+/// lanes, and one lane runs as a compile-time 1: straight scalar loops.
 struct TransientStructure {
   explicit TransientStructure(const ReachabilityGraph& graph);
 
@@ -60,41 +66,55 @@ struct TransientStructure {
     std::uint32_t dst;
   };
 
-  /// substitute()'s working storage, sized once to the largest SCC so
-  /// that a loop of solves performs no allocations.
+  /// substitute()'s working storage for `lanes` lanes, sized to the
+  /// largest SCC, plus counts of the dense-block factorisations.
   struct Scratch {
-    std::vector<std::uint32_t> local;  ///< block-local index, else UINT32_MAX
-    std::vector<double> lu;            ///< one dense block, row-major
-    std::vector<std::uint32_t> ipiv;
-    std::vector<double> rhs;
+    std::size_t lanes = 0;
+    std::span<double> lu;           ///< one dense block per lane
+    std::span<double> rhs;          ///< its right-hand sides
+    std::span<std::uint32_t> ipiv;  ///< its pivot rows
+    std::span<double> pivot_lanes;  ///< lu_solve_point_major's 3·lanes
+    /// Factor reuse (empty when off, for one lane or without dense
+    /// blocks): lane scales and group heads, one group's members.
+    std::span<double> scale;
+    std::span<std::uint32_t> head;
+    std::span<std::uint32_t> member;
+    std::span<double> shared_lu;
+    std::span<double> shared_rhs;
+    std::size_t blocks_factored = 0;  ///< dense LU factorisations performed
+    std::size_t blocks_reused = 0;    ///< lane-solves served by a shared LU
   };
 
   [[nodiscard]] std::size_t size() const noexcept { return expand.size(); }
 
   /// Total exit rate of each transient state under `edge_rates`
-  /// (self-loops cancel in Q), summed in graph CSR order into `out`.
-  void exit_rates(std::span<const double> edge_rates,
-                  std::span<double> out) const;
+  /// (self-loops cancel in Q), summed in graph CSR order into `out`
+  /// ([state][lane]).
+  void exit_rates(std::span<const double> edge_rates, std::span<double> out,
+                  std::size_t lanes) const;
 
+  /// Scratch for `lanes` lanes from `arena` (valid until its reset()).
   /// Throws when an SCC exceeds the dense-block limit.
-  [[nodiscard]] Scratch make_scratch() const;
+  [[nodiscard]] Scratch make_scratch(std::size_t lanes, util::Arena& arena,
+                                     bool factor_reuse = false) const;
 
-  /// Solves the system above exactly, in place: `x` (compact indexing)
-  /// holds b on entry and the solution on return.  Components are taken
-  /// in topological order, so every cross-component inflow is already
-  /// solved; a singleton is one division, a larger block one dense LU
-  /// (linalg::LuFactorView) over `scratch`.  With shift 0 the arithmetic
-  /// is the sojourn balance's, bit for bit.
+  /// Solves the system above exactly, in place, in every lane of
+  /// `scratch`: `x` ([state][lane]) holds b on entry and the solution
+  /// on return.  Components are taken in topological order, so every
+  /// cross-component inflow is already solved; a singleton is one
+  /// division, a larger block one dense LU per lane, or one per group of
+  /// lanes under factor reuse (BatchSolveOptions).  With shift 0 the
+  /// arithmetic is the sojourn balance's, bit for bit.
   void substitute(std::span<const double> edge_rates,
                   std::span<const double> exit_rate, double shift,
                   std::span<double> x, Scratch& scratch) const;
 
-  /// absorbed[a] += Σ_i x_i·r(i→a) for compact `x` and full-state
-  /// `absorbed`: the absorption probabilities of a sojourn τ, or the
-  /// mass a θ-phase absorbed from its occupancy ∫w dt.
+  /// absorbed[a] += Σ_i x_i·r(i→a) per lane, for compact `x` and
+  /// full-state `absorbed`: the absorption probabilities of a sojourn τ,
+  /// or the mass a θ-phase absorbed from its occupancy ∫w dt.
   void absorption_flow(std::span<const double> edge_rates,
-                       std::span<const double> x,
-                       std::span<double> absorbed) const;
+                       std::span<const double> x, std::span<double> absorbed,
+                       std::size_t lanes) const;
 
   /// Full → compact index (UINT32_MAX at absorbing states).
   std::vector<std::uint32_t> compact;
@@ -104,6 +124,10 @@ struct TransientStructure {
   /// Incoming transient→transient edges, CSR by destination.
   std::vector<std::uint32_t> in_offsets;
   std::vector<InEdge> in_edges;
+  /// The same CSR restricted to edges from other SCC components:
+  /// substitute()'s external inflow, scanned without a component test.
+  std::vector<std::uint32_t> ext_offsets;
+  std::vector<InEdge> ext_edges;
   /// Per transient state, the global indices of its non-self-loop
   /// out-edges (graph CSR order): the `e.src != e.dst` test runs once
   /// here instead of per solve.
@@ -115,6 +139,14 @@ struct TransientStructure {
   /// Condensation of the transient subgraph.
   SccResult scc;
   std::vector<std::vector<std::uint32_t>> components;
+  /// Per component, its in-block edges as (entry r·k + c of its k×k
+  /// block, edge), by row then in-CSR order: the coefficients −r_ij.
+  struct BlockTerm {
+    std::uint32_t entry;
+    std::uint32_t edge;
+  };
+  std::vector<std::uint32_t> term_offsets;
+  std::vector<BlockTerm> terms;
   std::size_t max_block = 0;  ///< largest SCC (dense-block scratch sizing)
 };
 
@@ -125,9 +157,7 @@ struct AbsorbingResult {
   std::vector<double> sojourn;
   /// Probability of being absorbed in each state (0 for transient).
   std::vector<double> absorb_probability;
-  bool converged = false;
-  /// SCC condensation blocks solved (the direct solver has no iteration
-  /// count; this was misleadingly named solver_iterations before).
+  /// SCC condensation blocks solved.
   std::size_t solver_blocks = 0;
 };
 
@@ -135,17 +165,13 @@ struct AbsorbingResult {
 struct BatchSolveOptions {
   /// Deduplicate dense SCC blocks across points: every block is
   /// normalised by the power of two bracketing its first diagonal
-  /// entry (the head state's exit rate), and points whose normalised
-  /// blocks are BITWISE identical — identical blocks, or exact
-  /// power-of-two multiples, as in rate-scaled sweeps — share one LU
-  /// factorisation via solve_many with per-point scaled right-hand
-  /// sides.  Because the match is intrinsic to each point's normalised
-  /// block (not to which points happen to share a batch), results never
-  /// depend on batch or shard grouping; and because a power-of-two
-  /// scaling is exact in floating point, the shared-factor solves are
-  /// bitwise the per-point raw-block solves — reuse shares work without
-  /// perturbing the arithmetic (the spec-level gate is <= 1e-12
-  /// relative; in practice both settings are bitwise the scalar path).
+  /// entry, and points whose normalised blocks are BITWISE identical
+  /// (identical blocks, or exact power-of-two multiples, as in
+  /// rate-scaled sweeps) share one LU factorisation via solve_many.
+  /// The match is intrinsic to each point's block, so results never
+  /// depend on batch or shard grouping, and the scaling is exact, so
+  /// the shared-factor solves are bitwise the per-point ones (the gate
+  /// is <= 1e-12 relative; in practice reuse changes no bit).
   bool factor_reuse = true;
 };
 
@@ -158,7 +184,6 @@ struct AbsorbingBatchResult {
   std::span<double> mtta;     ///< [P]
   std::span<double> sojourn;  ///< [n][P]; absorbing rows identically 0
   std::span<double> absorb_probability;  ///< [n][P]; transient rows 0
-  bool converged = false;
   std::size_t solver_blocks = 0;    ///< per point (structure-shared)
   std::size_t blocks_factored = 0;  ///< LU factorisations performed
   std::size_t blocks_reused = 0;    ///< point-solves served by a shared LU
@@ -177,17 +202,11 @@ class AbsorbingAnalyzer {
   /// The graph must contain at least one absorbing state, reachable
   /// from the initial state, and no transient region reachable from the
   /// initial state may be unable to reach absorption (MTTA would
-  /// diverge).  All three conditions are verified HERE, at
-  /// construction, with descriptive errors — previously an unreachable
-  /// absorbing set surfaced only mid-solve as a cryptic
-  /// "transient state with zero exit rate" (single-state cycle) or a
-  /// singular SCC block (multi-state cycle).
+  /// diverge).  All three are checked here, with descriptive errors.
   explicit AbsorbingAnalyzer(const ReachabilityGraph& graph);
 
   /// Solves from the graph's initial state with the rates stored on the
-  /// graph's edges.  Uses the rate snapshot taken at construction — no
-  /// per-call copy of the edge list (the graph is referenced const, so
-  /// the stored rates cannot have changed).
+  /// graph's edges (snapshotted at construction).
   [[nodiscard]] AbsorbingResult solve() const;
 
   /// Solves with per-edge rates overriding the stored ones:
@@ -215,11 +234,9 @@ class AbsorbingAnalyzer {
   /// Batched multi-point solve: `edge_rates` is the point-major
   /// [edge][point] matrix ReachabilityGraph::compute_rates_batch fills
   /// (edge_rates[i*num_points + p] = edge i's rate at point p; size
-  /// edges·num_points).  One pass over the structure serves all points:
-  /// exit rates, singleton-SCC taus and absorption flows are point-major
-  /// inner loops over num_points contiguous doubles, and dense SCC
-  /// blocks are assembled, factored and solved point-major
-  /// (linalg::lu_solve_point_major) — or, with opts.factor_reuse, one
+  /// edges·num_points).  Each point is one lane of the TransientStructure
+  /// kernels, with unit mass at the initial state: one pass over the
+  /// structure serves all points — or, with opts.factor_reuse, one
   /// factorisation is shared across points whose normalised blocks
   /// coincide (see BatchSolveOptions).  All scratch and the result spans
   /// come from `arena` (the calling thread's scratch arena when null);
@@ -227,8 +244,9 @@ class AbsorbingAnalyzer {
   ///
   /// Numerics gate: with factor_reuse OFF, point p's mtta/sojourn/
   /// absorb_probability are BITWISE the scalar solve(edge_rates_p)
-  /// answers; with reuse ON they agree to <= 1e-12 relative and are
-  /// independent of how points are grouped into batches.
+  /// answers (solve_from is this body with one lane); with reuse ON they
+  /// agree to <= 1e-12 relative and are independent of how points are
+  /// grouped into batches.
   [[nodiscard]] AbsorbingBatchResult solve_batch(
       std::span<const double> edge_rates, std::size_t num_points,
       const BatchSolveOptions& opts = {},
@@ -257,6 +275,14 @@ class AbsorbingAnalyzer {
   }
 
  private:
+  /// solve_batch's and solve_from's one body: the sojourn balance in
+  /// res.num_points lanes from `initial_mass` ([state][lane], full-state;
+  /// empty = unit mass at the initial state), into res's zeroed spans,
+  /// with scratch from `arena`.
+  void solve_lanes(std::span<const double> initial_mass,
+                   std::span<const double> edge_rates, bool factor_reuse,
+                   util::Arena& arena, AbsorbingBatchResult& res) const;
+
   const ReachabilityGraph& graph_;
   const TransientStructure t_;
   // Rates stored on the graph edges at construction (no-arg solve()).

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/arena.h"
+
 namespace midas::spn {
 
 namespace {
@@ -47,7 +49,7 @@ std::vector<double> make_grid(double horizon,
 
 ReliabilityOde::ReliabilityOde(const ReachabilityGraph& graph,
                                std::span<const double> edge_rates)
-    : t_(graph) {
+    : graph_(graph), t_(graph) {
   if (!edge_rates.empty() && edge_rates.size() != graph.edges.size()) {
     throw std::invalid_argument(
         "ReliabilityOde: edge_rates size " +
@@ -86,12 +88,10 @@ ForwardResult ReliabilityOde::propagate(
         "propagate: emit_times[" + std::to_string(emit_times.size() - 1) +
         "] lies beyond the duration");
   }
-  const std::size_t n = t_.compact.size();  // full state count
-  if (!initial.empty() && initial.size() != n) {
-    throw std::invalid_argument(
-        "propagate: initial size " + std::to_string(initial.size()) +
-        " does not match state count " + std::to_string(n));
+  if (!initial.empty()) {
+    check_transient_mass(initial, graph_, "propagate: initial");
   }
+  const std::size_t n = graph_.num_states();
 
   ForwardResult res;
   res.weights.assign(n, 0.0);
@@ -122,7 +122,7 @@ ForwardResult ReliabilityOde::propagate(
       res.weights[t_.expand[c]] = w[c];
       res.occupancy[t_.expand[c]] = occupancy[c];
     }
-    t_.absorption_flow(rates_, occupancy, res.absorbed);
+    t_.absorption_flow(rates_, occupancy, res.absorbed, 1);
   };
 
   std::size_t next_emit = 0;
@@ -147,8 +147,9 @@ ForwardResult ReliabilityOde::propagate(
 
   // Sized once per call: the step loop below allocates nothing.
   std::vector<double> exit(nt);
-  t_.exit_rates(rates_, exit);
-  auto scratch = t_.make_scratch();
+  t_.exit_rates(rates_, exit, 1);
+  util::Arena arena;
+  auto scratch = t_.make_scratch(1, arena);
   std::vector<double> rhs(nt);
 
   double prev_now = 0.0;

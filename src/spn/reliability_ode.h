@@ -14,7 +14,8 @@
 //     (1/(θh) + exit_j)·w′_j − Σ_{i→j} r_ij·w′_i = r_j/(θh),
 //
 // so each step is solved EXACTLY by TransientStructure::substitute — the
-// same SCC-condensation pass the mean-time-to-absorption solve runs.
+// same SCC-condensation kernel the mean-time-to-absorption solves run
+// (here with one lane and its scratch from a util::Arena).
 // In the GCS model the transient chain's only cycles are the group
 // partition/merge flips, so the pass is a division per singleton state
 // plus a small dense LU per flip block, and stays exact however fast
@@ -75,7 +76,7 @@ class ReliabilityOde {
   /// ones when `edge_rates` is non-empty — `edge_rates[i]` replaces
   /// `graph.edges[i].rate` (the AbsorbingAnalyzer::solve(edge_rates)
   /// idiom: one explored structure, one rate vector per sweep point or
-  /// mission phase).
+  /// mission phase).  `graph` must outlive the integrator.
   explicit ReliabilityOde(const ReachabilityGraph& graph,
                           std::span<const double> edge_rates = {});
 
@@ -85,15 +86,18 @@ class ReliabilityOde {
   /// generator.  Accumulates the survival-time integral, the occupancy
   /// and absorbed mass, and Σw at each `emit_times` entry (finite,
   /// ascending, within [0, duration]; std::invalid_argument names the
-  /// first bad index).  Empty `initial` means the graph's initial
-  /// state, so R(t_j) is propagate({}, times.back(), times).survival_at.
-  /// Any graph is accepted, including one with no absorbing state.
+  /// first bad index).  A non-empty `initial` is vetted by
+  /// check_transient_mass as "propagate: initial".  Empty `initial`
+  /// means the graph's initial state, so R(t_j) is
+  /// propagate({}, times.back(), times).survival_at.  Any graph is
+  /// accepted, including one with no absorbing state.
   [[nodiscard]] ForwardResult propagate(
       std::span<const double> initial, double duration,
       std::span<const double> emit_times,
       const ReliabilityOdeOptions& opts = {}) const;
 
  private:
+  const ReachabilityGraph& graph_;
   const TransientStructure t_;
   std::vector<double> rates_;  // per-edge rates of this generator
 };

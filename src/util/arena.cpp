@@ -38,7 +38,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t alignment) {
 void Arena::grow(std::size_t min_bytes) {
   const std::size_t size =
       std::max({min_bytes, kMinChunk, capacity_ * 2});
-  chunks_.push_back({std::make_unique<std::byte[]>(size), size});
+  chunks_.push_back({std::make_unique_for_overwrite<std::byte[]>(size), size});
   capacity_ += size;
   active_ = chunks_.size() - 1;
   offset_ = 0;

@@ -1,13 +1,15 @@
-// Monotonic scratch arena for the batched analytic kernels.
+// Monotonic scratch arena for the analytic kernels.
 //
-// The batched solve path (spn::AbsorbingAnalyzer::solve_batch and the
-// point-major reward pass) needs a handful of [state][point] and
-// [block][point] scratch matrices per batch.  Allocating them from the
-// heap per batch re-creates exactly the churn the batch path exists to
-// remove (the scalar solver performed ~6 vector allocations per SCC
-// block), so scratch comes from this arena instead: allocation is a
-// pointer bump, and reset() recycles the whole region in O(1) for the
-// next batch.
+// Every transient solve (spn::TransientStructure::make_scratch for P
+// lanes: AbsorbingAnalyzer::solve_batch, solve_from and each
+// ReliabilityOde::propagate call) and the point-major reward pass need
+// a handful of [state][lane] and [block][lane] scratch matrices per
+// solve.  Allocating them from the heap one vector at a time is churn
+// the kernels do not need, so scratch comes from this arena instead:
+// allocation is a pointer bump, and reset() recycles the whole region
+// in O(1) for the next batch.  Chunks are not zero-filled (spans are
+// uninitialised unless a fill is asked for), so a fresh arena costs one
+// malloc, not a memset of every page.
 //
 // Growth is chunked: when the current chunk is exhausted a larger one
 // is appended, and the NEXT reset() coalesces all chunks into a single

@@ -65,8 +65,15 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Each level recurses: unbounded, a hostile document would
+        // overflow the stack.
+        if (++depth_ > kMaxDepth) fail("containers nest deeper than 512");
+        Json v = text_[pos_] == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(string());
       case 't': return literal("true", Json(true));
       case 'f': return literal("false", Json(false));
@@ -185,6 +192,9 @@ class Parser {
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("malformed number");
+    // 1e999 would parse to inf, which re-encodes as the non-JSON "inf"
+    // (non-finite values travel as the flag strings of Json::number).
+    if (!std::isfinite(v)) fail("number overflows a double");
     return Json(v);
   }
 
@@ -213,8 +223,12 @@ class Parser {
                              " (line " + std::to_string(line) + ")");
   }
 
+  // The program's own documents nest fewer than 10 levels.
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

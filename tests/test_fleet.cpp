@@ -107,14 +107,23 @@ struct Fleet {
     });
   }
 
-  bool wait_for_workers(std::size_t n, double timeout_s = 10.0) {
+  /// Polls the coordinator's stats (refreshed every tick) until `done`
+  /// holds; false after `timeout_s`.
+  template <class Done>
+  bool wait_until(Done done, double timeout_s = 10.0) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::duration<double>(timeout_s);
-    while (coordinator.stats().workers_seen < n) {
+    while (!done(coordinator.stats())) {
       if (std::chrono::steady_clock::now() > deadline) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     return true;
+  }
+
+  bool wait_for_workers(std::size_t n) {
+    return wait_until([n](const svc::CoordinatorStats& s) {
+      return s.workers_seen >= n;
+    });
   }
 
   /// Sends one request and blocks for its response/error frame.
@@ -176,6 +185,11 @@ TEST(Fleet, CleanRunMergesBitwiseAndDropsDuplicateResults) {
   EXPECT_EQ(response.at("gaps").size(), 0u);
   EXPECT_EQ(canonical_of_response(response), reference);
 
+  // w0's duplicate can still be queued when the response arrives, and
+  // stop() drops queued events: wait until a tick has verified it.
+  EXPECT_TRUE(fleet.wait_until([](const svc::CoordinatorStats& s) {
+    return s.lease.duplicates_verified >= 1;
+  }));
   fleet.stop();
   const svc::CoordinatorStats stats = fleet.coordinator.stats();
   EXPECT_EQ(stats.lease.duplicates_verified, 1u);

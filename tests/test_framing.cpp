@@ -135,6 +135,20 @@ TEST(Framing, MalformedJsonIsConsumedAndDecodingContinues) {
   EXPECT_NO_THROW(buf.finish());
 }
 
+TEST(Framing, DeeplyNestedFrameIsBadJsonAndDecodingContinues) {
+  // ~200 KB of nesting, far under the frame cap: the parser's depth
+  // limit turns it into a typed error instead of a stack overflow.
+  const std::size_t depth = 100'000;
+  FrameBuffer buf;
+  buf.feed(std::string(depth, '[') + std::string(depth, ']') + "\n" +
+           encode_frame(sample(4.0)));
+  EXPECT_EQ(kind_of([&] { (void)buf.next(); }), FrameErrorKind::BadJson);
+  const auto frame = buf.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->at("value").as_number(), 4.0);
+  EXPECT_NO_THROW(buf.finish());
+}
+
 TEST(Framing, InterleavedFramesAcrossFeedsDecodeInOrder) {
   const std::string a = encode_frame(sample(1.0));
   const std::string b = encode_frame(sample(2.0));

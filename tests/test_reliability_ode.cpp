@@ -1,8 +1,10 @@
 // θ-method transient integrator: validated against closed forms,
 // against uniformisation (a completely different numerical path to the
-// same quantity) and against a dense backward recurrence on its own grid.
+// same quantity), against a dense backward recurrence on its own grid,
+// and step for step against the scalar substitution oracle.
 #include "spn/reliability_ode.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/dense_matrix.h"
+#include "oracle/substitution.h"
 #include "oracle/transient.h"
 
 namespace {
@@ -158,6 +161,134 @@ TEST(ReliabilityOde, InputValidation) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("emit_times[1]"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ReliabilityOde, PropagateRejectsBadInitialMass) {
+  // propagate's precondition, checked as solve_from's is: a NaN, mass at
+  // an absorbing state or an entry negative beyond rounding throws,
+  // naming the index and its marking, instead of dropping out of R(t)
+  // and the MTTSF or flowing into them.
+  PetriNet net;
+  const auto a = net.add_place("A", 3);
+  net.transition("die")
+      .input(a)
+      .rate([a](const Marking& m) { return 1.0 * m[a]; })
+      .add();
+  const auto g = explore(net);
+  const ReliabilityOde ode(g);
+  const auto absorbing = g.absorbing_mask();
+  std::size_t dead = 0, alive = 0;
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    if (absorbing[s]) {
+      dead = s;
+    } else if (s != g.initial) {
+      alive = s;
+    }
+  }
+  ASSERT_TRUE(absorbing[dead]);
+  ASSERT_FALSE(absorbing[alive]);
+
+  const auto expect_rejected = [&](const std::vector<double>& mass,
+                                   std::size_t at, const std::string& defect) {
+    try {
+      (void)ode.propagate(mass, 1.0, {});
+      FAIL() << "expected std::invalid_argument for " << defect;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("propagate: initial[" + std::to_string(at) + "]"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(defect), std::string::npos) << msg;
+      EXPECT_NE(msg.find(g.states[at].to_string()), std::string::npos)
+          << msg;
+    }
+  };
+  std::vector<double> mass(g.num_states(), 0.0);
+  mass[g.initial] = 0.75;
+  mass[alive] = 0.25;
+  EXPECT_NO_THROW((void)ode.propagate(mass, 1.0, {}));
+
+  auto absorbed = mass;
+  absorbed[dead] = 1e-3;
+  expect_rejected(absorbed, dead, "absorbing");
+  auto nan_mass = mass;
+  nan_mass[alive] = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(nan_mass, alive, "not finite");
+  auto negative = mass;
+  negative[alive] = -1e-6;
+  expect_rejected(negative, alive, "negative");
+  // Within rounding of zero is what a θ-step leaves behind: accepted.
+  auto rounding = mass;
+  rounding[alive] = -1e-18;
+  EXPECT_NO_THROW((void)ode.propagate(rounding, 1.0, {}));
+}
+
+TEST(ReliabilityOde, ThetaStepsAreBitwiseTheScalarOracle) {
+  // propagate's Crank–Nicolson steps run TransientStructure::substitute
+  // with shift 1/(θh); the same steps on the scalar pass in tests/oracle
+  // must give the same weights, occupancy, absorbed mass and survival
+  // integral, bit for bit.  X ⇄ Y flips with a death from X: the states
+  // with k live tokens form one (k+1)-state block, so every step solves
+  // dense blocks of 2, 3 and 4 states beside singletons.
+  PetriNet net;
+  const auto x = net.add_place("X", 3);
+  const auto y = net.add_place("Y", 0);
+  net.transition("flip").input(x).output(y).rate(2.0).add();
+  net.transition("flop").input(y).output(x).rate(1.5).add();
+  net.transition("die")
+      .input(x)
+      .rate([x](const Marking& m) { return 0.3 * m[x]; })
+      .add();
+  const auto g = explore(net);
+  const TransientStructure t(g);
+  ASSERT_EQ(t.max_block, 4u);
+  const ReliabilityOde ode(g);
+  ReliabilityOdeOptions opts;
+  opts.uniform_step_s = 0.25;
+  const auto res = ode.propagate({}, 1.0, {}, opts);
+
+  std::vector<double> rates;
+  for (const auto& e : g.edges) rates.push_back(e.rate);
+  const std::size_t nt = t.size();
+  std::vector<double> exit(nt);
+  oracle::exit_rates(t, rates, exit);
+  auto scratch = oracle::make_scratch(t);
+  std::vector<double> w(nt, 0.0), rhs(nt), occupancy(nt, 0.0);
+  w[t.init_compact] = 1.0;
+  double s_prev = 1.0, integral = 0.0;
+  const double step = 0.25;
+  for (int j = 0; j < 4; ++j) {
+    const double shift = 1.0 / (0.5 * step);
+    for (std::size_t r = 0; r < nt; ++r) {
+      double qtw = -exit[r] * w[r];
+      for (std::uint32_t k = t.in_offsets[r]; k < t.in_offsets[r + 1]; ++k) {
+        qtw += rates[t.in_edges[k].edge] * w[t.in_edges[k].src];
+      }
+      rhs[r] = (w[r] + 0.5 * step * qtw) * shift;
+    }
+    w.swap(rhs);
+    oracle::substitute(t, rates, exit, shift, w, scratch);
+    double s_now = 0.0;
+    for (const double v : w) s_now += v;
+    integral += 0.5 * step * (s_prev + s_now);
+    for (std::size_t c = 0; c < nt; ++c) {
+      occupancy[c] += 0.5 * step * (rhs[c] + w[c]);
+    }
+    s_prev = s_now;
+  }
+  std::vector<double> absorbed(g.num_states(), 0.0);
+  oracle::absorption_flow(t, rates, occupancy, absorbed);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(res.survival_integral), bits(integral));
+  for (std::size_t c = 0; c < nt; ++c) {
+    EXPECT_EQ(bits(res.weights[t.expand[c]]), bits(w[c])) << "state " << c;
+    EXPECT_EQ(bits(res.occupancy[t.expand[c]]), bits(occupancy[c]))
+        << "state " << c;
+  }
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    EXPECT_EQ(bits(res.absorbed[s]), bits(absorbed[s])) << "state " << s;
   }
 }
 

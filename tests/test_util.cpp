@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,18 @@ TEST(Json, MalformedDocumentsThrow) {
                std::runtime_error);
   EXPECT_THROW((void)Json::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW((void)Json::parse("12e4000x"), std::runtime_error);
+  // A number beyond the double range would decode to inf and re-encode
+  // as the non-JSON "inf".
+  EXPECT_THROW((void)Json::parse("[1e999]"), std::runtime_error);
+  EXPECT_THROW((void)Json::parse("-1e999"), std::runtime_error);
+  // Nesting is bounded (512 levels), so a deep document is an error
+  // instead of a stack overflow.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)Json::parse(nested(512)));
+  EXPECT_THROW((void)Json::parse(nested(513)), std::runtime_error);
+  EXPECT_THROW((void)Json::parse(nested(100'000)), std::runtime_error);
   // Type and key errors are descriptive.
   const auto v = Json::parse("{\"a\": 1.5}");
   EXPECT_THROW((void)v.at("missing"), std::runtime_error);
