@@ -26,6 +26,26 @@ cmake --build build -j"${JOBS}"
 # once built.
 python3 perfbench/run.py --self-test
 
+# --- Plan-vs-hook gate on fresh points: one traced analytic_sweep run.
+# The service answers through core::StructurePlan; the traced replay
+# re-rates the same requests through GcsSpnModel::batch_rate_fn and
+# must reproduce the service's canonical bytes (5,760 points, fresh
+# TIDS draws).  perfbench_e2e exits 0 even when an answer is wrong, so
+# the gate reads the result line: "correct": true and "failed": 0.
+# ~21 s.
+plan_gate="$(python3 perfbench/run.py --workload analytic_sweep --seed 1 \
+  --seconds 1 --trace 1 | tail -n 1)"
+python3 - "${plan_gate}" <<'PY'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("plan-vs-hook gate: analytic_sweep traced run reported "
+             f"correct={result.get('correct')} failed={result.get('failed')}")
+print("plan-vs-hook gate: correct, 0 failed")
+PY
+
 # --- Examples: every user-facing walkthrough (build/example_*) must run
 # to completion; a non-zero exit fails CI.  A few seconds in total.
 for ex in build/example_*; do

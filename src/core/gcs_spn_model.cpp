@@ -1,28 +1,22 @@
 #include "core/gcs_spn_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
-#include <algorithm>
-
+#include "core/structure_plan.h"
 #include "ids/functions.h"
 #include "spn/reliability_ode.h"
 
 namespace midas::core {
 
-namespace {
-
-/// Rounded per-group share of a system-wide token count.
-std::int64_t per_group(std::int64_t total, std::int64_t groups) {
+std::int64_t GcsSpnModel::per_group(std::int64_t total, std::int64_t groups) {
   if (groups <= 1) return total;
   const double share =
       static_cast<double>(total) / static_cast<double>(groups);
   return static_cast<std::int64_t>(std::llround(share));
 }
-
-}  // namespace
 
 GcsSpnModel::GcsSpnModel(Params params) : params_(std::move(params)) {
   params_.validate();
@@ -63,7 +57,11 @@ GcsSpnModel::GcsSpnModel(Params params) : params_(std::move(params)) {
       ids::VotingParams{params_.num_voters, params_.p1, params_.p2},
       params_.n_init, params_.n_init);
   cost_ = std::make_shared<const gcs::CostModel>(params_.cost);
-  build();
+}
+
+const spn::PetriNet& GcsSpnModel::net() const {
+  std::call_once(net_once_, [this] { build(); });
+  return net_;
 }
 
 bool GcsSpnModel::failed_c1(const spn::Marking& m) const {
@@ -89,20 +87,29 @@ bool GcsSpnModel::alive(const spn::Marking& m) const {
 }
 
 double GcsSpnModel::mc(const spn::Marking& m) const {
-  if (params_.attacker_progress == AttackerProgress::CampaignProgress) {
+  return mc_of(params_.attacker_progress, m[tm_], m[ucm_], m[dcm_]);
+}
+
+double GcsSpnModel::mc_of(AttackerProgress progress, std::int64_t tm_tok,
+                          std::int64_t ucm_tok, std::int64_t dcm_tok) {
+  if (progress == AttackerProgress::CampaignProgress) {
     // Cumulative campaign: every compromised node, detected or not.
     // (DCm also counts false evictions — the shrunken group is easier
     // prey either way; see DESIGN.md.)
-    return 1.0 + static_cast<double>(m[ucm_] + m[dcm_]);
+    return 1.0 + static_cast<double>(ucm_tok + dcm_tok);
   }
-  const double tm = m[tm_];
-  const double ucm = m[ucm_];
+  const auto tm = static_cast<double>(tm_tok);
+  const auto ucm = static_cast<double>(ucm_tok);
   if (tm <= 0.0) return 1.0;  // guarded out; safe fallback
   return (tm + ucm) / tm;
 }
 
 double GcsSpnModel::md(const spn::Marking& m) const {
-  const double members = m[tm_] + m[ucm_];
+  return md_of(m[tm_] + m[ucm_]);
+}
+
+double GcsSpnModel::md_of(std::int64_t members_tok) const {
+  const auto members = static_cast<double>(members_tok);
   if (members <= 0.0) return 1.0;
   return std::max(1.0, static_cast<double>(params_.n_init) / members);
 }
@@ -260,23 +267,25 @@ double GcsSpnModel::eviction_impulse_memo(std::int64_t members,
   // Exactly the T_IDS/T_FA impulse expression build() registers; the
   // memo only caches its (deterministic) result, keyed by the two
   // marking quantities it reads.
-  const auto compute = [&] {
-    gcs::GroupState s;
-    s.members = static_cast<double>(members);
-    s.groups = static_cast<double>(groups);
-    s.initial_size = static_cast<double>(params_.n_init);
-    return cost_->eviction_impulse_bits(s);
-  };
   if (memo_enabled_) {
     const std::int64_t gmax = std::max<std::int32_t>(params_.max_groups, 1);
     if (members >= 0 && members <= params_.n_init && groups <= gmax) {
       double& slot = evict_memo_[static_cast<std::size_t>(members * gmax +
                                                           (groups - 1))];
-      if (std::isnan(slot)) slot = compute();
+      if (std::isnan(slot)) slot = eviction_impulse_keyed(members, groups);
       return slot;
     }
   }
-  return compute();
+  return eviction_impulse_keyed(members, groups);
+}
+
+double GcsSpnModel::eviction_impulse_keyed(std::int64_t members,
+                                           std::int64_t groups) const {
+  gcs::GroupState s;
+  s.members = static_cast<double>(members);
+  s.groups = static_cast<double>(groups);
+  s.initial_size = static_cast<double>(params_.n_init);
+  return cost_->eviction_impulse_bits(s);
 }
 
 spn::BatchRateFn GcsSpnModel::batch_rate_fn(
@@ -394,12 +403,27 @@ spn::BatchRateFn GcsSpnModel::batch_rate_fn(
 }
 
 gcs::CostBreakdown GcsSpnModel::cost_rates(const spn::Marking& m) const {
+  return cost_rates_keyed(m[tm_] + m[ucm_], std::max<std::int32_t>(m[ng_], 1),
+                          detection_rate_at(m));
+}
+
+double GcsSpnModel::ids_cost_keyed(std::int64_t members, std::int64_t groups,
+                                   double det) const {
   gcs::GroupState s;
-  s.members = static_cast<double>(m[tm_] + m[ucm_]);
-  s.groups = static_cast<double>(std::max<std::int32_t>(m[ng_], 1));
+  s.members = static_cast<double>(members);
+  s.groups = static_cast<double>(groups);
+  s.initial_size = static_cast<double>(params_.n_init);
+  return cost_->ids_rate(s, det, static_cast<std::size_t>(params_.num_voters));
+}
+
+gcs::CostBreakdown GcsSpnModel::cost_rates_keyed(std::int64_t members,
+                                                 std::int64_t groups,
+                                                 double det) const {
+  gcs::GroupState s;
+  s.members = static_cast<double>(members);
+  s.groups = static_cast<double>(groups);
   s.initial_size = static_cast<double>(params_.n_init);
 
-  const double det = detection_rate_at(m);
   const auto g = static_cast<std::size_t>(s.groups);
   double pm_rate = 0.0;
   if (params_.max_groups > 1) {
@@ -417,12 +441,12 @@ gcs::CostBreakdown GcsSpnModel::cost_rates(const spn::Marking& m) const {
                           pm_rate);
 }
 
-void GcsSpnModel::build() {
-  tm_ = net_.add_place("Tm", params_.n_init);
-  ucm_ = net_.add_place("UCm", 0);
-  dcm_ = net_.add_place("DCm", 0);
-  gf_ = net_.add_place("GF", 0);
-  ng_ = net_.add_place("NG", 1);
+void GcsSpnModel::build() const {
+  if (net_.add_place("Tm", params_.n_init) != tm_ ||
+      net_.add_place("UCm", 0) != ucm_ || net_.add_place("DCm", 0) != dcm_ ||
+      net_.add_place("GF", 0) != gf_ || net_.add_place("NG", 1) != ng_) {
+    throw std::logic_error("GcsSpnModel: place ids out of order");
+  }
 
   // Shared guard: the group is only live while neither failure condition
   // holds — this is what makes C1/C2 states absorbing (paper §4).
@@ -513,7 +537,7 @@ void GcsSpnModel::build() {
 const spn::ReachabilityGraph& GcsSpnModel::graph() const {
   std::call_once(graph_once_, [this] {
     graph_ = std::make_unique<const spn::ReachabilityGraph>(
-        spn::explore(net_));
+        spn::explore(net()));
   });
   return *graph_;
 }
@@ -554,7 +578,7 @@ Evaluation GcsSpnModel::evaluate_reference() const {
   // full-state reward pass per cost component.  Kept as the equivalence
   // oracle (tests, run_experiment --parity-check) and the naive baseline
   // (bench/bench_sweep).
-  const auto graph = spn::explore(net_);
+  const auto graph = spn::explore(net());
   const spn::AbsorbingAnalyzer analyzer(graph);
   const auto res = analyzer.solve();
 
@@ -626,125 +650,17 @@ void RewardSums::normalise(Evaluation& ev) const {
   }
 }
 
-std::vector<RewardSums> accumulate_rewards(
-    std::span<const GcsSpnModel* const> models,
-    const spn::ReachabilityGraph& graph, std::span<const double> sojourn,
-    std::span<const double> absorb_probability,
-    std::span<const double> edge_rates,
-    std::span<const double> edge_impulses) {
-  const std::size_t P = models.size();
-  const std::size_t n = graph.num_states();
-  const std::size_t E = graph.edges.size();
-  if (P == 0 || sojourn.size() != n * P ||
-      absorb_probability.size() != n * P || edge_rates.size() != E * P ||
-      edge_impulses.size() != E * P) {
-    throw std::invalid_argument(
-        "accumulate_rewards: spans must be state count (sojourn, absorb "
-        "probability) or edge count (rates, impulses) x a non-empty batch");
-  }
-
-  // cost_rates(m) depends on the marking only through Tm+UCm (members)
-  // and max(NG,1) (groups) — every other input is a model parameter.
-  // Classing the states by that pair lets each point compute ONE
-  // CostBreakdown per class (bitwise the per-state value, evaluated on
-  // the class representative's marking) instead of one per state.
-  const auto* m0 = models[0];
-  const auto tm = m0->place_tm();
-  const auto ucm = m0->place_ucm();
-  const auto ng = m0->place_ng();
-  std::vector<std::uint32_t> state_class(n);
-  std::vector<std::uint32_t> class_rep;
-  std::unordered_map<std::uint64_t, std::uint32_t> class_ids;
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto& m = graph.states[s];
-    const auto members = static_cast<std::uint64_t>(m[tm] + m[ucm]);
-    const auto groups =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(m[ng], 1));
-    const std::uint64_t key = (members << 16) | groups;
-    const auto [it, inserted] =
-        class_ids.try_emplace(key, static_cast<std::uint32_t>(class_rep.size()));
-    if (inserted) class_rep.push_back(static_cast<std::uint32_t>(s));
-    state_class[s] = it->second;
-  }
-  const std::size_t n_classes = class_rep.size();
-  std::vector<gcs::CostBreakdown> class_cost(n_classes * P);
-  std::vector<char> class_filled(n_classes * P, 0);
-
-  std::vector<RewardSums> out(P);
-  // State pass: rate-cost accumulation over transient mass and C1/C2
-  // classification of absorbed mass — per point, states ascending, cost
-  // components in member order.
-  for (std::size_t s = 0; s < n; ++s) {
-    const double* tau_row = sojourn.data() + s * P;
-    const double* ap_row = absorb_probability.data() + s * P;
-    const auto cls = static_cast<std::size_t>(state_class[s]);
-    for (std::size_t p = 0; p < P; ++p) {
-      auto& acc = out[p];
-      const double tau = tau_row[p];
-      if (tau > 0.0) {
-        const std::size_t slot = cls * P + p;
-        if (!class_filled[slot]) {
-          class_cost[slot] =
-              models[p]->cost_rates(graph.states[class_rep[cls]]);
-          class_filled[slot] = 1;
-        }
-        const auto& c = class_cost[slot];
-        acc.cost.group_comm += tau * c.group_comm;
-        acc.cost.status += tau * c.status;
-        acc.cost.rekey += tau * c.rekey;
-        acc.cost.ids += tau * c.ids;
-        acc.cost.beacon += tau * c.beacon;
-        acc.cost.partition_merge += tau * c.partition_merge;
-      }
-      const double ap = ap_row[p];
-      if (ap > 0.0) {
-        if (models[p]->failed_c1(graph.states[s])) {
-          acc.p_c1 += ap;
-        } else if (models[p]->failed_c2(graph.states[s])) {
-          acc.p_c2 += ap;
-        }
-      }
-    }
-  }
-
-  // Impulse (eviction rekey) pass: edges in order, zero impulses
-  // skipped, per point.
-  for (std::size_t i = 0; i < E; ++i) {
-    const double* imp_row = edge_impulses.data() + i * P;
-    const double* rate_row = edge_rates.data() + i * P;
-    const double* soj_row =
-        sojourn.data() + static_cast<std::size_t>(graph.edges[i].src) * P;
-    for (std::size_t p = 0; p < P; ++p) {
-      if (imp_row[p] == 0.0) continue;
-      out[p].eviction += soj_row[p] * rate_row[p] * imp_row[p];
-    }
-  }
-  return out;
-}
-
 std::vector<Evaluation> evaluate_with_batch(
     std::span<const GcsSpnModel* const> models,
     const spn::AbsorbingAnalyzer& analyzer,
     std::span<const double> edge_rates, std::span<const double> edge_impulses,
     bool factor_reuse, util::Arena& arena) {
-  // solve_batch validates the batch size and the rate span,
-  // accumulate_rewards every span it reads.
-  const std::size_t P = models.size();
-  const auto& graph = analyzer.graph();
-  spn::BatchSolveOptions sopts;
-  sopts.factor_reuse = factor_reuse;
-  const auto res = analyzer.solve_batch(edge_rates, P, sopts, &arena);
-  const auto sums = accumulate_rewards(models, graph, res.sojourn,
-                                       res.absorb_probability, edge_rates,
-                                       edge_impulses);
-  std::vector<Evaluation> out(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    out[p].num_states = graph.num_states();
-    out[p].solver_blocks = res.solver_blocks;
-    out[p].mttsf = res.mtta[p];
-    sums[p].normalise(out[p]);
+  if (models.empty()) {
+    throw std::invalid_argument("evaluate_with_batch: empty model batch");
   }
-  return out;
+  const StructurePlan plan(*models[0], analyzer.graph());
+  return evaluate_with_batch(models, analyzer, plan, edge_rates,
+                             edge_impulses, factor_reuse, arena);
 }
 
 }  // namespace midas::core

@@ -89,8 +89,9 @@ class GcsSpnModel {
   [[nodiscard]] std::vector<double> reliability_at(
       std::span<const double> times) const;
 
-  /// The underlying net (exposed for inspection/tests).
-  [[nodiscard]] const spn::PetriNet& net() const noexcept { return net_; }
+  /// The underlying net, built on first use (thread-safe): a sweep
+  /// point re-rated through a StructurePlan never needs it.
+  [[nodiscard]] const spn::PetriNet& net() const;
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
   /// Place handles (valid for markings of `net()`).
@@ -121,8 +122,10 @@ class GcsSpnModel {
   /// CampaignProgress), so small dense tables capture them; memoised
   /// values are computed by exactly the un-memoised expression, so
   /// rates stay bitwise identical.  NOT enabled by default — the memo
-  /// tables make rate evaluation non-thread-safe, so only the sweep
-  /// engine (one private model per point per worker) turns it on.
+  /// tables make rate evaluation non-thread-safe.  The sweep engine
+  /// re-rates through core::StructurePlan; this memo and
+  /// batch_rate_fn remain for perfbench's traced replay
+  /// (perfbench/src/replay.cpp), which still re-rates through them.
   void enable_factor_memo();
 
   /// D(md(m)) — the T_IDS/T_FA/cost detection factor, memoised when
@@ -138,12 +141,11 @@ class GcsSpnModel {
   /// answers a (transition, marking) pair for EVERY model in the batch,
   /// hoisting the marking-derived quantities all points share (token
   /// counts, per-group voting-pool indices) out of the per-point loop
-  /// and serving the per-point factors from the memo tables — this is
-  /// where the batched sweep's re-rating pass earns its speedup, since
-  /// the generic path pays two std::function dispatches plus a full
-  /// lambda body per point per pair.  All models must share
-  /// models[0]'s net structure (the sweep engine batches within one
-  /// structure key); enable_factor_memo() should be on.  The values
+  /// and serving the per-point factors from the memo tables, where the
+  /// generic path pays two std::function dispatches plus a full lambda
+  /// body per point per pair.  All models must share models[0]'s net
+  /// structure (one structure key); enable_factor_memo() should be on.
+  /// core::StructurePlan::rate writes the same values.  The values
   /// produced are bitwise the per-model net().rate()/impulse() answers:
   /// the same helper functions evaluate the same expressions in the
   /// same order.  Returns an empty function for an empty batch.
@@ -151,7 +153,31 @@ class GcsSpnModel {
       std::vector<const GcsSpnModel*> models);
 
  private:
-  void build();
+  // StructurePlan tabulates the keyed helpers below per batch point.
+  friend class StructurePlan;
+
+  void build() const;
+
+  /// Rounded per-group share of a system-wide token count.
+  [[nodiscard]] static std::int64_t per_group(std::int64_t total,
+                                              std::int64_t groups);
+  /// mc of a marking with these token counts (the body of mc()).
+  [[nodiscard]] static double mc_of(AttackerProgress progress,
+                                    std::int64_t tm, std::int64_t ucm,
+                                    std::int64_t dcm);
+  /// md at Tm+UCm = `members` (the body of md()).
+  [[nodiscard]] double md_of(std::int64_t members) const;
+  /// cost_rates() of a state with Tm+UCm = `members`, max(NG,1) =
+  /// `groups` and detection rate `det` = D(md).
+  [[nodiscard]] gcs::CostBreakdown cost_rates_keyed(std::int64_t members,
+                                                    std::int64_t groups,
+                                                    double det) const;
+  /// cost_rates_keyed's ids component alone (the only one D reaches).
+  [[nodiscard]] double ids_cost_keyed(std::int64_t members,
+                                      std::int64_t groups, double det) const;
+  /// The T_IDS/T_FA eviction impulse at (Tm+UCm, max(NG,1)).
+  [[nodiscard]] double eviction_impulse_keyed(std::int64_t members,
+                                              std::int64_t groups) const;
 
   // Keyed memo bodies behind detection_rate_at / eviction_impulse_at:
   // batch_rate_fn computes the marking-derived keys once per
@@ -183,8 +209,11 @@ class GcsSpnModel {
   Params params_;
   std::shared_ptr<const ids::VotingTable> voting_;
   std::shared_ptr<const gcs::CostModel> cost_;
-  spn::PetriNet net_;
-  spn::PlaceId tm_ = 0, ucm_ = 0, dcm_ = 0, gf_ = 0, ng_ = 0;
+  // build() adds the places in this order.
+  static constexpr spn::PlaceId tm_ = 0, ucm_ = 1, dcm_ = 2, gf_ = 3,
+                                ng_ = 4;
+  mutable std::once_flag net_once_;
+  mutable spn::PetriNet net_;
 
   // Factor memo (enable_factor_memo): NaN = slot not yet computed.
   bool memo_enabled_ = false;
@@ -216,26 +245,11 @@ struct RewardSums {
   void normalise(Evaluation& ev) const;
 };
 
-/// The reward pass behind every constant-rate Evaluation, over P points
-/// solved on `graph` (P = models.size()).  All spans are point-major as
-/// AbsorbingAnalyzer::solve_batch returns them — sojourn and
-/// absorb_probability [state][point], edge_rates and edge_impulses
-/// [edge][point] — so a scalar AbsorbingResult with its rate/impulse
-/// vectors is the P = 1 case.  Per point and in state order: the six
-/// cost components over transient mass (one CostBreakdown per
-/// (members, groups) class, bitwise the per-state value), the C1/C2
-/// classification of absorbed mass, then the eviction impulses in edge
-/// order.  models[p] must share the graph's structure.
-[[nodiscard]] std::vector<RewardSums> accumulate_rewards(
-    std::span<const GcsSpnModel* const> models,
-    const spn::ReachabilityGraph& graph, std::span<const double> sojourn,
-    std::span<const double> absorb_probability,
-    std::span<const double> edge_rates,
-    std::span<const double> edge_impulses);
-
 /// The one constant-rate evaluation path: one AbsorbingAnalyzer::
 /// solve_batch over the point-major [edge][point] rate/impulse matrices
-/// (ReachabilityGraph::compute_rates_batch), then accumulate_rewards.
+/// (StructurePlan::rate or ReachabilityGraph::compute_rates_batch), then
+/// accumulate_rewards on a StructurePlan of the analyzer's graph built
+/// here (structure_plan.h has the overload that takes one).
 /// models[p] supplies point p's parameters; all models must share the
 /// analyzer's structure (same places, same edge existence — the sweep
 /// engine batches within one structure_key), and both spans must hold

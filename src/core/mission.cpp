@@ -23,19 +23,26 @@ MissionAnalyzer::MissionAnalyzer(Params params, MissionOptions options)
   if (segments_.size() == 1) return;  // constant: the model IS the answer
 
   // Graph per segment: the first segment explores; later segments with
-  // the same structure key re-rate that graph (a batch of one net per
-  // phase — the sweep-engine reuse idiom), others explore their own.
+  // the same structure key re-rate that graph through its plan (a batch
+  // of one point per phase — the sweep-engine reuse idiom), others
+  // explore their own and get their own plan.
   const auto& graph0 = segments_[0].model->graph();
   const std::string key0 = structure_key(timeline_[0].params);
   for (std::size_t k = 0; k < segments_.size(); ++k) {
     auto& s = segments_[k];
-    s.graph = k == 0 || structure_key(timeline_[k].params) == key0
-                  ? &graph0
-                  : &s.model->graph();
+    if (k > 0 && structure_key(timeline_[k].params) == key0) {
+      s.graph = &graph0;
+      s.plan = segments_[0].plan;
+    } else {
+      s.graph = &s.model->graph();
+      plans_.push_back(
+          std::make_unique<const StructurePlan>(*s.model, *s.graph));
+      s.plan = plans_.back().get();
+    }
     s.rates.resize(s.graph->edges.size());
     s.impulses.resize(s.graph->edges.size());
-    const spn::PetriNet* net = &s.model->net();
-    s.graph->compute_rates_batch({&net, 1}, s.rates, s.impulses);
+    const GcsSpnModel* model = s.model.get();
+    s.plan->rate({&model, 1}, s.rates, s.impulses);
   }
 }
 
@@ -92,7 +99,7 @@ Evaluation MissionAnalyzer::evaluate() const {
                           std::span<const double> absorbed) {
     const auto& seg = segments_[k];
     const GcsSpnModel* model = seg.model.get();
-    acc += accumulate_rewards({&model, 1}, *seg.graph, sojourn, absorbed,
+    acc += accumulate_rewards({&model, 1}, *seg.plan, sojourn, absorbed,
                               seg.rates, seg.impulses)
                .front();
   };

@@ -21,10 +21,11 @@
 //
 // Structure reuse: segments whose core::structure_key matches the
 // first segment's re-rate the first segment's reachability graph
-// (ReachabilityGraph::compute_rates_batch over the segment's one net —
-// the sweep-engine idiom), so phase boundaries cost one rate vector,
-// not one exploration.
-// Structurally different segments explore their own graph and the
+// through its core::StructurePlan (a batch of one point — the
+// sweep-engine idiom), so phase boundaries cost one rate vector, not
+// one exploration; the same plan rewards those phases and the tail.
+// Structurally different segments explore their own graph (with its
+// own plan) and the
 // boundary weights are remapped marking-by-marking; mass at a marking
 // the next segment cannot represent is an error naming both segments
 // (a zero-rate phase can orphan states this way).
@@ -40,6 +41,7 @@
 
 #include "core/gcs_spn_model.h"
 #include "core/params.h"
+#include "core/structure_plan.h"
 #include "spn/absorbing.h"
 #include "spn/reliability_ode.h"
 
@@ -82,6 +84,7 @@ class MissionAnalyzer {
     /// The graph this segment integrates on: the first segment's (re-
     /// rated) when the structure key matches, else the model's own.
     const spn::ReachabilityGraph* graph = nullptr;
+    const StructurePlan* plan = nullptr;  // of `graph`, in plans_
     std::vector<double> rates;     // per-edge rates on `graph`
     std::vector<double> impulses;  // per-edge impulses on `graph`
   };
@@ -96,6 +99,7 @@ class MissionAnalyzer {
   MissionOptions options_;
   std::vector<TimelineSegment> timeline_;
   std::vector<Segment> segments_;
+  std::vector<std::unique_ptr<const StructurePlan>> plans_;  // per graph
 };
 
 }  // namespace midas::core

@@ -1,8 +1,9 @@
 #include "core/sweep_engine.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <deque>
-#include <sstream>
 #include <stdexcept>
 
 #include "sim/thread_pool.h"
@@ -29,9 +30,47 @@ std::size_t SweepResult::argmin_ctotal() const {
   return best;
 }
 
+namespace {
+
+/// The text std::ostream writes at precision 17 (doubles as "%.17g",
+/// bools as 0/1), built without a stream: structure_key runs once per
+/// grid point.
+struct KeyWriter {
+  std::string out;
+
+  KeyWriter& operator<<(double v) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                   std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+    return *this;
+  }
+  KeyWriter& operator<<(std::int64_t v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+  KeyWriter& operator<<(std::int32_t v) {
+    return *this << static_cast<std::int64_t>(v);
+  }
+  KeyWriter& operator<<(bool v) {
+    out += v ? '1' : '0';
+    return *this;
+  }
+  KeyWriter& operator<<(char c) {
+    out += c;
+    return *this;
+  }
+  KeyWriter& operator<<(const char* text) {
+    out += text;
+    return *this;
+  }
+};
+
+}  // namespace
+
 std::string structure_key(const Params& p) {
-  std::ostringstream key;
-  key.precision(17);
+  KeyWriter key;
   // Initial marking and guard parameters.
   key << p.n_init << '|' << p.max_groups << '|' << p.byzantine_fraction;
   // Group birth–death tables: a zero entry removes the T_PAR/T_MER edge
@@ -76,7 +115,7 @@ std::string structure_key(const Params& p) {
         << ',' << p.detector.logistic_compromise_weight << ','
         << p.detector.logistic_time_weight << ',' << p.num_voters;
   }
-  return key.str();
+  return key.out;
 }
 
 SweepEngine::SweepEngine(std::size_t threads) : threads_(threads) {}
@@ -87,6 +126,7 @@ void SweepEngine::explore_once(CacheEntry& entry, const GcsSpnModel& model) {
         spn::explore(model.net()));
     entry.analyzer =
         std::make_unique<const spn::AbsorbingAnalyzer>(*entry.graph);
+    entry.plan = std::make_unique<const StructurePlan>(model, *entry.graph);
     std::lock_guard lock(stats_mutex_);
     ++stats_.explorations;
     stats_.states_explored += entry.graph->num_states();
@@ -144,24 +184,16 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
         }
         CacheEntry* entry = bt.entry;
         explore_once(*entry, models.front());
-        // These models are batch-private, so the transcendental factor
-        // memo is safe to turn on.
         std::vector<const GcsSpnModel*> model_ptrs(B);
-        std::vector<const spn::PetriNet*> nets(B);
-        for (std::size_t j = 0; j < B; ++j) {
-          models[j].enable_factor_memo();
-          model_ptrs[j] = &models[j];
-          nets[j] = &models[j].net();
-        }
+        for (std::size_t j = 0; j < B; ++j) model_ptrs[j] = &models[j];
         util::Arena& arena = util::thread_scratch_arena();
         arena.reset();
         const std::size_t E = entry->graph->edges.size();
         auto rates = arena.make_span<double>(E * B);
         auto impulses = arena.make_span<double>(E * B);
-        entry->graph->compute_rates_batch(
-            nets, rates, impulses, GcsSpnModel::batch_rate_fn(model_ptrs));
+        entry->plan->rate(model_ptrs, rates, impulses);
         const auto batch_evals = evaluate_with_batch(
-            model_ptrs, *entry->analyzer, rates, impulses,
+            model_ptrs, *entry->analyzer, *entry->plan, rates, impulses,
             spn::BatchSolveOptions{}.factor_reuse, arena);
         for (std::size_t j = 0; j < B; ++j) {
           evals[bt.begin + j] = batch_evals[j];

@@ -5,8 +5,9 @@
 //   1. explores the reachability graph ONCE per structural configuration
 //      (initial marking + guards + edge-existence pattern),
 //   2. re-rates the cached structure for a batch of points at a time
-//      (spn::ReachabilityGraph::compute_rates_batch) instead of
-//      re-running spn::explore + marking hashing,
+//      through the structure's StructurePlan (per-point tables, then
+//      gather loops) instead of re-running spn::explore + marking
+//      hashing,
 //   3. solves the batch and accumulates every reward component in one
 //      point-major pass (evaluate_with_batch), and
 //   4. drives the batches through sim::parallel_for.
@@ -29,6 +30,7 @@
 
 #include "core/gcs_spn_model.h"
 #include "core/params.h"
+#include "core/structure_plan.h"
 
 namespace midas::core {
 
@@ -95,10 +97,13 @@ class SweepEngine {
     // Structure shared by every point: absorbing mask, transient
     // compaction, SCC condensation (solve_batch is const).
     std::unique_ptr<const spn::AbsorbingAnalyzer> analyzer;
+    // Rate roles, marking features and reward classes per state/edge.
+    std::unique_ptr<const StructurePlan> plan;
   };
 
-  /// Explores `model`'s net into `entry` unless another point already
-  /// did (thread-safe; counts the exploration in stats_).
+  /// Explores `model`'s net into `entry`, with its analyzer and plan,
+  /// unless another point already did (thread-safe; counts the
+  /// exploration in stats_).
   void explore_once(CacheEntry& entry, const GcsSpnModel& model);
 
   std::size_t threads_;

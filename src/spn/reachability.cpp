@@ -68,6 +68,23 @@ std::vector<char> ReachabilityGraph::absorbing_mask() const {
   return mask;
 }
 
+std::runtime_error rerate_error(const char* who,
+                                const ReachabilityGraph& graph,
+                                std::size_t edge,
+                                const std::string& transition, double rate,
+                                std::size_t point) {
+  const Edge& e = graph.edges[edge];
+  return std::runtime_error(
+      std::string(who) + ": edge " + std::to_string(edge) + " (" +
+      std::to_string(e.src) + " -> " + std::to_string(e.dst) +
+      ", transition " + transition + ") re-rates to " +
+      std::to_string(rate) + " at marking " +
+      graph.states[e.src].to_string() + " for batch point " +
+      std::to_string(point) +
+      "; the parameter change alters the edge structure and requires a "
+      "fresh exploration");
+}
+
 void ReachabilityGraph::compute_rates_batch(
     std::span<const PetriNet* const> nets, std::span<double> rates,
     std::span<double> impulses, const BatchRateFn& fast) const {
@@ -108,14 +125,9 @@ void ReachabilityGraph::compute_rates_batch(
       for (std::size_t p = 0; p < P; ++p) {
         const double rate = base_rate[p] * e.prob;
         if (rate <= 0.0) {
-          throw std::runtime_error(
-              "compute_rates_batch: edge " + std::to_string(i) + " (" +
-              std::to_string(e.src) + " -> " + std::to_string(e.dst) +
-              ", transition " + nets[p]->transition_name(e.transition) +
-              ") re-rates to " + std::to_string(rate) + " at marking " +
-              m.to_string() + " for batch point " + std::to_string(p) +
-              "; the parameter change alters the edge structure and "
-              "requires a fresh exploration");
+          throw rerate_error("compute_rates_batch", *this, i,
+                             nets[p]->transition_name(e.transition), rate,
+                             p);
         }
         rate_row[p] = rate;
         imp_row[p] = timed_impulse[p] + e.vanishing_impulse;

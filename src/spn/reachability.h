@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "spn/marking.h"
@@ -96,6 +98,17 @@ struct ReachabilityGraph {
 
   [[nodiscard]] std::size_t num_states() const { return states.size(); }
 };
+
+/// The error a batch re-rate raises (`who` names the caller) when edge
+/// `edge` of `graph` re-rates to the non-positive `rate` under batch
+/// point `point`: it names the edge, its transition, the source
+/// marking and the point.  compute_rates_batch and
+/// core::StructurePlan::rate share it.
+[[nodiscard]] std::runtime_error rerate_error(const char* who,
+                                              const ReachabilityGraph& graph,
+                                              std::size_t edge,
+                                              const std::string& transition,
+                                              double rate, std::size_t point);
 
 struct ExploreOptions {
   std::size_t max_states = 2'000'000;

@@ -62,21 +62,24 @@ bool validate_utf8(std::string_view bytes) {
 
 void FrameBuffer::feed(std::string_view bytes) {
   // Drop the consumed prefix before growing, so long sessions do not
-  // accumulate dead bytes.
+  // accumulate dead bytes; the scan offsets move with it.
   if (consumed_ > 0) {
     buf_.erase(0, consumed_);
+    scanned_ -= consumed_;
+    line_start_ -= consumed_;
     consumed_ = 0;
   }
+  const std::size_t old_size = buf_.size();
   buf_.append(bytes);
   // The cap bounds a single frame, terminated or not: an unterminated
   // tail beyond it can never become a valid frame, so fail now instead
   // of buffering a runaway peer.  (Complete oversized lines are caught
-  // in next().)
-  const std::size_t last_newline = buf_.rfind('\n');
-  const std::size_t tail =
-      last_newline == std::string::npos ? buf_.size()
-                                        : buf_.size() - (last_newline + 1);
-  if (tail > max_frame_bytes_) {
+  // in next().)  Only the appended bytes can hold a new newline.
+  const std::size_t last_newline = bytes.rfind('\n');
+  if (last_newline != std::string_view::npos) {
+    line_start_ = old_size + last_newline + 1;
+  }
+  if (buf_.size() - line_start_ > max_frame_bytes_) {
     throw FrameError(FrameErrorKind::Oversized,
                      "frame exceeds " + std::to_string(max_frame_bytes_) +
                          " bytes before its terminating newline");
@@ -85,10 +88,15 @@ void FrameBuffer::feed(std::string_view bytes) {
 
 std::optional<Json> FrameBuffer::next() {
   while (true) {
-    const std::size_t newline = buf_.find('\n', consumed_);
-    if (newline == std::string::npos) return std::nullopt;
+    // Bytes before scanned_ hold no newline: resume the search there.
+    const std::size_t newline = buf_.find('\n', scanned_);
+    if (newline == std::string::npos) {
+      scanned_ = buf_.size();
+      return std::nullopt;
+    }
     std::string_view line(buf_.data() + consumed_, newline - consumed_);
     consumed_ = newline + 1;  // the line is consumed even when malformed
+    scanned_ = consumed_;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;  // blank keep-alive line
     if (line.size() > max_frame_bytes_) {

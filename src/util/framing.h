@@ -84,6 +84,12 @@ class FrameBuffer {
   std::size_t max_frame_bytes_;
   std::string buf_;
   std::size_t consumed_ = 0;  // prefix of buf_ already handed out
+  // Scan offsets, so that a frame fed in n chunks is scanned once, not
+  // n times: buf_[consumed_, scanned_) holds no newline (next() resumes
+  // there), and line_start_ follows the last newline in buf_ (feed()
+  // measures the unterminated tail from it).
+  std::size_t scanned_ = 0;
+  std::size_t line_start_ = 0;
 };
 
 }  // namespace midas::util

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -12,19 +13,35 @@ namespace midas::util {
 
 namespace {
 
-/// Shortest textual form that strtod maps back to the identical bits:
+void encode_string(std::string& out, const std::string& s);
+
+/// Appends a textual form that strtod maps back to the identical bits:
 /// integral doubles inside the exact-integer range print without an
 /// exponent (counts stay readable), everything else gets 17 significant
-/// digits.
-std::string encode_number(double v) {
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
+/// digits — std::to_chars' fixed/0 and general/17, which are printf's
+/// "%.0f" and "%.17g" bytes.  A non-finite value is written as
+/// Json::number's flag string ("inf", "-inf", "nan"), so a document
+/// holding a bare non-finite Json(double) still parses, and
+/// to_double() reads the value back.
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    encode_string(out, std::isnan(v) ? "nan" : v > 0.0 ? "inf" : "-inf");
+    return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  char buf[32];
+  const auto res =
+      v == std::floor(v) && std::fabs(v) < 9.007199254740992e15
+          ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                          0)
+          : std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, 17);
+  out.append(buf, res.ptr);
+}
+
+std::string encode_number(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 void encode_string(std::string& out, const std::string& s) {
@@ -348,7 +365,7 @@ void Json::dump_to(std::string& out, int depth) const {
   switch (type_) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
-    case Type::Number: out += encode_number(number_); break;
+    case Type::Number: append_number(out, number_); break;
     case Type::String: encode_string(out, string_); break;
     case Type::Array:
       if (elements_.empty()) {

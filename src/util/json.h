@@ -7,7 +7,9 @@
 // strtod maps back to the identical bits.  Non-finite values (the n < 2
 // infinite CI half-widths, NaN categorical axis levels) are encoded as
 // the strings "inf" / "-inf" / "nan" so the files stay strict JSON;
-// to_double() decodes either form.
+// to_double() decodes either form.  dump() writes a non-finite Number
+// (a bare Json(double) rather than Json::number) as the same flag
+// string, so every dump parses.
 //
 // Objects preserve insertion order (stable diffs, readable artifacts).
 // This is a data-file format, not a general-purpose JSON library: the

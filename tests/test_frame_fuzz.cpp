@@ -2,16 +2,17 @@
 // Fleet-protocol frames — a worker hello, a lease carrying a spec and a
 // result carrying a result payload — are truncated, duplicated, spliced,
 // bit-flipped, salted with '\n', '\r', NUL and invalid UTF-8, given an
-// overflowing number, nested deeply or decoded under a small frame cap,
-// then fed in random chunk sizes.  Every input must yield frames that
-// re-encode byte-stably or a typed FrameError: no other exception, no
-// crash, no hang.
+// overflowing number or a bare non-finite one, nested deeply or decoded
+// under a small frame cap, then fed in random chunk sizes.  Every input
+// must yield frames that re-encode byte-stably or a typed FrameError:
+// no other exception, no crash, no hang.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -81,6 +82,7 @@ enum class Mutation {
   Overflow,
   DeepNest,
   SmallCap,
+  NonFinite,
   kCount,
 };
 
@@ -158,6 +160,19 @@ Input mutate(Mutation op, std::mt19937_64& rng) {
     case Mutation::SmallCap:
       in.cap = 1 + rng() % s.size();
       break;
+    case Mutation::NonFinite: {
+      // A bare non-finite Json(double), not routed through
+      // Json::number: the encoder must still emit a decodable frame.
+      FrameBuffer seed;
+      seed.feed(s);
+      Json frame = *seed.next();
+      const double values[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+      frame.set("non_finite", Json(values[rng() % 3]));
+      s = encode_frame(frame);
+      break;
+    }
     case Mutation::kCount:
       break;
   }

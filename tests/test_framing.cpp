@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "util/framing.h"
 #include "util/json.h"
@@ -147,6 +150,53 @@ TEST(Framing, DeeplyNestedFrameIsBadJsonAndDecodingContinues) {
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->at("value").as_number(), 4.0);
   EXPECT_NO_THROW(buf.finish());
+}
+
+TEST(Framing, LargeFramesFedInSmallChunksDecodeLikeOneShot) {
+  // The decoder resumes its newline scan where it stopped, so a frame
+  // fed in n chunks costs O(size), not O(n·size): a 4 MiB frame in
+  // 4 KiB chunks and a 256 KiB frame one byte at a time each decode to
+  // the one-shot answer (and finish in well under a second).
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {std::size_t{4} << 20, 4096}, {std::size_t{256} << 10, 1}};
+  for (const auto& [size, chunk] : shapes) {
+    auto j = Json::object();
+    j.set("type", Json("result"));
+    j.set("blob", Json(std::string(size, 'x')));
+    const std::string wire = encode_frame(j);
+    FrameBuffer one_shot;
+    one_shot.feed(wire);
+    const auto want = one_shot.next();
+    ASSERT_TRUE(want.has_value());
+
+    FrameBuffer buf;
+    std::optional<Json> got;
+    for (std::size_t at = 0; at < wire.size(); at += chunk) {
+      buf.feed(std::string_view(wire).substr(at, chunk));
+      auto frame = buf.next();
+      if (frame) {
+        ASSERT_GE(at + chunk, wire.size()) << "frame before its newline";
+        got = std::move(frame);
+      }
+    }
+    ASSERT_TRUE(got.has_value()) << size << " bytes in chunks of " << chunk;
+    EXPECT_EQ(got->dump_compact(), want->dump_compact());
+    EXPECT_FALSE(buf.has_partial());
+  }
+}
+
+TEST(Framing, UnterminatedTailFedBytewiseFailsAtCapPlusOne) {
+  // The cap is measured from the last newline, also when the tail
+  // arrives one byte at a time after a consumed frame.
+  const std::size_t cap = 4096;
+  FrameBuffer buf(cap);
+  buf.feed(encode_frame(sample(1.0)));
+  ASSERT_TRUE(buf.next().has_value());
+  for (std::size_t i = 0; i < cap; ++i) {
+    buf.feed("x");
+    ASSERT_FALSE(buf.next().has_value());
+  }
+  EXPECT_EQ(kind_of([&] { buf.feed("x"); }), FrameErrorKind::Oversized);
 }
 
 TEST(Framing, InterleavedFramesAcrossFeedsDecodeInOrder) {

@@ -25,6 +25,7 @@
 
 #include "core/gcs_spn_model.h"
 #include "core/params.h"
+#include "core/structure_plan.h"
 #include "core/sweep_engine.h"
 #include "oracle/substitution.h"
 #include "spn/petri_net.h"
@@ -373,6 +374,28 @@ TEST(SolverBatch, ComputeRatesBatchRejectsReRatedEdgeNamingIt) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("re-rates"), std::string::npos) << msg;
     EXPECT_NE(msg.find("transition ba"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("batch point 1"), std::string::npos) << msg;
+  }
+
+  // The structure plan raises the same error: p1 = 0 at point 1 zeroes
+  // every T_DRQ edge of the structure explored at p1 = 0.01.
+  Params dry = small_params();
+  dry.p1 = 0.0;
+  const core::GcsSpnModel wet_model(small_params());
+  const core::GcsSpnModel dry_model(dry);
+  const core::GcsSpnModel* models[] = {&wet_model, &dry_model};
+  const auto graph = spn::explore(wet_model.net());
+  const core::StructurePlan plan(wet_model, graph);
+  std::vector<double> plan_rates(graph.edges.size() * 2);
+  std::vector<double> plan_impulses(graph.edges.size() * 2);
+  try {
+    plan.rate(models, plan_rates, plan_impulses);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("re-rates"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("transition T_DRQ"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at marking ("), std::string::npos) << msg;
     EXPECT_NE(msg.find("batch point 1"), std::string::npos) << msg;
   }
 }

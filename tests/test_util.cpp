@@ -1,13 +1,18 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "oracle/number_format.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/json.h"
@@ -172,6 +177,65 @@ TEST(Json, NonFiniteDoublesUseFlagStrings) {
   const auto text = obj.dump();
   EXPECT_EQ(text.find(": inf"), std::string::npos);
   EXPECT_EQ(text.find(": nan"), std::string::npos);
+}
+
+TEST(Json, BareNonFiniteNumbersDumpAsFlagStrings) {
+  // A non-finite Json(double) that bypassed Json::number dumps as the
+  // flag string, never as a bare inf/nan token the parser rejects.
+  const double inf = std::numeric_limits<double>::infinity();
+  auto obj = Json::object();
+  obj.set("pos", Json(inf));
+  obj.set("neg", Json(-inf));
+  obj.set("nan", Json(std::nan("")));
+  const auto parsed = Json::parse(obj.dump_compact());
+  EXPECT_EQ(obj.dump_compact(), Json::parse(obj.dump()).dump_compact());
+  EXPECT_EQ(parsed.at("pos").to_double(), inf);
+  EXPECT_EQ(parsed.at("neg").to_double(), -inf);
+  EXPECT_TRUE(std::isnan(parsed.at("nan").to_double()));
+  EXPECT_EQ(obj.dump_compact(),
+            R"({"pos":"inf","neg":"-inf","nan":"nan"})");
+}
+
+TEST(Json, NumbersAreThePrintfFormattersBytes) {
+  // std::to_chars' fixed/0 and general/17 against the "%.0f"/"%.17g"
+  // formatter in tests/oracle, over a seeded sample: random bit
+  // patterns, integers around 2^53, subnormals, signed zeros and
+  // short decimals.
+  std::mt19937_64 rng(0x70C4A25);
+  std::vector<double> values{0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, 1e300,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max()};
+  const double two53 = 9007199254740992.0;
+  for (int k = -64; k <= 64; ++k) {
+    values.push_back(two53 + k);
+    values.push_back(-(two53 + k));
+    values.push_back(std::ldexp(1.0, 52) + k + 0.5);
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t raw = rng();
+    double v = std::bit_cast<double>(raw);
+    switch (i % 4) {
+      case 0: break;                                      // any pattern
+      case 1: v = std::bit_cast<double>(raw & 0x800FFFFFFFFFFFFFULL); break;
+      case 2: v = static_cast<double>(static_cast<std::int64_t>(raw) >>
+                                      (raw % 63)); break;  // integers
+      case 3: v = static_cast<double>(raw % 100'000) / 1000.0; break;
+    }
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = Json(v).dump_compact();
+    const std::string want = oracle::encode_number(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": "
+                    << got << " vs " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, ParseAcceptsHandwrittenDocuments) {
