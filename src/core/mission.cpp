@@ -39,11 +39,20 @@ MissionAnalyzer::MissionAnalyzer(Params params, MissionOptions options)
           std::make_unique<const StructurePlan>(*s.model, *s.graph));
       s.plan = plans_.back().get();
     }
-    s.rates.resize(s.graph->edges.size());
-    s.impulses.resize(s.graph->edges.size());
-    const GcsSpnModel* model = s.model.get();
-    s.plan->rate({&model, 1}, s.rates, s.impulses);
+    // A phase that alters the edge structure fails here, not mid-chain.
+    (void)rate_segment(k);
   }
+}
+
+MissionAnalyzer::SegmentRates MissionAnalyzer::rate_segment(
+    std::size_t k) const {
+  const auto& seg = segments_[k];
+  SegmentRates out;
+  out.rates.resize(seg.graph->edges.size());
+  out.impulses.resize(seg.graph->edges.size());
+  const GcsSpnModel* model = seg.model.get();
+  seg.plan->rate({&model, 1}, out.rates, out.impulses);
+  return out;
 }
 
 std::vector<double> MissionAnalyzer::remap_weights(
@@ -95,12 +104,12 @@ Evaluation MissionAnalyzer::evaluate() const {
   // its occupancy and absorbed mass, the tail with its sojourn and
   // absorption probabilities.
   RewardSums acc;
-  const auto reward = [&](std::size_t k, std::span<const double> sojourn,
+  const auto reward = [&](std::size_t k, const SegmentRates& r,
+                          std::span<const double> sojourn,
                           std::span<const double> absorbed) {
-    const auto& seg = segments_[k];
-    const GcsSpnModel* model = seg.model.get();
-    acc += accumulate_rewards({&model, 1}, *seg.plan, sojourn, absorbed,
-                              seg.rates, seg.impulses)
+    const GcsSpnModel* model = segments_[k].model.get();
+    acc += accumulate_rewards({&model, 1}, *segments_[k].plan, sojourn,
+                              absorbed, r.rates, r.impulses)
                .front();
   };
   std::vector<double> w;  // boundary weights (full-state, per graph)
@@ -109,7 +118,8 @@ Evaluation MissionAnalyzer::evaluate() const {
     const auto& seg = segments_[k];
     const double duration =
         timeline_[k + 1].start_s - timeline_[k].start_s;
-    const spn::ReliabilityOde ode(*seg.graph, seg.rates);
+    const auto r = rate_segment(k);
+    const spn::ReliabilityOde ode(*seg.graph, r.rates);
     const auto res = ode.propagate(w, duration, {}, options_.ode);
     // accumulate_rewards skips non-positive sojourn: a negative entry
     // must fail here rather than drop out of every reward.
@@ -117,16 +127,17 @@ Evaluation MissionAnalyzer::evaluate() const {
         res.occupancy, *seg.graph,
         "MissionAnalyzer: phase '" + timeline_[k].label + "' occupancy");
     mttsf += res.survival_integral;
-    reward(k, res.occupancy, res.absorbed);
+    reward(k, r, res.occupancy, res.absorbed);
     w = remap_weights(res.weights, k, k + 1);
   }
 
   // Final (infinite-horizon) segment: close the chain analytically from
   // the boundary distribution.
-  const auto& seg = segments_.back();
-  const spn::AbsorbingAnalyzer analyzer(*seg.graph);
-  const auto res = analyzer.solve_from(w, seg.rates);
-  reward(segments_.size() - 1, res.sojourn, res.absorb_probability);
+  const std::size_t last = segments_.size() - 1;
+  const auto r = rate_segment(last);
+  const spn::AbsorbingAnalyzer analyzer(*segments_[last].graph);
+  const auto res = analyzer.solve_from(w, r.rates);
+  reward(last, r, res.sojourn, res.absorb_probability);
 
   Evaluation ev;
   ev.num_states = segments_[0].graph->num_states();
@@ -172,7 +183,7 @@ std::vector<double> MissionAnalyzer::reliability_at(
       ++next;
     }
     const spn::ReliabilityOde ode(*segments_[k].graph,
-                                  segments_[k].rates);
+                                  rate_segment(k).rates);
     const auto res =
         ode.propagate(w, end - start, emit, options_.ode);
     for (std::size_t j = 0; j < emit.size(); ++j) {

@@ -28,7 +28,9 @@
 // own plan) and the
 // boundary weights are remapped marking-by-marking; mass at a marking
 // the next segment cannot represent is an error naming both segments
-// (a zero-rate phase can orphan states this way).
+// (a zero-rate phase can orphan states this way).  A segment's rate
+// and impulse vectors are re-rated through its plan where they are
+// used, so only the segment being integrated holds them.
 //
 // A single-segment timeline — no schedule/mission, or a constant one —
 // routes straight through GcsSpnModel::evaluate()/reliability_at(),
@@ -85,9 +87,16 @@ class MissionAnalyzer {
     /// rated) when the structure key matches, else the model's own.
     const spn::ReachabilityGraph* graph = nullptr;
     const StructurePlan* plan = nullptr;  // of `graph`, in plans_
-    std::vector<double> rates;     // per-edge rates on `graph`
-    std::vector<double> impulses;  // per-edge impulses on `graph`
   };
+
+  /// Per-edge rates and impulses of one segment on its graph.
+  struct SegmentRates {
+    std::vector<double> rates;
+    std::vector<double> impulses;
+  };
+
+  /// Segment k's rates and impulses, re-rated through its plan.
+  [[nodiscard]] SegmentRates rate_segment(std::size_t k) const;
 
   /// Carries boundary weights from `from`'s graph to `to`'s graph by
   /// marking identity; throws when unrepresentable mass exceeds 1e-12
