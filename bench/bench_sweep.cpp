@@ -99,8 +99,10 @@ int main(int argc, char** argv) {
   (void)timing_engine.evaluate(points, spec.analytic.batch);
   // Alternate the two modes and keep each one's fastest pass: back-to-
   // back rep blocks would fold machine drift into the ratio, and min-
-  // of-reps is the standard estimator for the undisturbed runtime.
-  const std::size_t reps = smoke ? 5 : 4;
+  // of-reps is the standard estimator for the undisturbed runtime.  A
+  // smoke pass lasts ~1 ms, so one scheduler hiccup can cover a whole
+  // pass: 25 of them (~50 ms) give each width an undisturbed one.
+  const std::size_t reps = smoke ? 25 : 4;
   std::vector<core::Evaluation> width1_evals;
   std::vector<core::Evaluation> batch_evals;
   double width1_seconds = 0.0;

@@ -238,7 +238,10 @@ cmake --build build-asan -j"${JOBS}" --target midas_tests
 # — the in-memory fleet and its lease table, the Monte-Carlo engine,
 # voting-table construction, the DES (every Monte-Carlo worker reads one
 # DesContext rate table at once), the sweep engine and batched solver at
-# several thread counts, and the vr thread-count invariance test.  Any
+# several thread counts, the mission chain (the engine's workers run
+# MissionAnalyzers on one shared structure cache; Mission.Service* and
+# SweepEngine.PhasedGrid* go through the service), and the vr
+# thread-count invariance test.  Any
 # report fails the run (halt_on_error), so a shared global written from
 # worker threads (like glibc's signgam behind std::lgamma) cannot
 # creep back in.
@@ -248,6 +251,6 @@ cmake -B build-tsan -S . \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j"${JOBS}" --target midas_tests
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/midas_tests \
-  --gtest_filter='Fleet.*:LeaseTable.*:McEngine.*:Voting*.*:Des*.*:SweepEngine.*:SolverBatch.*:GridRun.BitwiseIdenticalAcrossThreadCounts:VrEngine.PayloadsAreBitwiseAcrossThreadCounts'
+  --gtest_filter='Fleet.*:LeaseTable.*:McEngine.*:Voting*.*:Des*.*:SweepEngine.*:SolverBatch.*:Mission.*:GridRun.BitwiseIdenticalAcrossThreadCounts:VrEngine.PayloadsAreBitwiseAcrossThreadCounts'
 
 echo "ci.sh: all checks passed"

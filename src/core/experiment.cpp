@@ -8,10 +8,8 @@
 #include <string_view>
 #include <utility>
 
-#include "core/mission.h"
 #include "ids/functions.h"
 #include "sim/protocol_sim.h"
-#include "sim/thread_pool.h"
 #include "util/stopwatch.h"
 
 namespace midas::core {
@@ -1063,45 +1061,44 @@ ExperimentResult merge_experiment_results(
   ranges.reserve(parts.size());
   labels.reserve(parts.size());
   std::vector<char> seen(parts.size(), 0);
+  // The first part is the reference, so a mismatch names both shards:
+  // the odd one out may be either.
+  const ExperimentResult& ref = parts.front();
+  const std::string ref_shard = "shard " + std::to_string(ref.shard_index);
   for (const auto& part : parts) {
+    const std::string shard =
+        "merge_experiment_results: shard " + std::to_string(part.shard_index);
     if (normalised_dump(part.spec) != ref_dump) {
       throw std::invalid_argument(
-          "merge_experiment_results: shard " +
-          std::to_string(part.shard_index) +
-          " was produced by a different spec");
+          shard + " was produced by a different spec than " + ref_shard);
     }
-    if (part.backends.size() != parts.front().backends.size()) {
-      throw std::invalid_argument(
-          "merge_experiment_results: shard " +
-          std::to_string(part.shard_index) + " backend set differs");
+    if (!std::equal(part.backends.begin(), part.backends.end(),
+                    ref.backends.begin(), ref.backends.end(),
+                    [](const BackendRun& a, const BackendRun& b) {
+                      return a.kind == b.kind;
+                    })) {
+      throw std::invalid_argument(shard + " backend set differs from " +
+                                  ref_shard + "'s");
     }
     for (std::size_t b = 0; b < part.backends.size(); ++b) {
-      if (part.backends[b].kind != parts.front().backends[b].kind) {
-        throw std::invalid_argument(
-            "merge_experiment_results: shard " +
-            std::to_string(part.shard_index) + " backend set differs");
-      }
       const auto& run = part.backends[b];
+      const std::string backend =
+          shard + " backend '" + to_string(run.kind) + "'";
       const std::size_t payload = run.kind == BackendKind::Analytic
                                       ? run.evals.size()
                                       : run.mc.size();
       if (payload != part.range.size()) {
         throw std::invalid_argument(
-            "merge_experiment_results: shard " +
-            std::to_string(part.shard_index) + " backend '" +
-            to_string(run.kind) + "' payload size does not match its range");
+            backend + " payload size does not match its range");
       }
-      if (run.vr.empty() != parts.front().backends[b].vr.empty()) {
-        throw std::invalid_argument(
-            "merge_experiment_results: shard " +
-            std::to_string(part.shard_index) + " backend '" +
-            to_string(run.kind) + "' vr payload presence differs");
+      if (run.vr.empty() != ref.backends[b].vr.empty()) {
+        throw std::invalid_argument(backend +
+                                    " vr payload presence differs from " +
+                                    ref_shard + "'s");
       }
       if (!run.vr.empty() && run.vr.size() != part.range.size()) {
         throw std::invalid_argument(
-            "merge_experiment_results: shard " +
-            std::to_string(part.shard_index) + " backend '" +
-            to_string(run.kind) + "' vr payload size does not match its range");
+            backend + " vr payload size does not match its range");
       }
     }
     if (part.shard_index < seen.size()) {
@@ -1181,34 +1178,6 @@ sim::McOptions effective_mc(const ExperimentSpec& spec, ShardRange range,
 ExperimentService::ExperimentService(ExperimentServiceOptions opts)
     : threads_(opts.threads), engine_(opts.threads) {}
 
-std::vector<Evaluation> ExperimentService::run_analytic(
-    const ExperimentSpec& spec, std::span<const Params> points) {
-  if (!spec.base.time_varying()) {
-    return engine_.evaluate(points, spec.analytic.batch);
-  }
-  if (resolve_timeline(spec.base).size() == 1) {
-    // Constant variation (identity or a single always-on scaling):
-    // resolve each point to its one constant segment and keep the
-    // batched sweep path.  Identity multipliers are IEEE-exact, so
-    // this payload is bitwise the no-schedule one.
-    std::vector<Params> constant;
-    constant.reserve(points.size());
-    for (const auto& p : points) {
-      constant.push_back(resolve_timeline(p).front().params);
-    }
-    return engine_.evaluate(constant, spec.analytic.batch);
-  }
-  // Phased mission: chain the transient solver across boundaries, one
-  // analyzer per grid point.  Points are independent, so the MC thread
-  // pool shape applies.
-  std::vector<Evaluation> evals(points.size());
-  sim::parallel_for(
-      points.size(),
-      [&](std::size_t i) { evals[i] = MissionAnalyzer(points[i]).evaluate(); },
-      threads_);
-  return evals;
-}
-
 BackendRun ExperimentService::run_des(const ExperimentSpec& spec,
                                       std::span<const Params> points,
                                       ShardRange range,
@@ -1281,7 +1250,7 @@ ExperimentResult ExperimentService::run(const ExperimentSpec& spec) {
     BackendRun run;
     switch (kind) {
       case BackendKind::Analytic:
-        run.evals = run_analytic(spec, points);
+        run.evals = engine_.evaluate(points, spec.analytic.batch);
         break;
       case BackendKind::Des:
         run = run_des(spec, points, range, result.find(BackendKind::Analytic));

@@ -11,11 +11,11 @@
 //     fully determines a worker's job — it is the wire format the
 //     sweep_shard / sweep_merge / run_experiment tools speak, and the
 //     API a network-facing service would accept.
-//   * core::BackendKind names the three answers: Analytic (batched
-//     SweepEngine solve, or the MissionAnalyzer chain for a phased
-//     spec), Des (MonteCarloEngine over simulate_group) and
-//     ProtocolSim (MonteCarloEngine over run_protocol_sim) — any
-//     subset per request, one pass each.
+//   * core::BackendKind names the three answers: Analytic (one
+//     SweepEngine::evaluate call: batched constant solves, the
+//     MissionAnalyzer chain per phased point), Des (MonteCarloEngine
+//     over simulate_group) and ProtocolSim (MonteCarloEngine over
+//     run_protocol_sim) — any subset per request, one pass each.
 //   * core::ExperimentService::run(spec) validates, expands the grid,
 //     resolves the shard slice, runs every requested backend and
 //     returns an ExperimentResult whose JSON form (raw Welford states,
@@ -231,10 +231,10 @@ struct ExperimentServiceOptions {
 };
 
 /// The one entry point: run(spec) → ExperimentResult.  Holds the
-/// analytic SweepEngine (structure cache shared across requests — a
-/// figure grid and its validation grid explore once).  Every backend
-/// answers the point slice independently of which shard runs it (the
-/// merge invariant): MC substream keys are global
+/// analytic SweepEngine (structure cache shared across requests and
+/// mission segments — a figure grid and its validation grid explore
+/// once).  Every backend answers the point slice independently of which
+/// shard runs it (the merge invariant): MC substream keys are global
 /// (point_stream_offset), analytic solves are per-point.
 class ExperimentService {
  public:
@@ -249,8 +249,6 @@ class ExperimentService {
   [[nodiscard]] SweepEngine& sweep_engine() noexcept { return engine_; }
 
  private:
-  [[nodiscard]] std::vector<Evaluation> run_analytic(
-      const ExperimentSpec& spec, std::span<const Params> points);
   /// `analytic`: this request's Analytic run, if it came first.
   [[nodiscard]] BackendRun run_des(const ExperimentSpec& spec,
                                    std::span<const Params> points,

@@ -54,8 +54,6 @@ ExperimentSpec named(const std::string& name, bool smoke) {
 
 }  // namespace
 
-std::vector<double> validation_t_ids(bool smoke) { return t_ids_axis(smoke); }
-
 std::vector<std::string> experiment_preset_names() {
   return {"fig2",
           "fig2_val",

@@ -36,9 +36,4 @@ namespace midas::core {
 [[nodiscard]] ExperimentSpec experiment_preset(const std::string& name,
                                                bool smoke);
 
-/// The TIDS levels the validation presets simulate: the full paper
-/// grid, or a 3-point subset covering both ends and the interior in
-/// smoke mode (shared by every *_val preset and the shard demos).
-[[nodiscard]] std::vector<double> validation_t_ids(bool smoke);
-
 }  // namespace midas::core

@@ -4,43 +4,36 @@
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
-#include "core/sweep_engine.h"
 #include "spn/marking.h"
 
 namespace midas::core {
 
 MissionAnalyzer::MissionAnalyzer(Params params, MissionOptions options)
+    : MissionAnalyzer(std::move(params), nullptr, options) {}
+
+MissionAnalyzer::MissionAnalyzer(Params params, SweepEngine& engine,
+                                 MissionOptions options)
+    : MissionAnalyzer(std::move(params), &engine, options) {}
+
+MissionAnalyzer::MissionAnalyzer(Params params, SweepEngine* engine,
+                                 MissionOptions options)
     : options_(options) {
   params.validate();
   timeline_ = resolve_timeline(params);
+  if (engine == nullptr) {
+    own_engine_ = std::make_unique<SweepEngine>(1);
+    engine = own_engine_.get();
+  }
   segments_.reserve(timeline_.size());
   for (const auto& seg : timeline_) {
     Segment s;
     s.model = std::make_unique<GcsSpnModel>(seg.params);
+    s.structure = &engine->structure(structure_key(seg.params), *s.model);
     segments_.push_back(std::move(s));
-  }
-  if (segments_.size() == 1) return;  // constant: the model IS the answer
-
-  // Graph per segment: the first segment explores; later segments with
-  // the same structure key re-rate that graph through its plan (a batch
-  // of one point per phase — the sweep-engine reuse idiom), others
-  // explore their own and get their own plan.
-  const auto& graph0 = segments_[0].model->graph();
-  const std::string key0 = structure_key(timeline_[0].params);
-  for (std::size_t k = 0; k < segments_.size(); ++k) {
-    auto& s = segments_[k];
-    if (k > 0 && structure_key(timeline_[k].params) == key0) {
-      s.graph = &graph0;
-      s.plan = segments_[0].plan;
-    } else {
-      s.graph = &s.model->graph();
-      plans_.push_back(
-          std::make_unique<const StructurePlan>(*s.model, *s.graph));
-      s.plan = plans_.back().get();
-    }
     // A phase that alters the edge structure fails here, not mid-chain.
-    (void)rate_segment(k);
+    (void)rate_segment(segments_.size() - 1);
   }
 }
 
@@ -48,18 +41,18 @@ MissionAnalyzer::SegmentRates MissionAnalyzer::rate_segment(
     std::size_t k) const {
   const auto& seg = segments_[k];
   SegmentRates out;
-  out.rates.resize(seg.graph->edges.size());
-  out.impulses.resize(seg.graph->edges.size());
+  out.rates.resize(seg.structure->graph().edges.size());
+  out.impulses.resize(seg.structure->graph().edges.size());
   const GcsSpnModel* model = seg.model.get();
-  seg.plan->rate({&model, 1}, out.rates, out.impulses);
+  seg.structure->plan().rate({&model, 1}, out.rates, out.impulses);
   return out;
 }
 
 std::vector<double> MissionAnalyzer::remap_weights(
     std::span<const double> weights, std::size_t from,
     std::size_t to) const {
-  const auto& src = *segments_[from].graph;
-  const auto& dst = *segments_[to].graph;
+  const auto& src = segments_[from].structure->graph();
+  const auto& dst = segments_[to].structure->graph();
   if (&src == &dst) return {weights.begin(), weights.end()};
 
   std::unordered_map<spn::Marking, spn::StateId, spn::MarkingHash> index;
@@ -97,8 +90,6 @@ std::vector<double> MissionAnalyzer::remap_weights(
 }
 
 Evaluation MissionAnalyzer::evaluate() const {
-  if (segments_.size() == 1) return segments_[0].model->evaluate();
-
   // Every segment is rewarded by the one reward pass of every
   // constant-rate evaluation, as a batch of one: a finite phase with
   // its occupancy and absorbed mass, the tail with its sojourn and
@@ -108,23 +99,23 @@ Evaluation MissionAnalyzer::evaluate() const {
                           std::span<const double> sojourn,
                           std::span<const double> absorbed) {
     const GcsSpnModel* model = segments_[k].model.get();
-    acc += accumulate_rewards({&model, 1}, *segments_[k].plan, sojourn,
-                              absorbed, r.rates, r.impulses)
+    acc += accumulate_rewards({&model, 1}, segments_[k].structure->plan(),
+                              sojourn, absorbed, r.rates, r.impulses)
                .front();
   };
   std::vector<double> w;  // boundary weights (full-state, per graph)
   double mttsf = 0.0;
   for (std::size_t k = 0; k + 1 < segments_.size(); ++k) {
-    const auto& seg = segments_[k];
+    const auto& graph = segments_[k].structure->graph();
     const double duration =
         timeline_[k + 1].start_s - timeline_[k].start_s;
     const auto r = rate_segment(k);
-    const spn::ReliabilityOde ode(*seg.graph, r.rates);
+    const spn::ReliabilityOde ode(graph, r.rates);
     const auto res = ode.propagate(w, duration, {}, options_.ode);
     // accumulate_rewards skips non-positive sojourn: a negative entry
     // must fail here rather than drop out of every reward.
     spn::check_transient_mass(
-        res.occupancy, *seg.graph,
+        res.occupancy, graph,
         "MissionAnalyzer: phase '" + timeline_[k].label + "' occupancy");
     mttsf += res.survival_integral;
     reward(k, r, res.occupancy, res.absorbed);
@@ -135,12 +126,12 @@ Evaluation MissionAnalyzer::evaluate() const {
   // the boundary distribution.
   const std::size_t last = segments_.size() - 1;
   const auto r = rate_segment(last);
-  const spn::AbsorbingAnalyzer analyzer(*segments_[last].graph);
-  const auto res = analyzer.solve_from(w, r.rates);
+  const auto res =
+      segments_[last].structure->analyzer().solve_from(w, r.rates);
   reward(last, r, res.sojourn, res.absorb_probability);
 
   Evaluation ev;
-  ev.num_states = segments_[0].graph->num_states();
+  ev.num_states = segments_[0].structure->graph().num_states();
   ev.solver_blocks = res.solver_blocks;
   ev.mttsf = mttsf + res.mtta;
   acc.normalise(ev);
@@ -149,9 +140,6 @@ Evaluation MissionAnalyzer::evaluate() const {
 
 std::vector<double> MissionAnalyzer::reliability_at(
     std::span<const double> times) const {
-  if (segments_.size() == 1) {
-    return segments_[0].model->reliability_at(times);
-  }
   if (!std::is_sorted(times.begin(), times.end())) {
     throw std::invalid_argument(
         "MissionAnalyzer::reliability_at: times must be ascending");
@@ -182,7 +170,7 @@ std::vector<double> MissionAnalyzer::reliability_at(
       emit.push_back(times[next] - start);
       ++next;
     }
-    const spn::ReliabilityOde ode(*segments_[k].graph,
+    const spn::ReliabilityOde ode(segments_[k].structure->graph(),
                                   rate_segment(k).rates);
     const auto res =
         ode.propagate(w, end - start, emit, options_.ode);

@@ -19,22 +19,17 @@
 // neither accuracy nor iterations.  A non-final segment need not
 // contain an absorbing state at all.
 //
-// Structure reuse: segments whose core::structure_key matches the
-// first segment's re-rate the first segment's reachability graph
-// through its core::StructurePlan (a batch of one point — the
-// sweep-engine idiom), so phase boundaries cost one rate vector, not
-// one exploration; the same plan rewards those phases and the tail.
-// Structurally different segments explore their own graph (with its
-// own plan) and the
-// boundary weights are remapped marking-by-marking; mass at a marking
-// the next segment cannot represent is an error naming both segments
-// (a zero-rate phase can orphan states this way).  A segment's rate
-// and impulse vectors are re-rated through its plan where they are
-// used, so only the segment being integrated holds them.
-//
-// A single-segment timeline — no schedule/mission, or a constant one —
-// routes straight through GcsSpnModel::evaluate()/reliability_at(),
-// making the constant case bitwise the legacy analytic path.
+// Structure reuse: every segment looks its core::structure_key up in a
+// core::SweepEngine's structure cache — the engine that runs the point,
+// or a private one — so segments with equal keys, at any index, share
+// one explored graph, its StructurePlan and its AbsorbingAnalyzer, and
+// on a warm engine a phased point explores nothing.  Each segment is
+// re-rated through its plan where it is integrated.  Structurally
+// different segments carry the boundary weights over marking by
+// marking; mass at a marking the next segment cannot represent is an
+// error naming both segments (a zero-rate phase can orphan states this
+// way).  A single-segment timeline is the chain with no finite phase,
+// the tail alone: GcsSpnModel::evaluate()/reliability_at() bitwise.
 #pragma once
 
 #include <memory>
@@ -43,8 +38,7 @@
 
 #include "core/gcs_spn_model.h"
 #include "core/params.h"
-#include "core/structure_plan.h"
-#include "spn/absorbing.h"
+#include "core/sweep_engine.h"
 #include "spn/reliability_ode.h"
 
 namespace midas::core {
@@ -59,8 +53,14 @@ class MissionAnalyzer {
  public:
   /// Validates `params` (which may be constant or time-varying) and
   /// builds one GcsSpnModel per resolved timeline segment — so the
-  /// same detector/attacker expressibility rules apply per segment.
+  /// same detector/attacker expressibility rules apply per segment —
+  /// on a private engine's structure cache.
   explicit MissionAnalyzer(Params params, MissionOptions options = {});
+
+  /// The same on `engine`'s structure cache (SweepEngine::structure),
+  /// shared with its batches; `engine` must outlive the analyzer.
+  MissionAnalyzer(Params params, SweepEngine& engine,
+                  MissionOptions options = {});
 
   /// The resolved piecewise-constant timeline this analyzer chains
   /// over (size 1 for a constant parameterisation).
@@ -81,12 +81,13 @@ class MissionAnalyzer {
       std::span<const double> times) const;
 
  private:
+  /// Both public constructors: a null `engine` means one of its own.
+  MissionAnalyzer(Params params, SweepEngine* engine,
+                  MissionOptions options);
+
   struct Segment {
     std::unique_ptr<GcsSpnModel> model;
-    /// The graph this segment integrates on: the first segment's (re-
-    /// rated) when the structure key matches, else the model's own.
-    const spn::ReachabilityGraph* graph = nullptr;
-    const StructurePlan* plan = nullptr;  // of `graph`, in plans_
+    const ExploredStructure* structure = nullptr;  // by the model's key
   };
 
   /// Per-edge rates and impulses of one segment on its graph.
@@ -105,10 +106,10 @@ class MissionAnalyzer {
       std::span<const double> weights, std::size_t from,
       std::size_t to) const;
 
+  std::unique_ptr<SweepEngine> own_engine_;  // standalone analyzers
   MissionOptions options_;
   std::vector<TimelineSegment> timeline_;
   std::vector<Segment> segments_;
-  std::vector<std::unique_ptr<const StructurePlan>> plans_;  // per graph
 };
 
 }  // namespace midas::core

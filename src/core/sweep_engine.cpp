@@ -6,6 +6,7 @@
 #include <deque>
 #include <stdexcept>
 
+#include "core/mission.h"
 #include "sim/thread_pool.h"
 #include "util/arena.h"
 #include "util/stopwatch.h"
@@ -118,19 +119,30 @@ std::string structure_key(const Params& p) {
   return key.out;
 }
 
+const spn::AbsorbingAnalyzer& ExploredStructure::analyzer() const {
+  std::call_once(analyzed_, [this] {
+    analyzer_ = std::make_unique<const spn::AbsorbingAnalyzer>(*graph_);
+  });
+  return *analyzer_;
+}
+
 SweepEngine::SweepEngine(std::size_t threads) : threads_(threads) {}
 
-void SweepEngine::explore_once(CacheEntry& entry, const GcsSpnModel& model) {
-  std::call_once(entry.once, [&] {
-    entry.graph = std::make_shared<const spn::ReachabilityGraph>(
+const ExploredStructure& SweepEngine::structure(const std::string& key,
+                                                const GcsSpnModel& model) {
+  std::unique_lock lock(mutex_);
+  auto& slot = cache_[key];
+  if (!slot) slot = std::make_unique<ExploredStructure>();
+  ExploredStructure& entry = *slot;
+  lock.unlock();  // other keys explore meanwhile
+  std::call_once(entry.explored_, [&] {
+    entry.graph_ = std::make_unique<const spn::ReachabilityGraph>(
         spn::explore(model.net()));
-    entry.analyzer =
-        std::make_unique<const spn::AbsorbingAnalyzer>(*entry.graph);
-    entry.plan = std::make_unique<const StructurePlan>(model, *entry.graph);
-    std::lock_guard lock(stats_mutex_);
+    entry.plan_ = std::make_unique<const StructurePlan>(model, *entry.graph_);
+    std::lock_guard stats_lock(mutex_);
     ++stats_.explorations;
-    stats_.states_explored += entry.graph->num_states();
   });
+  return entry;
 }
 
 std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
@@ -139,68 +151,73 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
   std::vector<Evaluation> evals(points.size());
   if (points.empty()) return evals;
 
-  // Resolve cache entries serially (the map is not touched by workers).
-  std::vector<CacheEntry*> entry_of(points.size(), nullptr);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    auto& slot = cache_[structure_key(points[i])];
-    if (!slot) slot = std::make_unique<CacheEntry>();
-    entry_of[i] = slot.get();
-  }
-
-  // Chunk runs of consecutive points that share a structure into
-  // batches of `batch_width` (a width <= 1 means batches of one) and
-  // drive each through the point-major kernels.  Per-point results are
-  // independent of the chunking (grouping-independence is a design
-  // invariant of solve_batch's factor reuse), so shard boundaries and
-  // ragged final batches cannot perturb a single bit.
+  // One pass cuts the points into tasks: runs of consecutive constant
+  // points that share a structure, chunked into batches of
+  // `batch_width` (a width <= 1 means batches of one), and one task per
+  // phased point.  A time-varying point whose timeline is one segment
+  // solves that segment's parameters as a constant point.  Per-point
+  // results are independent of the chunking (grouping-independence is a
+  // design invariant of solve_batch's factor reuse), so shard
+  // boundaries and ragged final batches cannot perturb a single bit.
   const std::size_t width = std::max<std::size_t>(batch_width, 1);
-  struct BatchRange {
+  std::vector<const Params*> constant(points.size());  // null: phased
+  std::deque<Params> segment_params;                  // stable addresses
+  std::vector<std::string> keys(points.size());
+  struct Task {
     std::size_t begin, end;
-    CacheEntry* entry;
   };
-  std::vector<BatchRange> batches;
-  for (std::size_t i = 0; i < points.size();) {
-    CacheEntry* entry = entry_of[i];
-    std::size_t run_end = i + 1;
-    while (run_end < points.size() && entry_of[run_end] == entry) {
-      ++run_end;
+  std::vector<Task> tasks;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    constant[i] = &points[i];
+    if (points[i].time_varying()) {
+      auto timeline = resolve_timeline(points[i]);
+      constant[i] = timeline.size() > 1 ? nullptr
+                                        : &segment_params.emplace_back(
+                                              std::move(timeline[0].params));
     }
-    for (std::size_t begin = i; begin < run_end; begin += width) {
-      batches.push_back({begin, std::min(begin + width, run_end), entry});
+    if (constant[i] != nullptr) keys[i] = structure_key(*constant[i]);
+    const bool joins = constant[i] != nullptr && i > 0 &&
+                       constant[i - 1] != nullptr && keys[i] == keys[i - 1] &&
+                       tasks.back().end - tasks.back().begin < width;
+    if (joins) {
+      ++tasks.back().end;
+    } else {
+      tasks.push_back({i, i + 1});
     }
-    i = run_end;
   }
 
   sim::parallel_for(
-      batches.size(),
-      [&](std::size_t bi) {
-        const auto& bt = batches[bi];
-        const std::size_t B = bt.end - bt.begin;
-        // One private model per point (deque: GcsSpnModel is
-        // immovable — it embeds a once_flag).
-        std::deque<GcsSpnModel> models;
-        for (std::size_t j = 0; j < B; ++j) {
-          models.emplace_back(points[bt.begin + j]);
+      tasks.size(),
+      [&](std::size_t ti) {
+        const auto [begin, end] = tasks[ti];
+        const std::size_t B = end - begin;
+        if (constant[begin] == nullptr) {
+          evals[begin] = MissionAnalyzer(points[begin], *this).evaluate();
+        } else {
+          // One private model per point (deque: GcsSpnModel is
+          // immovable — it embeds a once_flag).
+          std::deque<GcsSpnModel> models;
+          for (std::size_t j = begin; j < end; ++j) {
+            models.emplace_back(*constant[j]);
+          }
+          const ExploredStructure& s = structure(keys[begin], models.front());
+          std::vector<const GcsSpnModel*> model_ptrs(B);
+          for (std::size_t j = 0; j < B; ++j) model_ptrs[j] = &models[j];
+          util::Arena& arena = util::thread_scratch_arena();
+          arena.reset();
+          const std::size_t E = s.graph().edges.size();
+          auto rates = arena.make_span<double>(E * B);
+          auto impulses = arena.make_span<double>(E * B);
+          s.plan().rate(model_ptrs, rates, impulses);
+          const auto batch_evals = evaluate_with_batch(
+              model_ptrs, s.analyzer(), s.plan(), rates, impulses,
+              spn::BatchSolveOptions{}.factor_reuse, arena);
+          std::copy(batch_evals.begin(), batch_evals.end(),
+                    evals.begin() + static_cast<std::ptrdiff_t>(begin));
         }
-        CacheEntry* entry = bt.entry;
-        explore_once(*entry, models.front());
-        std::vector<const GcsSpnModel*> model_ptrs(B);
-        for (std::size_t j = 0; j < B; ++j) model_ptrs[j] = &models[j];
-        util::Arena& arena = util::thread_scratch_arena();
-        arena.reset();
-        const std::size_t E = entry->graph->edges.size();
-        auto rates = arena.make_span<double>(E * B);
-        auto impulses = arena.make_span<double>(E * B);
-        entry->plan->rate(model_ptrs, rates, impulses);
-        const auto batch_evals = evaluate_with_batch(
-            model_ptrs, *entry->analyzer, *entry->plan, rates, impulses,
-            spn::BatchSolveOptions{}.factor_reuse, arena);
-        for (std::size_t j = 0; j < B; ++j) {
-          evals[bt.begin + j] = batch_evals[j];
-        }
-        std::lock_guard lock(stats_mutex_);
+        std::lock_guard lock(mutex_);
         stats_.points += B;
-        stats_.states_evaluated += entry->graph->num_states() * B;
+        stats_.states_evaluated += evals[begin].num_states * B;
       },
       threads_);
 

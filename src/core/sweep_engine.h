@@ -12,12 +12,13 @@
 //      point-major pass (evaluate_with_batch), and
 //   4. drives the batches through sim::parallel_for.
 // Structure caching persists across calls, so a bench that sweeps four
-// m-values over the TIDS grid pays for one exploration in total.
+// m-values over the TIDS grid pays for one exploration in total, and
+// every mission segment (core::MissionAnalyzer) shares the cache too.
 //
 // Grids, shards and Monte-Carlo validation are not this engine's job:
 // describe the experiment as a core::ExperimentSpec and run it through
 // core::ExperimentService::run (src/core/experiment.h), whose analytic
-// backend calls evaluate() on the slice's points.
+// backend is one evaluate() call on the slice's points.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +64,26 @@ inline constexpr std::size_t kDefaultBatchWidth = 8;
 /// the zero-pattern of each timed rate factor.  Exposed for tests.
 [[nodiscard]] std::string structure_key(const Params& p);
 
+/// One cached structure: the graph every point with its structure_key
+/// shares, the StructurePlan that re-rates and rewards it, and its
+/// AbsorbingAnalyzer.
+class ExploredStructure {
+ public:
+  [[nodiscard]] const spn::ReachabilityGraph& graph() const { return *graph_; }
+  [[nodiscard]] const StructurePlan& plan() const { return *plan_; }
+  /// Built on first use (thread-safe), not at exploration: a mission
+  /// phase's structure need not contain an absorbing state.
+  [[nodiscard]] const spn::AbsorbingAnalyzer& analyzer() const;
+
+ private:
+  friend class SweepEngine;
+  std::once_flag explored_;
+  std::unique_ptr<const spn::ReachabilityGraph> graph_;
+  std::unique_ptr<const StructurePlan> plan_;
+  mutable std::once_flag analyzed_;
+  mutable std::unique_ptr<const spn::AbsorbingAnalyzer> analyzer_;
+};
+
 class SweepEngine {
  public:
   /// `threads` workers for the point loop (0 = hardware concurrency).
@@ -74,41 +95,33 @@ class SweepEngine {
   /// consecutive points sharing a structure are solved `batch_width`
   /// at a time (a width <= 1 means batches of one) through
   /// evaluate_with_batch, with LU factor reuse at
-  /// spn::BatchSolveOptions' default.  Per-point results do not depend
-  /// on the width (bitwise: the batch path is grouping-independent by
-  /// construction) nor on the thread count, and equal
-  /// GcsSpnModel::evaluate() bitwise.
+  /// spn::BatchSolveOptions' default.  A phased point (a timeline of
+  /// more than one segment) is one task: a MissionAnalyzer on this
+  /// engine's cache.  Per-point results do not depend on the width
+  /// (bitwise: the batch path is grouping-independent by construction)
+  /// nor on the thread count, and equal GcsSpnModel::evaluate() — a
+  /// phased point's, MissionAnalyzer(point).evaluate() — bitwise.
   [[nodiscard]] std::vector<Evaluation> evaluate(
       std::span<const Params> points, std::size_t batch_width);
+
+  /// The cached structure of `model`'s net under its structure_key
+  /// `key`, explored and planned on the key's first lookup.  Thread-
+  /// safe: one exploration per key, other keys meanwhile.
+  [[nodiscard]] const ExploredStructure& structure(const std::string& key,
+                                                   const GcsSpnModel& model);
 
   struct Stats {
     std::size_t points = 0;            // points evaluated
     std::size_t explorations = 0;      // structural configs explored
-    std::size_t states_explored = 0;   // Σ states over fresh explorations
     std::size_t states_evaluated = 0;  // Σ states over all points
     double seconds = 0.0;              // wall clock inside evaluate()
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct CacheEntry {
-    std::once_flag once;
-    std::shared_ptr<const spn::ReachabilityGraph> graph;
-    // Structure shared by every point: absorbing mask, transient
-    // compaction, SCC condensation (solve_batch is const).
-    std::unique_ptr<const spn::AbsorbingAnalyzer> analyzer;
-    // Rate roles, marking features and reward classes per state/edge.
-    std::unique_ptr<const StructurePlan> plan;
-  };
-
-  /// Explores `model`'s net into `entry`, with its analyzer and plan,
-  /// unless another point already did (thread-safe; counts the
-  /// exploration in stats_).
-  void explore_once(CacheEntry& entry, const GcsSpnModel& model);
-
   std::size_t threads_;
-  std::unordered_map<std::string, std::unique_ptr<CacheEntry>> cache_;
-  std::mutex stats_mutex_;
+  std::mutex mutex_;  // guards cache_ and stats_
+  std::unordered_map<std::string, std::unique_ptr<ExploredStructure>> cache_;
   Stats stats_;
 };
 

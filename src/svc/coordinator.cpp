@@ -369,7 +369,7 @@ struct Coordinator::Impl {
            request_it != requests.end();) {
         if (request_it->second.conn == conn_id) {
           forget_tag_orphans(request_it->first);
-          table.remove_tag(request_it->first);
+          table.remove_tag(request_it->first, now);
           request_it = requests.erase(request_it);
         } else {
           ++request_it;
@@ -439,7 +439,7 @@ struct Coordinator::Impl {
     requests.erase(request_it);
     const std::vector<ShardInfo> shards = table.tag_shards(tag);
     forget_tag_orphans(tag);
-    table.remove_tag(tag);
+    table.remove_tag(tag, now);
 
     const auto fail = [&](const std::string& why) {
       util::Json err = util::Json::object();

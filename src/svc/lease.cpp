@@ -21,6 +21,18 @@ double hash01(std::uint64_t shard, std::uint64_t attempt) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
+/// A re-delivered `payload` checked against the `accepted` one.
+CompletionOutcome verify_duplicate(const std::string& accepted,
+                                   const std::string& payload,
+                                   LeaseCounters& counters) {
+  if (accepted == payload) {
+    ++counters.duplicates_verified;
+    return CompletionOutcome::DuplicateVerified;
+  }
+  ++counters.duplicate_mismatches;
+  return CompletionOutcome::DuplicateMismatch;
+}
+
 }  // namespace
 
 const char* to_string(ShardState state) noexcept {
@@ -166,17 +178,21 @@ CompletionOutcome LeaseTable::complete(std::uint64_t shard_id,
     holder->second.last_heartbeat = now;
   }
   auto it = shards_.find(shard_id);
-  if (it == shards_.end()) return CompletionOutcome::Unknown;
+  if (it == shards_.end()) {
+    // A removed tag's shard: verified while its tombstone lasts.
+    const auto tomb = tombstones_.find(shard_id);
+    if (tomb == tombstones_.end() ||
+        now - tomb->second.removed_at > options_.heartbeat_timeout_s) {
+      return CompletionOutcome::Unknown;
+    }
+    return verify_duplicate(tomb->second.payload, canonical_payload,
+                            counters_);
+  }
   ShardInfo& shard = it->second;
   switch (shard.state) {
     case ShardState::Done:
       release_holders(shard_id);
-      if (shard.payload == canonical_payload) {
-        ++counters_.duplicates_verified;
-        return CompletionOutcome::DuplicateVerified;
-      }
-      ++counters_.duplicate_mismatches;
-      return CompletionOutcome::DuplicateMismatch;
+      return verify_duplicate(shard.payload, canonical_payload, counters_);
     case ShardState::Superseded:
       release_holders(shard_id);
       ++counters_.superseded_late;
@@ -340,6 +356,10 @@ TickReport LeaseTable::tick(double now) {
     report.expired.push_back(id);
     reassign(id, now, report);
   }
+  // 3. Tombstones past their window.
+  std::erase_if(tombstones_, [&](const auto& entry) {
+    return now - entry.second.removed_at > options_.heartbeat_timeout_s;
+  });
   return report;
 }
 
@@ -363,10 +383,13 @@ std::vector<ShardInfo> LeaseTable::tag_shards(
   return out;
 }
 
-void LeaseTable::remove_tag(const std::string& tag) {
+void LeaseTable::remove_tag(const std::string& tag, double now) {
   for (auto it = shards_.begin(); it != shards_.end();) {
     if (it->second.tag == tag) {
       release_holders(it->first);
+      if (it->second.state == ShardState::Done) {
+        tombstones_[it->first] = {std::move(it->second.payload), now};
+      }
       it = shards_.erase(it);
     } else {
       ++it;

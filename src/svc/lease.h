@@ -41,6 +41,10 @@
 //   * After `max_attempts` dispatches a shard is Quarantined: the
 //     request completes with that range reported as a named gap
 //     instead of retrying forever.
+//   * remove_tag keeps each Done shard's payload as a tombstone for
+//     `heartbeat_timeout_s` (the longest a live worker stays silent):
+//     a re-delivery landing after the answer is still verified, then
+//     Unknown once the window closes and tick() prunes the tombstone.
 #pragma once
 
 #include <cstddef>
@@ -189,8 +193,9 @@ class LeaseTable {
   [[nodiscard]] std::vector<ShardInfo> tag_shards(
       const std::string& tag) const;
 
-  /// Forgets `tag` entirely (call after responding to the client).
-  void remove_tag(const std::string& tag);
+  /// Forgets `tag` (call after responding to the client) but for its
+  /// Done shards' tombstones, stamped `now` (see above).
+  void remove_tag(const std::string& tag, double now);
 
   /// Earliest future instant at which tick()/dispatch() could act: the
   /// next lease deadline, backoff expiry or heartbeat timeout.
@@ -221,11 +226,17 @@ class LeaseTable {
     std::set<std::uint64_t> held;  ///< leases this worker is computing
   };
 
+  struct Tombstone {  ///< a removed tag's Done shard
+    std::string payload;
+    double removed_at = 0.0;
+  };
+
   void release_holders(std::uint64_t shard_id);
   void reassign(std::uint64_t shard_id, double now, TickReport& report);
 
   LeaseOptions options_;
   std::map<std::uint64_t, ShardInfo> shards_;
+  std::map<std::uint64_t, Tombstone> tombstones_;
   std::map<std::string, Worker> workers_;
   std::uint64_t next_id_ = 1;
   LeaseCounters counters_;

@@ -54,10 +54,6 @@ TcpStream& TcpStream::operator=(TcpStream&& other) noexcept {
   return *this;
 }
 
-TcpStream TcpStream::connect_loopback(std::uint16_t port, double timeout_s) {
-  return connect_to("127.0.0.1", port, timeout_s);
-}
-
 TcpStream TcpStream::connect_to(const std::string& host, std::uint16_t port,
                                 double timeout_s) {
   const sockaddr_in addr = ipv4_addr(host, port);
@@ -156,10 +152,6 @@ TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
     port_ = std::exchange(other.port_, 0);
   }
   return *this;
-}
-
-TcpListener TcpListener::bind_loopback(std::uint16_t port) {
-  return bind_to("127.0.0.1", port);
 }
 
 TcpListener TcpListener::bind_to(const std::string& address,

@@ -41,10 +41,6 @@ class TcpStream {
                                             std::uint16_t port,
                                             double timeout_s);
 
-  /// connect_to("127.0.0.1", ...).
-  [[nodiscard]] static TcpStream connect_loopback(std::uint16_t port,
-                                                  double timeout_s);
-
   /// Reads at most `capacity` bytes into `out`.  Returns the byte
   /// count, 0 on orderly peer close, or -1 when `timeout_s` elapses
   /// with nothing to read.  Throws on OS error.
@@ -83,9 +79,6 @@ class TcpListener {
   /// "0.0.0.0" to accept remote workers; throws on a malformed address.
   [[nodiscard]] static TcpListener bind_to(const std::string& address,
                                            std::uint16_t port);
-
-  /// bind_to("127.0.0.1", port).
-  [[nodiscard]] static TcpListener bind_loopback(std::uint16_t port);
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 

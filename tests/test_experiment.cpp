@@ -8,7 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment_presets.h"
 #include "core/optimizer.h"
@@ -21,6 +27,7 @@ using core::BackendKind;
 using core::ExperimentResult;
 using core::ExperimentService;
 using core::ExperimentSpec;
+using core::ShardRange;
 using core::ShardSpec;
 
 /// A small mixed-axis spec: typed (num_voters, t_ids, detection_shape)
@@ -460,6 +467,125 @@ TEST(ExperimentMerge, ErrorsNameTheGuiltyShardIndices) {
   what = merge_error([&] { (void)core::merge_experiment_results(alien); });
   EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
   EXPECT_NE(what.find("different spec"), std::string::npos) << what;
+}
+
+// --- Seeded merge fuzz: shard sets cut from a small analytic + DES grid.
+// Every complete set, in any order and under any shard labels, merges
+// to the single-process bytes; a set with one defect — a duplicated,
+// missing, overlapping or out-of-grid shard, a different spec or a
+// different backend list — is rejected naming the guilty shard.
+
+TEST(ExperimentMerge, SeededFuzzMergesCompleteSetsAndNamesTheGuiltyShard) {
+  ExperimentSpec spec = small_spec();
+  spec.backends = {BackendKind::Analytic, BackendKind::Des};
+  spec.axes[1].values = {60.0, 240.0, 600.0};  // 2 × 3 points
+  ExperimentService service;
+  const ExperimentResult full = service.run(spec);
+  const std::string full_bytes = full.canonical_json().dump_compact();
+  const std::size_t points = full.range.end;
+
+  // Every contiguous slice of the grid, run once as an explicit shard.
+  std::map<std::pair<std::size_t, std::size_t>, ExperimentResult> slices;
+  for (std::size_t b = 0; b < points; ++b) {
+    for (std::size_t e = b + 1; e <= points; ++e) {
+      ExperimentSpec shard = spec;
+      shard.shard.policy = ShardSpec::Policy::Explicit;
+      shard.shard.range = {b, e};
+      slices.emplace(std::pair{b, e}, service.run(shard));
+    }
+  }
+  const auto slice = [&](std::size_t b, std::size_t e, std::size_t label) {
+    ExperimentResult part = slices.at({b, e});
+    part.shard_index = label;
+    return part;
+  };
+
+  std::mt19937_64 rng(0x6D65726765ULL);
+  const auto draw = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto shuffle = [&](auto& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[draw(i)]);
+    }
+  };
+  const auto expect_rejected = [&](const std::vector<ExperimentResult>& bad,
+                                   const std::string& needle,
+                                   const char* defect) {
+    const std::string what =
+        merge_error([&] { (void)core::merge_experiment_results(bad); });
+    EXPECT_NE(what.find(needle), std::string::npos)
+        << defect << ": '" << needle << "' not in: " << what;
+  };
+
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // A random tiling of the grid, in shuffled order, under shuffled
+    // labels.
+    std::vector<ShardRange> ranges;
+    for (std::size_t b = 0; b < points;) {
+      const std::size_t e = b + 1 + draw(points - b);
+      ranges.push_back({b, e});
+      b = e;
+    }
+    shuffle(ranges);
+    std::vector<std::size_t> labels(ranges.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i;
+    shuffle(labels);
+    std::vector<ExperimentResult> parts;
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      parts.push_back(slice(ranges[i].begin, ranges[i].end, labels[i]));
+    }
+
+    ExperimentResult merged = core::merge_experiment_results(parts);
+    merged.num_shards = 1;
+    merged.shard_index = 0;
+    merged.shard_policy = full.shard_policy;
+    EXPECT_EQ(merged.canonical_json().dump_compact(), full_bytes);
+
+    // One defect at a time, on a random part, the first one included.
+    const std::size_t g = draw(parts.size());
+    const ShardRange r = parts[g].range;
+    const std::string guilty = "shard " + std::to_string(parts[g].shard_index);
+
+    auto bad = parts;
+    bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(draw(bad.size() + 1)),
+               parts[g]);
+    expect_rejected(bad, "duplicate " + guilty, "duplicated");
+
+    if (parts.size() > 1) {
+      bad = parts;
+      bad.erase(bad.begin() + static_cast<std::ptrdiff_t>(g));
+      expect_rejected(bad,
+                      "points [" + std::to_string(r.begin) + ", " +
+                          std::to_string(r.end) + ") are covered by no shard",
+                      "missing");
+    }
+
+    if (parts.size() > 1) {
+      bad = parts;
+      bad[g] = r.end < points ? slice(r.begin, r.end + 1, parts[g].shard_index)
+                              : slice(r.begin - 1, r.end, parts[g].shard_index);
+      expect_rejected(bad, guilty, "overlapping");
+      expect_rejected(bad, "overlap", "overlapping");
+    }
+
+    bad = parts;
+    bad[g].range = {r.begin + points, r.end + points};
+    expect_rejected(bad, guilty + " [", "out-of-grid");
+
+    if (parts.size() > 1) {  // a lone part has nothing to disagree with
+      bad = parts;
+      bad[g].spec.base.lambda_c *= 2.0;
+      expect_rejected(bad, guilty, "different spec");
+
+      bad = parts;
+      std::swap(bad[g].backends[0], bad[g].backends[1]);
+      expect_rejected(bad, guilty, "different backend list");
+      bad[g].backends.pop_back();
+      expect_rejected(bad, guilty, "shorter backend list");
+    }
+  }
 }
 
 TEST(ExperimentResult, CanonicalJsonZeroesOnlyWallClockTimings) {

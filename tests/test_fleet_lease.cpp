@@ -169,6 +169,32 @@ TEST(LeaseTable, FirstResultWinsAndLateDuplicatesAreVerified) {
   EXPECT_EQ(table.counters().duplicate_mismatches, 1u);
 }
 
+TEST(LeaseTable, RemovedTagVerifiesLateDuplicatesUntilTheWindowCloses) {
+  LeaseTable table(fast_options());  // heartbeat_timeout_s = 5
+  const ShardRange ranges[] = {{0, 3}};
+  const auto ids = table.add_shards("req", ranges);
+  table.worker_join("w", 0.0);
+  ASSERT_EQ(table.dispatch(0.0).size(), 1u);
+  EXPECT_EQ(table.complete(ids[0], "w", "payload", 1.0),
+            CompletionOutcome::Accepted);
+
+  // The request is answered and forgotten; the worker's re-delivered
+  // frame lands afterwards and is still verified against the payload.
+  table.remove_tag("req", 1.0);
+  EXPECT_EQ(table.shard(ids[0]), nullptr);
+  EXPECT_EQ(table.complete(ids[0], "w", "payload", 2.0),
+            CompletionOutcome::DuplicateVerified);
+  EXPECT_EQ(table.counters().duplicates_verified, 1u);
+  EXPECT_EQ(table.complete(ids[0], "w", "DIFFERENT", 2.0),
+            CompletionOutcome::DuplicateMismatch);
+  EXPECT_EQ(table.counters().duplicate_mismatches, 1u);
+
+  // One heartbeat timeout after the removal the tombstone is gone.
+  EXPECT_EQ(table.complete(ids[0], "w", "payload", 6.5),
+            CompletionOutcome::Unknown);
+  EXPECT_EQ(table.counters().duplicates_verified, 1u);
+}
+
 TEST(LeaseTable, SplitOnReassignFansOrphansAcrossIdleSurvivors) {
   LeaseOptions options = fast_options();
   options.split_on_reassign = true;

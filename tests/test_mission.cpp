@@ -2,8 +2,9 @@
 // through GcsSpnModel, phase-boundary chaining must be exact on a
 // uniform integration grid (two half-phases == one whole phase),
 // identical phases chained into the tail must reproduce the independent
-// constant-rate solve, and structurally incompatible phases must fail
-// loudly, naming both segments.
+// constant-rate solve, structurally incompatible phases must fail
+// loudly, naming both segments, and the service's phased answers must
+// be the standalone analyzer's, errors included.
 #include "core/mission.h"
 
 #include <cmath>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "core/gcs_spn_model.h"
 #include "core/params.h"
 
@@ -35,6 +37,60 @@ Params small_params() {
   p.n_init = 10;
   p.max_groups = 1;
   return p;
+}
+
+/// A phase with no absorbing state: no compromise and no false-positive
+/// evictions make segment 0's chain the 3-state group-count cycle
+/// alone, which AbsorbingAnalyzer rejects ("chain has no absorbing
+/// states").
+Params no_absorption_params() {
+  Params p = Params::paper_defaults();
+  p.n_init = 10;
+  p.max_groups = 3;
+  p.partition_rates = {0.0, 2.5e-3, 1.2e-3, 0.0};
+  p.merge_rates = {0.0, 0.0, 1.4e-2, 2e-2};
+  p.mission.phases = {MissionPhase{}, MissionPhase{}};
+  p.mission.phases[0].name = "quiet";
+  p.mission.phases[0].duration_s = 36000.0;
+  p.mission.phases[0].lambda_c = 0.0;
+  p.mission.phases[0].p2 = 0.0;
+  p.mission.phases[1].name = "attack";
+  return p;
+}
+
+/// Structurally incompatible phases: segment 1 partitions freely;
+/// segment 2 multiplies the partition rates to zero, which REMOVES the
+/// T_PAR edges from its chain — the NG=2 markings populated during
+/// segment 1 become unrepresentable.
+Params remap_error_params() {
+  Params p = Params::paper_defaults();
+  p.n_init = 10;
+  p.max_groups = 2;
+  p.partition_rates = {0.0, 1e-3, 0.0};
+  p.merge_rates = {0.0, 0.0, 1e-3};
+  p.schedule.segments = {ScheduleSegment{"mobile", 36000.0, {}},
+                         ScheduleSegment{"frozen", kInf, {}}};
+  p.schedule.segments[1].mult.partition = 0.0;
+  return p;
+}
+
+/// An analytic request for `base` alone.
+core::ExperimentSpec analytic_spec(const Params& base) {
+  core::ExperimentSpec spec;
+  spec.name = "mission";
+  spec.base = base;
+  return spec;
+}
+
+/// The message of the std::runtime_error `fn` throws ("" if none).
+template <class Fn>
+std::string runtime_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 void expect_bitwise(const core::Evaluation& a, const core::Evaluation& b) {
@@ -192,21 +248,7 @@ TEST(Mission, AttackerSurgeShortensMttsfAndReliability) {
 // inherit the mean-time-to-absorption solve's absorption checks.
 
 TEST(Mission, PhaseWithoutAbsorptionChains) {
-  Params p = Params::paper_defaults();
-  p.n_init = 10;
-  p.max_groups = 3;
-  p.partition_rates = {0.0, 2.5e-3, 1.2e-3, 0.0};
-  p.merge_rates = {0.0, 0.0, 1.4e-2, 2e-2};
-  // No compromise and no false-positive evictions: segment 0's chain is
-  // the 3-state group-count cycle alone, which AbsorbingAnalyzer
-  // rejects ("chain has no absorbing states").
-  p.mission.phases = {MissionPhase{}, MissionPhase{}};
-  p.mission.phases[0].name = "quiet";
-  p.mission.phases[0].duration_s = 36000.0;
-  p.mission.phases[0].lambda_c = 0.0;
-  p.mission.phases[0].p2 = 0.0;
-  p.mission.phases[1].name = "attack";
-
+  const Params p = no_absorption_params();
   const MissionAnalyzer analyzer(p);
   ASSERT_EQ(analyzer.timeline().size(), 2u);
   const auto ev = analyzer.evaluate();
@@ -225,18 +267,7 @@ TEST(Mission, PhaseWithoutAbsorptionChains) {
 // next phase cannot reach must raise an error naming both segments.
 
 TEST(Mission, RemapErrorNamesBothSegmentLabels) {
-  Params p = Params::paper_defaults();
-  p.n_init = 10;
-  p.max_groups = 2;
-  p.partition_rates = {0.0, 1e-3, 0.0};
-  p.merge_rates = {0.0, 0.0, 1e-3};
-  // Segment 1 partitions freely; segment 2 multiplies the partition
-  // rates to zero, which REMOVES the T_PAR edges from its chain — the
-  // NG=2 markings populated during segment 1 become unrepresentable.
-  p.schedule.segments = {ScheduleSegment{"mobile", 36000.0, {}},
-                         ScheduleSegment{"frozen", kInf, {}}};
-  p.schedule.segments[1].mult.partition = 0.0;
-
+  const Params p = remap_error_params();
   const MissionAnalyzer analyzer(p);
   ASSERT_EQ(analyzer.timeline().size(), 2u);
   try {
@@ -248,6 +279,27 @@ TEST(Mission, RemapErrorNamesBothSegmentLabels) {
     EXPECT_NE(msg.find("'frozen'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("des backend"), std::string::npos) << msg;
   }
+}
+
+// --- Through the service: a phased point is one task of the sweep
+// engine, chained on the engine's structure cache, and answers exactly
+// what a standalone analyzer answers — errors included.
+
+TEST(Mission, ServiceAnswersAreTheStandaloneAnalyzers) {
+  core::ExperimentService service;
+  const Params quiet = no_absorption_params();
+  const auto result = service.run(analytic_spec(quiet));
+  const auto& evals = result.at(core::BackendKind::Analytic).evals;
+  ASSERT_EQ(evals.size(), 1u);
+  expect_bitwise(evals[0], MissionAnalyzer(quiet).evaluate());
+
+  const Params orphaning = remap_error_params();
+  const std::string standalone = runtime_error_of(
+      [&] { (void)MissionAnalyzer(orphaning).evaluate(); });
+  ASSERT_NE(standalone.find("'mobile'"), std::string::npos) << standalone;
+  EXPECT_EQ(runtime_error_of(
+                [&] { (void)service.run(analytic_spec(orphaning)); }),
+            standalone);
 }
 
 }  // namespace

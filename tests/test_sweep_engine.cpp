@@ -1,13 +1,17 @@
 // Sweep-engine equivalence: the cached-structure re-rating path must
 // reproduce fresh per-point exploration bit-for-bit (1e-12 relative
 // bound per the acceptance criterion; in practice the accumulation
-// order is identical and the agreement is exact).
+// order is identical and the agreement is exact), and phased points
+// must share the engine's structure cache.
 #include "core/sweep_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
+#include "core/experiment.h"
+#include "core/mission.h"
 #include "spn/absorbing.h"
 #include "util/arena.h"
 
@@ -306,6 +310,99 @@ TEST(SweepEngine, ThreadCountDoesNotChangeResults) {
       expect_evaluations_match(a[i], b[i], 0.0);
     }
   }
+}
+
+// --- One structure cache behind every analytic answer: mission
+// segments look their structures up in the engine's cache, so a warm
+// service explores nothing for a phased point, and equal segment keys
+// share one exploration at any index.
+
+/// small_params() on a three-phase mission that moves λc only, never a
+/// zero pattern: every segment has the constant base's structure key.
+Params phased_params() {
+  Params p = small_params();
+  p.mission.phases = {core::MissionPhase{}, core::MissionPhase{},
+                      core::MissionPhase{}};
+  p.mission.phases[0].name = "calm";
+  p.mission.phases[0].duration_s = 3600.0;
+  p.mission.phases[1].name = "surge";
+  p.mission.phases[1].duration_s = 7200.0;
+  p.mission.phases[1].lambda_c = 4.0 * p.lambda_c;
+  p.mission.phases[2].name = "recovery";
+  return p;
+}
+
+/// An analytic request over `base` at every TIDS in `grid`.
+core::ExperimentSpec tids_spec(const Params& base, std::vector<double> grid) {
+  core::ExperimentSpec spec;
+  spec.name = "one-cache";
+  spec.base = base;
+  core::AxisSpec axis;
+  axis.param = "t_ids";
+  axis.values = std::move(grid);
+  spec.axes = {std::move(axis)};
+  return spec;
+}
+
+TEST(SweepEngine, WarmServiceExploresNothingForPhasedOrConstantRequests) {
+  core::ExperimentService service(
+      core::ExperimentServiceOptions{.threads = 2});
+  const auto& stats = service.sweep_engine().stats();
+  for (const auto& grid :
+       {std::vector<double>{60, 240}, std::vector<double>{30, 480}}) {
+    const auto spec = tids_spec(phased_params(), grid);
+    const auto evals = service.run(spec).at(core::BackendKind::Analytic).evals;
+    EXPECT_EQ(stats.explorations, 1u);
+    ASSERT_EQ(evals.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto standalone =
+          core::MissionAnalyzer(spec.grid().point(spec.base, i)).evaluate();
+      expect_evaluations_match(evals[i], standalone, 0.0);
+    }
+  }
+  // The constant base has the phases' key, so it shares their entry.
+  (void)service.run(tids_spec(small_params(), {60, 240}));
+  EXPECT_EQ(stats.explorations, 1u);
+  EXPECT_EQ(stats.points, 6u);
+}
+
+TEST(SweepEngine, PhasedGridBytesDoNotDependOnTheThreadCount) {
+  const auto spec = tids_spec(phased_params(), {30, 60, 120, 240, 480});
+  const auto bytes_at = [&](std::size_t threads) {
+    core::ExperimentService service(
+        core::ExperimentServiceOptions{.threads = threads});
+    return service.run(spec).canonical_json().dump_compact();
+  };
+  EXPECT_EQ(bytes_at(1), bytes_at(4));
+}
+
+TEST(SweepEngine, EqualSegmentKeysShareOneExplorationAtAnyIndex) {
+  // λc = 0 removes the T_CP edges, so phase 0 has a key of its own;
+  // phases 1 and 2 differ in λc only and share the other.
+  Params p = small_params();
+  p.mission.phases = {core::MissionPhase{}, core::MissionPhase{},
+                      core::MissionPhase{}};
+  p.mission.phases[0].name = "quiet";
+  p.mission.phases[0].duration_s = 36000.0;
+  p.mission.phases[0].lambda_c = 0.0;
+  p.mission.phases[1].name = "attack";
+  p.mission.phases[1].duration_s = 36000.0;
+  p.mission.phases[2].name = "surge";
+  p.mission.phases[2].lambda_c = 3.0 * p.lambda_c;
+  const auto timeline = core::resolve_timeline(p);
+  ASSERT_EQ(timeline.size(), 3u);
+  const auto key = [&](std::size_t k) {
+    return core::structure_key(timeline[k].params);
+  };
+  ASSERT_NE(key(0), key(1));
+  ASSERT_EQ(key(1), key(2));
+
+  core::SweepEngine engine(1);
+  const auto evals =
+      engine.evaluate(std::vector<Params>{p}, core::kDefaultBatchWidth);
+  EXPECT_EQ(engine.stats().explorations, 2u);
+  expect_evaluations_match(evals[0], core::MissionAnalyzer(p).evaluate(),
+                           0.0);
 }
 
 TEST(SweepResult, EmptyResultThrowsInsteadOfUb) {
