@@ -4,10 +4,10 @@
 //   singleton      max_groups=1: every transient SCC is a single state
 //                  (pure point-major singleton kernels),
 //   dense          max_groups=3: partition/merge cycles give multi-state
-//                  SCCs, factored per point,
+//                  SCCs, eliminated per point,
 //   dense-shared   max_groups=3 with identical batch points: every
 //                  normalised block coincides, so factor reuse serves
-//                  the whole batch from one LU per block.
+//                  the whole batch from one elimination per block.
 // Parity is gated inline (reuse off bitwise, reuse on <= 1e-12) and the
 // batched path must beat the scalar path by MIN_SPEEDUP on every
 // profile; results land in BENCH_solver.json for PR-on-PR tracking.

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (build + full gtest suite via ctest),
-# the end-to-end benchmark's build and self-test, every example
+# the UBSan, ASan+LSan and TSan test builds (TSan also runs the fleet
+# soak), the end-to-end benchmark's build and self-test, every example
 # program, the declarative experiment-API gates (spec
 # round-trip + parity cross-checks via run_experiment), the
 # sweep-engine equivalence/speedup bench, the Monte-Carlo engine bench,
 # the sharded sweep demo (contiguous AND pilot-cost-balanced splits),
-# the figure/ablation grid benches (all in smoke mode), the micro
-# benches with a minimal measurement budget, and the UBSan, ASan+LSan
-# and TSan test builds.
+# the figure/ablation grid benches (all in smoke mode), and the micro
+# benches with a minimal measurement budget.
 # Leaves the BENCH_*.json artifacts in build/ for the workflow to
 # archive.
 set -euo pipefail
@@ -19,6 +19,78 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
+
+# --- Sanitizer jobs, right after the tier-1 suite: correctness checks
+# run before the wall-clock gates below (bench floors, the kernel
+# speedup gate), so a flaky timing floor cannot keep them from running.
+
+# --- UBSan build-and-test: the batched kernels lean on pointer/span
+# arithmetic over arena scratch, so rebuild the library + test suite
+# with UndefinedBehaviorSanitizer (non-recoverable: any finding aborts)
+# and run the full gtest binary once.  GCC leaves float-cast-overflow
+# out of -fsanitize=undefined; it is named explicitly so an out-of-range
+# double→integer cast (a hostile spec value reaching a static_cast)
+# aborts too.  Only the midas_tests target is built — the bench/tool
+# executables are covered by the plain build.
+cmake -B build-ubsan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined,float-cast-overflow"
+cmake --build build-ubsan -j"${JOBS}" --target midas_tests
+./build-ubsan/midas_tests
+
+# --- ASan+LSan build-and-test: out-of-bounds spans over arena scratch,
+# use-after-free across the fleet's lease/transport lifetimes, and
+# leaks all abort the run (LeakSanitizer is on by default with ASan).
+# The full gtest binary runs once.
+cmake -B build-asan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
+cmake --build build-asan -j"${JOBS}" --target midas_tests
+./build-asan/midas_tests
+
+# --- TSan build-and-test: the suites that run work on several threads
+# — the in-memory fleet and its lease table, the Monte-Carlo engine,
+# voting-table construction, the DES (every Monte-Carlo worker reads one
+# DesContext rate table at once), the sweep engine and batched solver at
+# several thread counts, the mission chain (the engine's workers run
+# MissionAnalyzers on one shared structure cache; Mission.Service* and
+# SweepEngine.PhasedGrid* go through the service), and the vr
+# thread-count invariance test.  Any
+# report fails the run (halt_on_error), so a shared global written from
+# worker threads (like glibc's signgam behind std::lgamma) cannot
+# creep back in.
+cmake -B build-tsan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build build-tsan -j"${JOBS}" --target midas_tests fleet_soak fleet_worker
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/midas_tests \
+  --gtest_filter='Fleet.*:LeaseTable.*:McEngine.*:Voting*.*:Des*.*:SweepEngine.*:SolverBatch.*:Mission.*:GridRun.BitwiseIdenticalAcrossThreadCounts:VrEngine.PayloadsAreBitwiseAcrossThreadCounts'
+
+# --- The fleet's IO shell under TSan: the same 4-worker, two-crash soak
+# as the plain one below, over real loopback sockets, so the
+# coordinator's acceptor, its per-connection reader threads and its
+# event queue run instrumented.  halt_on_error fails the soak on a
+# report in the coordinator process; a report in a forked fleet_worker
+# only ends that worker (the fleet recovers its lease), so the soak's
+# stderr, which the workers share, is checked for reports as well.
+(
+  cd build-tsan
+  if ! TSAN_OPTIONS="halt_on_error=1" ./fleet_soak --preset fig2_val \
+         --smoke 1 --workers 4 --clients 2 \
+         --faults "crash_mid_shard=1;crash_before_result=1" \
+         2> fleet_soak_tsan.log; then
+    cat fleet_soak_tsan.log >&2
+    exit 1
+  fi
+  cat fleet_soak_tsan.log >&2
+  if grep -q "ThreadSanitizer" fleet_soak_tsan.log; then
+    echo "fleet soak under TSan: a worker reported a race" >&2
+    exit 1
+  fi
+)
 
 # --- End-to-end benchmark self-test: builds perfbench/ (which compiles
 # this checkout's src/) into .bench_build/ and runs its own checks, so a
@@ -207,50 +279,5 @@ for b in micro_voting; do
     (cd build && "./${b}" --benchmark_min_time=0.01)
   fi
 done
-
-# --- UBSan build-and-test: the batched kernels lean on pointer/span
-# arithmetic over arena scratch, so rebuild the library + test suite
-# with UndefinedBehaviorSanitizer (non-recoverable: any finding aborts)
-# and run the full gtest binary once.  GCC leaves float-cast-overflow
-# out of -fsanitize=undefined; it is named explicitly so an out-of-range
-# double→integer cast (a hostile spec value reaching a static_cast)
-# aborts too.  Only the midas_tests target is built — the bench/tool
-# executables are covered by the plain build.
-cmake -B build-ubsan -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined,float-cast-overflow"
-cmake --build build-ubsan -j"${JOBS}" --target midas_tests
-./build-ubsan/midas_tests
-
-# --- ASan+LSan build-and-test: out-of-bounds spans over arena scratch,
-# use-after-free across the fleet's lease/transport lifetimes, and
-# leaks all abort the run (LeakSanitizer is on by default with ASan).
-# The full gtest binary runs once.
-cmake -B build-asan -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-cmake --build build-asan -j"${JOBS}" --target midas_tests
-./build-asan/midas_tests
-
-# --- TSan build-and-test: the suites that run work on several threads
-# — the in-memory fleet and its lease table, the Monte-Carlo engine,
-# voting-table construction, the DES (every Monte-Carlo worker reads one
-# DesContext rate table at once), the sweep engine and batched solver at
-# several thread counts, the mission chain (the engine's workers run
-# MissionAnalyzers on one shared structure cache; Mission.Service* and
-# SweepEngine.PhasedGrid* go through the service), and the vr
-# thread-count invariance test.  Any
-# report fails the run (halt_on_error), so a shared global written from
-# worker threads (like glibc's signgam behind std::lgamma) cannot
-# creep back in.
-cmake -B build-tsan -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build build-tsan -j"${JOBS}" --target midas_tests
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/midas_tests \
-  --gtest_filter='Fleet.*:LeaseTable.*:McEngine.*:Voting*.*:Des*.*:SweepEngine.*:SolverBatch.*:Mission.*:GridRun.BitwiseIdenticalAcrossThreadCounts:VrEngine.PayloadsAreBitwiseAcrossThreadCounts'
 
 echo "ci.sh: all checks passed"

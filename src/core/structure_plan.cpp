@@ -6,9 +6,9 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "ids/functions.h"
+#include "util/lanes.h"
 
 namespace midas::core {
 
@@ -37,22 +37,6 @@ bool same_cost_inputs(const Params& a, const Params& b) {
          a.max_groups == b.max_groups &&
          same_bits(a.partition_rates, b.partition_rates) &&
          same_bits(a.merge_rates, b.merge_rates);
-}
-
-/// Runs `body` with the lane count as a compile-time constant for the
-/// common batch widths (one lane, and kDefaultBatchWidth's 8), and as
-/// the runtime count otherwise.  Bodies are always_inline, so each
-/// width gets its own fused loops.
-template <class Body>
-[[gnu::always_inline]] inline void with_width(std::size_t lanes,
-                                              Body&& body) {
-  if (lanes == 1) {
-    body(std::integral_constant<std::size_t, 1>{});
-  } else if (lanes == 8) {
-    body(std::integral_constant<std::size_t, 8>{});
-  } else {
-    body(lanes);
-  }
 }
 
 }  // namespace
@@ -351,7 +335,7 @@ void StructurePlan::rate(std::span<const GcsSpnModel* const> models,
   // the clamp (PetriNet::rate's r > 0 ? r : 0), the path probability
   // and the re-rate check, fused.
   const std::size_t drq_stride = state_dependent_ ? 1 : 0;
-  with_width(P, [&](auto W) __attribute__((always_inline)) {
+  util::with_lanes(P, [&](auto W) __attribute__((always_inline)) {
     const auto clamp = [](double r) { return r > 0.0 ? r : 0.0; };
     for (std::size_t s = 0; s < features_.size(); ++s) {
       const std::uint32_t begin = graph_.edge_offsets[s];
@@ -470,7 +454,7 @@ std::vector<RewardSums> accumulate_rewards(
   // State pass: rate-cost accumulation over transient mass and C1/C2
   // classification of absorbed mass — per point, states ascending, cost
   // components in member order.
-  with_width(P, [&](auto W) __attribute__((always_inline)) {
+  util::with_lanes(P, [&](auto W) __attribute__((always_inline)) {
     for (std::size_t s = 0; s < n; ++s) {
       const double* tau_row = sojourn.data() + s * W;
       const double* ap_row = absorb_probability.data() + s * W;

@@ -94,7 +94,7 @@ class SweepEngine {
   /// evicted).  `batch_width` is the spec-level analytic.batch knob:
   /// consecutive points sharing a structure are solved `batch_width`
   /// at a time (a width <= 1 means batches of one) through
-  /// evaluate_with_batch, with LU factor reuse at
+  /// evaluate_with_batch, with factor reuse at
   /// spn::BatchSolveOptions' default.  A phased point (a timeline of
   /// more than one segment) is one task: a MissionAnalyzer on this
   /// engine's cache.  Per-point results do not depend on the width

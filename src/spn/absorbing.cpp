@@ -3,40 +3,126 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 
-#include "linalg/dense_matrix.h"
+#include "util/lanes.h"
 
 namespace midas::spn {
 
 namespace {
 
-/// Runs body(P) with P a compile-time 1 when `lanes` is 1, so one-lane
-/// callers get straight scalar loops (linalg/dense_matrix.cpp's idiom),
-/// and with the runtime lane count otherwise.  Bodies are marked
-/// always_inline, so their captures stay in registers.
-template <class Body>
-[[gnu::always_inline]] inline void with_lanes(std::size_t lanes,
-                                              Body&& body) {
-  if (lanes == 1) {
-    body(std::integral_constant<std::size_t, 1>{});
-  } else {
-    body(lanes);
+using util::with_lanes;
+
+constexpr std::size_t kNoLane = SIZE_MAX;
+
+/// Eliminates k×k blocks in place without pivoting and back-substitutes
+/// `R` right-hand-side lanes: b[r·R + q] is row r of lane q, on return
+/// its solution.  Per lane, the blocks sit point-major — entry (r, c) of
+/// lane q at a[(r·k + c)·R + q]; `shared` instead holds one block
+/// (a[r·k + c]) that every lane solves.  Each row's multiplier replaces
+/// the entry it zeroes and updates the row's right-hand side at once,
+/// so the operations and their order are those of a partial-pivoting
+/// LU that swaps nothing, followed by its forward and back
+/// substitution.  `floor` is 2·(blocks) doubles of scratch.  Returns
+/// the first block lane with a pivot that is not at least n·ε·‖A‖∞ (a
+/// NaN or negative pivot fails too), or kNoLane once every lane is
+/// solved.
+template <class Lanes>
+[[gnu::always_inline]] inline std::size_t eliminate(double* a, double* b,
+                                                    std::size_t k, Lanes R,
+                                                    bool shared,
+                                                    double* floor) {
+  const std::size_t B = shared ? 1 : std::size_t{R};  // blocks
+  const std::size_t fs = shared ? 0 : 1;  // block lane step per rhs lane
+  const auto at = [&](std::size_t r, std::size_t c) {
+    return a + (r * k + c) * B;
+  };
+  // A pivot only means anything relative to ‖A‖∞: n·ε·‖A‖∞ is the
+  // magnitude roundoff alone leaves in a singular-to-rounding block.
+  double* row = floor + B;
+  for (std::size_t l = 0; l < B; ++l) floor[l] = 0.0;
+  for (std::size_t r = 0; r < k; ++r) {
+    for (std::size_t l = 0; l < B; ++l) row[l] = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* x = at(r, c);
+      for (std::size_t l = 0; l < B; ++l) row[l] += std::abs(x[l]);
+    }
+    for (std::size_t l = 0; l < B; ++l) floor[l] = std::max(floor[l], row[l]);
   }
+  for (std::size_t l = 0; l < B; ++l) {
+    floor[l] = std::max(static_cast<double>(k) *
+                            std::numeric_limits<double>::epsilon() * floor[l],
+                        1e-300);
+  }
+
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double* d = at(kk, kk);
+    for (std::size_t l = 0; l < B; ++l) {
+      if (!(d[l] >= floor[l])) return l;
+    }
+    const double* bk = b + kk * R;
+    for (std::size_t r = kk + 1; r < k; ++r) {
+      double* f = at(r, kk);
+      for (std::size_t l = 0; l < B; ++l) f[l] /= d[l];
+      for (std::size_t c = kk + 1; c < k; ++c) {
+        double* x = at(r, c);
+        const double* y = at(kk, c);
+        for (std::size_t l = 0; l < B; ++l) x[l] -= f[l] * y[l];
+      }
+      double* br = b + r * R;
+      for (std::size_t q = 0; q < R; ++q) br[q] -= f[q * fs] * bk[q];
+    }
+  }
+  for (std::size_t i = k; i-- > 0;) {
+    double* bi = b + i * R;
+    for (std::size_t j = i + 1; j < k; ++j) {
+      const double* u = at(i, j);
+      const double* bj = b + j * R;
+      for (std::size_t q = 0; q < R; ++q) bi[q] -= u[q * fs] * bj[q];
+    }
+    const double* d = at(i, i);
+    for (std::size_t q = 0; q < R; ++q) bi[q] /= d[q * fs];
+  }
+  return kNoLane;
+}
+
+[[noreturn]] [[gnu::cold]] void throw_no_exit(const ReachabilityGraph& graph,
+                                              std::uint32_t state,
+                                              std::size_t lane, double diag) {
+  std::ostringstream msg;
+  msg << "TransientStructure: transient state "
+      << graph.states[state].to_string() << " has exit rate + shift "
+      << diag << " (not positive) in batch lane " << lane;
+  throw std::runtime_error(msg.str());
+}
+
+[[noreturn]] [[gnu::cold]] void throw_singular(const ReachabilityGraph& graph,
+                                               std::uint32_t first_state,
+                                               std::size_t k,
+                                               std::size_t lane) {
+  std::ostringstream msg;
+  msg << "TransientStructure: the " << k << "-state block at marking "
+      << graph.states[first_state].to_string()
+      << " is singular in batch lane " << lane
+      << ": a pivot is below n*eps*||A||inf, negative or NaN";
+  throw std::runtime_error(msg.str());
 }
 
 /// Factor reuse (BatchSolveOptions) for one assembled k×k block in P > 1
 /// lanes, solved into s.rhs; false, having solved nothing, when no two
-/// lanes share a normalised block.
+/// lanes share a normalised block.  A group whose elimination fails
+/// calls singular(head lane), which throws.
+template <class OnSingular>
 bool solve_shared(std::size_t k, std::size_t P,
-                  TransientStructure::Scratch& s) {
+                  TransientStructure::Scratch& s, OnSingular&& singular) {
   const double* M = s.lu.data();
   double* b = s.rhs.data();
   // Scale 2^-e, with 2^e the power of two bracketing block entry (0,0).
-  // The scaling is EXACT, so factoring N_p = M_p·2^-e picks the same
-  // pivots and yields the per-lane factors times 2^-e: the solution is
+  // The scaling is EXACT, so eliminating N_p = M_p·2^-e yields the
+  // per-lane multipliers and 2^-e times its pivots: the solution is
   // bitwise the raw block's.  Entry (0,0) is positive and normal in any
   // well-posed solve; a degenerate one takes the per-lane path.  For
   // biased exponent E, 2^-e has biased exponent 2046 − E.
@@ -48,8 +134,8 @@ bool solve_shared(std::size_t k, std::size_t P,
     const std::uint64_t e = std::bit_cast<std::uint64_t>(pivot) >> 52;
     s.scale[p] = std::bit_cast<double>((2046 - e) << 52);
   }
-  // Lanes with bitwise-identical N_p share one factorisation, so a
-  // lane's answer depends only on (N_p, b_p, e_p), not on its batch.
+  // Lanes with bitwise-identical N_p share one elimination, so a lane's
+  // answer depends only on (N_p, b_p, e_p), not on its batch.
   const auto same_normalised = [&](std::size_t p, std::size_t q) {
     for (std::size_t rc = 0; rc < k * k; ++rc) {
       if (std::bit_cast<std::uint64_t>(M[rc * P + p] * s.scale[p]) !=
@@ -88,10 +174,6 @@ bool solve_shared(std::size_t k, std::size_t P,
     for (std::size_t rc = 0; rc < k * k; ++rc) {
       s.shared_lu[rc] = M[rc * P + h] * s.scale[h];  // N_h
     }
-    linalg::LuFactorView view{s.shared_lu.first(k * k), s.ipiv.first(k),
-                              k};
-    view.factor();
-    ++s.blocks_factored;
     // Scaled right-hand sides g_p = b_p·2^-e_p, component-major; the
     // solutions go back to the members' lanes.
     for (std::size_t r = 0; r < k; ++r) {
@@ -100,7 +182,13 @@ bool solve_shared(std::size_t k, std::size_t P,
         G[r * n_g + g] = b[r * P + p] * s.scale[p];
       }
     }
-    view.solve_many(s.shared_rhs.first(k * n_g), n_g);
+    with_lanes(n_g, [&](auto R) __attribute__((always_inline)) {
+      if (eliminate(s.shared_lu.data(), G, k, R, true, s.floor.data()) !=
+          kNoLane) {
+        singular(h);
+      }
+    });
+    ++s.blocks_factored;
     for (std::size_t r = 0; r < k; ++r) {
       for (std::size_t g = 0; g < n_g; ++g) {
         b[r * P + s.member[g]] = G[r * n_g + g];
@@ -112,7 +200,8 @@ bool solve_shared(std::size_t k, std::size_t P,
 }
 }  // namespace
 
-TransientStructure::TransientStructure(const ReachabilityGraph& graph) {
+TransientStructure::TransientStructure(const ReachabilityGraph& graph)
+    : graph(graph) {
   const std::size_t n = graph.num_states();
   const auto absorbing = graph.absorbing_mask();
 
@@ -245,7 +334,7 @@ void TransientStructure::exit_rates(std::span<const double> edge_rates,
 
 TransientStructure::Scratch TransientStructure::make_scratch(
     std::size_t lanes, util::Arena& arena, bool factor_reuse) const {
-  // One dense block is k² doubles per lane and O(k³) to factor; the
+  // One dense block is k² doubles per lane and O(k³) to eliminate; the
   // model's only cycles are the group partition/merge flips.
   if (max_block > 4096) {
     throw std::runtime_error("transient SCC of size " +
@@ -257,8 +346,7 @@ TransientStructure::Scratch TransientStructure::make_scratch(
   s.lanes = lanes;
   s.lu = arena.make_span<double>(k * k * lanes);
   s.rhs = arena.make_span<double>(k * lanes);
-  s.ipiv = arena.make_span<std::uint32_t>(k * lanes);
-  s.pivot_lanes = arena.make_span<double>(3 * lanes);
+  s.floor = arena.make_span<double>(2 * lanes);
   if (factor_reuse && lanes > 1 && max_block > 1) {
     s.scale = arena.make_span<double>(lanes);
     s.head = arena.make_span<std::uint32_t>(lanes);
@@ -310,10 +398,7 @@ void TransientStructure::substitute(std::span<const double> edge_rates,
         const double* ej = exit_rate.data() + std::size_t{j} * P;
         for (std::size_t p = 0; p < P; ++p) {
           const double diag = ej[p] + shift;
-          if (diag <= 0.0) {
-            throw std::runtime_error(
-                "TransientStructure: transient state with zero exit rate");
-          }
+          if (!(diag > 0.0)) throw_no_exit(graph, expand[j], p, diag);
           xj[p] = b[p] / diag;
         }
         continue;
@@ -335,10 +420,12 @@ void TransientStructure::substitute(std::span<const double> edge_rates,
         const double* er = rates + std::size_t{terms[t].edge} * P;
         for (std::size_t p = 0; p < P; ++p) m[p] -= er[p];
       }
-      if (s.scale.empty() || !solve_shared(k, P, s)) {
-        linalg::lu_solve_point_major(s.lu.first(k * k * P),
-                                     s.rhs.first(k * P), k, P,
-                                     s.pivot_lanes, s.ipiv);
+      const auto singular = [&](std::size_t lane) {
+        throw_singular(graph, expand[block[0]], k, lane);
+      };
+      if (s.scale.empty() || !solve_shared(k, P, s, singular)) {
+        const std::size_t bad = eliminate(lu, b, k, P, false, s.floor.data());
+        if (bad != kNoLane) singular(bad);
         s.blocks_factored += P;
       }
       for (std::size_t r = 0; r < k; ++r) {

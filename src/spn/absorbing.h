@@ -19,6 +19,14 @@
 // core::SweepEngine); solve()/solve_from() run the same body with one
 // lane for the reference paths, the mission chain's tail and generic
 // nets.
+//
+// Each multi-state SCC is one dense block, eliminated in place without
+// pivoting.  Column i of a block holds state i's total exit rate plus
+// the shift on its diagonal and minus its rates to the block's other
+// states elsewhere, so every column is diagonally dominant; elimination
+// keeps that, and partial pivoting would never pick another row.  A
+// pivot that is not at least n·ε·‖A‖∞, or a singleton whose diagonal is
+// not positive, throws with the marking and the batch lane.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +56,10 @@ namespace midas::spn {
 /// The kernels run `lanes` independent systems over point-major spans
 /// (entry [i·lanes + p] is row i in lane p), so inner loops walk `lanes`
 /// contiguous doubles.  A lane's arithmetic does not depend on the other
-/// lanes, and one lane runs as a compile-time 1: straight scalar loops.
+/// lanes; one lane and eight run as compile-time counts
+/// (util::with_lanes).
 struct TransientStructure {
+  /// `graph` must outlive the structure (its errors name markings).
   explicit TransientStructure(const ReachabilityGraph& graph);
 
   /// An incoming transient→transient edge: compact source index plus the
@@ -67,13 +77,12 @@ struct TransientStructure {
   };
 
   /// substitute()'s working storage for `lanes` lanes, sized to the
-  /// largest SCC, plus counts of the dense-block factorisations.
+  /// largest SCC, plus counts of the dense-block eliminations.
   struct Scratch {
     std::size_t lanes = 0;
-    std::span<double> lu;           ///< one dense block per lane
-    std::span<double> rhs;          ///< its right-hand sides
-    std::span<std::uint32_t> ipiv;  ///< its pivot rows
-    std::span<double> pivot_lanes;  ///< lu_solve_point_major's 3·lanes
+    std::span<double> lu;     ///< one dense block per lane
+    std::span<double> rhs;    ///< its right-hand sides
+    std::span<double> floor;  ///< 2·lanes: n·ε·‖A‖∞, and row sums
     /// Factor reuse (empty when off, for one lane or without dense
     /// blocks): lane scales and group heads, one group's members.
     std::span<double> scale;
@@ -81,8 +90,8 @@ struct TransientStructure {
     std::span<std::uint32_t> member;
     std::span<double> shared_lu;
     std::span<double> shared_rhs;
-    std::size_t blocks_factored = 0;  ///< dense LU factorisations performed
-    std::size_t blocks_reused = 0;    ///< lane-solves served by a shared LU
+    std::size_t blocks_factored = 0;  ///< dense blocks eliminated
+    std::size_t blocks_reused = 0;    ///< lane-solves served by a shared one
   };
 
   [[nodiscard]] std::size_t size() const noexcept { return expand.size(); }
@@ -102,9 +111,12 @@ struct TransientStructure {
   /// `scratch`: `x` ([state][lane]) holds b on entry and the solution
   /// on return.  Components are taken in topological order, so every
   /// cross-component inflow is already solved; a singleton is one
-  /// division, a larger block one dense LU per lane, or one per group of
-  /// lanes under factor reuse (BatchSolveOptions).  With shift 0 the
-  /// arithmetic is the sojourn balance's, bit for bit.
+  /// division, a larger block one pivot-free elimination per lane, or
+  /// one per group of lanes under factor reuse (BatchSolveOptions).
+  /// With shift 0 the arithmetic is the sojourn balance's, bit for bit.
+  /// Throws std::runtime_error naming the marking and the lane when a
+  /// singleton's diagonal is not positive or a block's pivot is not at
+  /// least n·ε·‖A‖∞ (a NaN or negative pivot included).
   void substitute(std::span<const double> edge_rates,
                   std::span<const double> exit_rate, double shift,
                   std::span<double> x, Scratch& scratch) const;
@@ -116,6 +128,7 @@ struct TransientStructure {
                        std::span<const double> x, std::span<double> absorbed,
                        std::size_t lanes) const;
 
+  const ReachabilityGraph& graph;
   /// Full → compact index (UINT32_MAX at absorbing states).
   std::vector<std::uint32_t> compact;
   std::vector<std::uint32_t> expand;  ///< compact → full
@@ -167,7 +180,8 @@ struct BatchSolveOptions {
   /// normalised by the power of two bracketing its first diagonal
   /// entry, and points whose normalised blocks are BITWISE identical
   /// (identical blocks, or exact power-of-two multiples, as in
-  /// rate-scaled sweeps) share one LU factorisation via solve_many.
+  /// rate-scaled sweeps) share one elimination over all their
+  /// right-hand sides.
   /// The match is intrinsic to each point's block, so results never
   /// depend on batch or shard grouping, and the scaling is exact, so
   /// the shared-factor solves are bitwise the per-point ones (the gate
@@ -185,8 +199,8 @@ struct AbsorbingBatchResult {
   std::span<double> sojourn;  ///< [n][P]; absorbing rows identically 0
   std::span<double> absorb_probability;  ///< [n][P]; transient rows 0
   std::size_t solver_blocks = 0;    ///< per point (structure-shared)
-  std::size_t blocks_factored = 0;  ///< LU factorisations performed
-  std::size_t blocks_reused = 0;    ///< point-solves served by a shared LU
+  std::size_t blocks_factored = 0;  ///< dense blocks eliminated
+  std::size_t blocks_reused = 0;    ///< point-solves served by a shared one
 };
 
 /// Throws std::invalid_argument naming `name` when `mass` is not
@@ -237,7 +251,7 @@ class AbsorbingAnalyzer {
   /// edges·num_points).  Each point is one lane of the TransientStructure
   /// kernels, with unit mass at the initial state: one pass over the
   /// structure serves all points — or, with opts.factor_reuse, one
-  /// factorisation is shared across points whose normalised blocks
+  /// elimination is shared across points whose normalised blocks
   /// coincide (see BatchSolveOptions).  All scratch and the result spans
   /// come from `arena` (the calling thread's scratch arena when null);
   /// the caller resets the arena between batches.

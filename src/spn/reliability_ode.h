@@ -18,8 +18,8 @@
 // (here with one lane and its scratch from a util::Arena).
 // In the GCS model the transient chain's only cycles are the group
 // partition/merge flips, so the pass is a division per singleton state
-// plus a small dense LU per flip block, and stays exact however fast
-// the flips are.
+// plus a small pivot-free elimination per flip block, and stays exact
+// however fast the flips are.
 //
 // Phased missions (core::MissionAnalyzer) chain propagate() across
 // piecewise-constant segments: the weights at a phase boundary seed the

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "linalg/dense_matrix.h"
+#include "oracle/dense_lu.h"
 
 namespace midas::spn::oracle {
 

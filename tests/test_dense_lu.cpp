@@ -1,15 +1,25 @@
-#include "linalg/dense_matrix.h"
+// The pivoting LU oracle (tests/oracle/dense_lu.*) on its own, and the
+// production kernel it checks: spn::TransientStructure::substitute's
+// pivot-free block elimination must be its answer bit for bit.
+#include "oracle/dense_lu.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "spn/absorbing.h"
+#include "spn/reachability.h"
+#include "util/arena.h"
+
 namespace {
 
 using namespace midas::linalg;
+namespace spn = midas::spn;
 
 /// A row-major n×n matrix factored in place by LuFactorView, with the
 /// storage the view points into.
@@ -45,6 +55,11 @@ TEST(LuSolver, SolvesKnownSystem) {
   const auto x = lu.solve({5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
+  // A separate output gives the in-place solve's bits.
+  const std::vector<double> b{5.0, 10.0};
+  std::vector<double> y(2);
+  lu.view().solve_to(b, y);
+  EXPECT_EQ(y, x);
 }
 
 TEST(LuSolver, PivotingHandlesZeroLeadingEntry) {
@@ -115,86 +130,106 @@ TEST_P(LuRandomSystems, ResidualIsTiny) {
 INSTANTIATE_TEST_SUITE_P(Sizes, LuRandomSystems,
                          ::testing::Values(1, 2, 3, 5, 10, 25, 60));
 
-TEST(LuSolver, SolveManyColumnsAreBitwiseRepeatedSolves) {
-  // Component-major B[r*k + j]: column j of the multi-RHS solve must be
-  // bitwise what a standalone solve_to of that column produces — the
-  // batched solver's factor-reuse path depends on this for grouping
-  // independence.
-  const std::size_t n = 5, k = 4;
-  Factored lu(random_dd(n, 23), n);
-  std::vector<std::vector<double>> cols(k, std::vector<double>(n));
-  std::vector<double> B(n * k);
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t r = 0; r < n; ++r) {
-      cols[j][r] = std::sin(double(j + 1) * double(r + 2));
-      B[r * k + j] = cols[j][r];
-    }
-  }
-  lu.view().solve_many(B, k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const auto ref = lu.solve(cols[j]);
-    for (std::size_t r = 0; r < n; ++r) {
-      EXPECT_EQ(B[r * k + j], ref[r]) << "col " << j << " row " << r;
-    }
-  }
-}
-
-TEST(LuSolver, SolveManySingleRhsIsBitwiseSolveTo) {
-  const std::size_t n = 7;
-  Factored lu(random_dd(n, 29), n);
-  std::vector<double> b(n);
-  for (std::size_t r = 0; r < n; ++r) b[r] = double(r) - 2.5;
-  std::vector<double> x(n);
-  lu.view().solve_to(b, x);
-  std::vector<double> B = b;
-  lu.view().solve_many(B, 1);
-  for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(B[r], x[r]) << r;
-  // Aliased b/x is allowed and gives the same bits.
-  std::vector<double> inplace = b;
-  lu.view().solve_to(inplace, inplace);
-  for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(inplace[r], x[r]) << r;
-}
-
-TEST(DenseLu, PointMajorIsBitwiseFactorView) {
-  // P systems factored and solved together, point-major, must give each
-  // system's LuFactorView factor + solve_to answer bit for bit, pivots
-  // included: the entries are not diagonally dominant, so the systems
-  // choose different pivot rows.
-  const std::size_t n = 4, P = 5;
-  std::mt19937_64 rng(37);
-  std::uniform_real_distribution<double> uni(-1.0, 1.0);
-  std::vector<double> a(n * n * P), b(n * P);
-  for (auto& v : a) v = uni(rng);
-  for (auto& v : b) v = uni(rng);
-  std::vector<double> lu = a, x = b, lane(3 * P);
-  std::vector<std::uint32_t> lane_piv(n * P);
-  lu_solve_point_major(lu, x, n, P, lane, lane_piv);
-
-  bool pivoted = false;
-  for (std::size_t p = 0; p < P; ++p) {
-    std::vector<double> m(n * n), ref(n);
-    for (std::size_t rc = 0; rc < n * n; ++rc) m[rc] = a[rc * P + p];
-    for (std::size_t r = 0; r < n; ++r) ref[r] = b[r * P + p];
-    std::vector<std::uint32_t> ipiv(n);
-    LuFactorView view{m, ipiv, n};
-    view.factor();
-    view.solve_to(ref, ref);
-    for (std::size_t k = 0; k < n; ++k) pivoted = pivoted || ipiv[k] != k;
-    for (std::size_t rc = 0; rc < n * n; ++rc) {
-      EXPECT_EQ(lu[rc * P + p], m[rc]) << "system " << p << " entry " << rc;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      EXPECT_EQ(x[r * P + p], ref[r]) << "system " << p << " row " << r;
-    }
-  }
-  EXPECT_TRUE(pivoted);
-}
-
 TEST(DenseLu, FactorViewSingularThrows) {
   std::vector<double> storage{1.0, 2.0, 2.0, 4.0};
   std::vector<std::uint32_t> ipiv(2);
   LuFactorView view{storage, ipiv, 2};
   EXPECT_THROW(view.factor(), std::runtime_error);
+}
+
+/// k transient states, each with an edge to every other and one to the
+/// absorbing state k: the transient chain is one dense k×k block.
+spn::ReachabilityGraph complete_block(std::uint32_t k) {
+  spn::ReachabilityGraph g;
+  g.states.assign(k + 1, spn::Marking(1));
+  g.edge_offsets.push_back(0);
+  for (std::uint32_t i = 0; i <= k; ++i) {
+    for (std::uint32_t j = 0; j <= k && i < k; ++j) {
+      if (j != i) g.edges.push_back({i, j, 1.0, 0, 0.0, 1.0, 0.0});
+    }
+    g.edge_offsets.push_back(static_cast<std::uint32_t>(g.edges.size()));
+  }
+  return g;
+}
+
+TEST(DenseLu, KernelBlocksAreBitwiseThePivotingLu) {
+  // Random CTMC blocks are column diagonally dominant, so partial
+  // pivoting swaps nothing, and the kernel's pivot-free elimination
+  // must give every lane the pivoting LU's factor + solve_to answer on
+  // that lane's own block, bit for bit: k = 2..6, at one, three and
+  // eight lanes (both compile-time counts and a runtime one), at shift
+  // 0 and a θ-step shift, and as one shared group under factor reuse
+  // (lane q's rates 2^q × lane 0's, so every normalised block
+  // coincides).
+  std::mt19937_64 rng(41);
+  std::uniform_real_distribution<double> rate(0.1, 2.0);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  for (std::uint32_t k = 2; k <= 6; ++k) {
+    const auto g = complete_block(k);
+    const spn::TransientStructure t(g);
+    ASSERT_EQ(t.components.size(), 1u);
+    const auto& block = t.components[0];
+    const std::size_t E = g.edges.size();
+    for (const std::size_t lanes : {1u, 3u, 8u}) {
+      for (const bool shared : {false, true}) {
+        if (shared && lanes == 1) continue;  // a group needs two lanes
+        for (const double shift : {0.0, 1.5}) {
+          if (shared && shift != 0.0) continue;  // scaling needs shift 0
+          std::vector<double> rates(E * lanes);
+          for (std::size_t e = 0; e < E; ++e) {
+            const double r0 = rate(rng);
+            for (std::size_t p = 0; p < lanes; ++p) {
+              rates[e * lanes + p] =
+                  shared ? std::ldexp(r0, static_cast<int>(p)) : rate(rng);
+            }
+          }
+          std::vector<double> x(k * lanes);
+          for (auto& v : x) v = value(rng);
+          const std::vector<double> b = x;
+          midas::util::Arena arena;
+          auto exit = arena.make_span<double>(k * lanes);
+          t.exit_rates(rates, exit, lanes);
+          auto scratch = t.make_scratch(lanes, arena, shared);
+          t.substitute(rates, exit, shift, x, scratch);
+          EXPECT_EQ(scratch.blocks_factored, shared ? 1u : lanes);
+          EXPECT_EQ(scratch.blocks_reused, shared ? lanes - 1 : 0u);
+
+          for (std::size_t p = 0; p < lanes; ++p) {
+            const std::string tag =
+                "k " + std::to_string(k) + ", " + std::to_string(lanes) +
+                " lanes" + (shared ? " shared" : "") + ", shift " +
+                std::to_string(shift) + ", lane " + std::to_string(p);
+            // Lane p's block in the kernel's row order: shift + exit_j
+            // on the diagonal, −r_ij at (row of j, row of i).
+            std::vector<std::uint32_t> row_of(k);
+            for (std::uint32_t r = 0; r < k; ++r) row_of[block[r]] = r;
+            std::vector<double> m(k * k, 0.0), ref(k);
+            for (std::uint32_t r = 0; r < k; ++r) {
+              m[r * k + r] = exit[block[r] * lanes + p] + shift;
+              ref[r] = b[block[r] * lanes + p];
+            }
+            for (std::size_t e = 0; e < E; ++e) {
+              const auto& edge = g.edges[e];
+              if (edge.dst == k) continue;
+              m[row_of[edge.dst] * k + row_of[edge.src]] -=
+                  rates[e * lanes + p];
+            }
+            std::vector<std::uint32_t> ipiv(k);
+            LuFactorView lu{m, ipiv, k};
+            lu.factor();
+            lu.solve_to(ref, ref);
+            for (std::uint32_t r = 0; r < k; ++r) {
+              EXPECT_EQ(ipiv[r], r) << tag << ": the oracle pivoted";
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(x[block[r] * lanes + p]),
+                        std::bit_cast<std::uint64_t>(ref[r]))
+                  << tag << " row " << r << ": " << x[block[r] * lanes + p]
+                  << " vs " << ref[r];
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/dense_matrix.h"
+#include "oracle/dense_lu.h"
 #include "oracle/substitution.h"
 #include "oracle/transient.h"
 

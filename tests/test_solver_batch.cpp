@@ -282,7 +282,7 @@ spn::PetriNet cycle_net(double ra, double rb, double rd) {
 TEST(SolverBatch, RateScaledBlocksFactorOnceUnderReuse) {
   // Point p's rates are 2^p × point 0's: the dense blocks are exact
   // scalar multiples, the power-of-two normalisation is lossless, and
-  // one LU serves all four points.
+  // one elimination serves all four points.
   std::vector<spn::PetriNet> nets;
   for (int p = 0; p < 4; ++p) {
     const double s = std::ldexp(1.0, p);
@@ -482,6 +482,112 @@ TEST(SolverBatch, StoredRateSolveMatchesExplicitRates) {
   }
 }
 
+// --- Numerical failures name their marking and lane. -------------------
+
+/// The message `solve` throws as std::runtime_error, or "" when it
+/// returns.
+template <class Solve>
+std::string error_of(Solve&& solve) {
+  try {
+    solve();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The index of the edge from the state with marking `from` to the one
+/// with marking `to`.
+std::size_t edge_index(const spn::ReachabilityGraph& g,
+                       const std::string& from, const std::string& to) {
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    if (g.states[g.edges[i].src].to_string() == from &&
+        g.states[g.edges[i].dst].to_string() == to) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no edge " << from << " -> " << to;
+  return 0;
+}
+
+TEST(SolverBatch, SingularBlockThrowsNamingItsMarkingAndLane) {
+  // A ⇄ B at 1e20 with exits at 1e-10: each exit rounds away against
+  // the cycle rate, so the 2-state block is singular to rounding (its
+  // second pivot is 0).  In a batch, a NaN in-block rate (a NaN pivot)
+  // and a negative exit (a negative pivot) must fail the same way in
+  // their own lane, where a test of |pivot| let both through.
+  spn::PetriNet net;
+  const auto a = net.add_place("A", 1);
+  const auto b = net.add_place("B", 0);
+  const auto dead = net.add_place("Dead", 0);
+  net.transition("ab").input(a).output(b).rate(1e20).add();
+  net.transition("ba").input(b).output(a).rate(1e20).add();
+  net.transition("ad").input(a).output(dead).rate(1e-10).add();
+  net.transition("bd").input(b).output(dead).rate(1e-10).add();
+  const auto g = spn::explore(net);
+  const spn::AbsorbingAnalyzer an(g);
+  const auto names_block = [](const std::string& msg) {
+    return msg.find("2-state block at marking (1, 0, 0)") !=
+               std::string::npos ||
+           msg.find("2-state block at marking (0, 1, 0)") != std::string::npos;
+  };
+  std::string msg = error_of([&] { (void)an.solve(); });
+  EXPECT_TRUE(names_block(msg)) << msg;
+  EXPECT_NE(msg.find("batch lane 0"), std::string::npos) << msg;
+
+  const std::size_t E = g.edges.size();
+  const std::size_t ab = edge_index(g, "(1, 0, 0)", "(0, 1, 0)");
+  const std::size_t ad = edge_index(g, "(1, 0, 0)", "(0, 0, 1)");
+  for (const std::size_t bad : {1u, 2u}) {
+    std::vector<double> rates(E * 3, 1.0);
+    if (bad == 1) rates[ab * 3 + 1] = std::nan("");
+    if (bad == 2) rates[ad * 3 + 2] = -3.0;
+    for (const bool reuse : {false, true}) {
+      util::Arena arena;
+      msg = error_of([&] {
+        (void)an.solve_batch(rates, 3, spn::BatchSolveOptions{reuse}, &arena);
+      });
+      EXPECT_TRUE(names_block(msg)) << msg;
+      EXPECT_NE(msg.find("batch lane " + std::to_string(bad)),
+                std::string::npos)
+          << msg;
+    }
+  }
+}
+
+TEST(SolverBatch, StateWithoutExitThrowsNamingItsMarkingAndLane) {
+  // A → B → Dead: every SCC is a singleton.  A zero override of
+  // B → Dead leaves B with no exit, and a NaN one with a NaN diagonal;
+  // both must fail naming B, not divide.
+  spn::PetriNet net;
+  const auto a = net.add_place("A", 1);
+  const auto b = net.add_place("B", 0);
+  const auto dead = net.add_place("Dead", 0);
+  net.transition("ab").input(a).output(b).rate(1.0).add();
+  net.transition("bd").input(b).output(dead).rate(1.0).add();
+  const auto g = spn::explore(net);
+  const spn::AbsorbingAnalyzer an(g);
+  const std::size_t bd = edge_index(g, "(0, 1, 0)", "(0, 0, 1)");
+  for (const double r : {0.0, std::nan("")}) {
+    std::vector<double> rates(g.edges.size(), 1.0);
+    rates[bd] = r;
+    const std::string msg = error_of([&] { (void)an.solve(rates); });
+    EXPECT_NE(msg.find("transient state (0, 1, 0)"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("batch lane 0"), std::string::npos) << msg;
+  }
+}
+
+TEST(SolverBatch, StiffButWellPosedCycleSolves) {
+  // A ⇄ B at 2^23 with B's exit at 2^-24, 14 decades apart: the block
+  // is ill-conditioned, but its last pivot is the exit rate, far above
+  // the n·ε·‖A‖∞ ≈ 2^-27 floor, so the solve must go through.
+  // MTTA = 2^25 + 2^-23.
+  const auto g = spn::explore(cycle_net(0x1p23, 0x1p23, 0x1p-24));
+  const auto res = spn::AbsorbingAnalyzer(g).solve();
+  expect_rel(res.mtta, 0x1p25 + 0x1p-23, 1e-12, "stiff cycle mtta");
+}
+
 // --- Full evaluation pipeline (evaluate_with_batch + engine). ----------
 
 void expect_eval_bitwise(const core::Evaluation& a, const core::Evaluation& b,
@@ -521,7 +627,7 @@ TEST(SolverBatch, EvaluateWithBatchReuseOffIsBitwiseEvaluateReference) {
 TEST(SolverBatch, EngineResultsAreIndependentOfBatchWidth) {
   // 17 points so widths 3 and 8 leave ragged final batches (17 = 5·3+2
   // = 2·8+1) and width 17 is one full batch.  Point 1 duplicates point
-  // 0, so at every width >= 2 their batch shares LU factorisations.
+  // 0, so at every width >= 2 their batch shares eliminations.
   // Factor reuse is grouping-independent and exact, so every width —
   // including batches of one — and GcsSpnModel::evaluate() must agree
   // BITWISE.
@@ -532,7 +638,7 @@ TEST(SolverBatch, EngineResultsAreIndependentOfBatchWidth) {
     util::Arena arena;
     const auto res = head.analyzer->solve_batch(
         head.rates, head.num_points, spn::BatchSolveOptions{}, &arena);
-    ASSERT_GT(res.blocks_reused, 0u) << "the duplicate must share an LU";
+    ASSERT_GT(res.blocks_reused, 0u) << "the duplicate must share an elimination";
   }
   core::SweepEngine engine(1);
   const auto w1 = engine.evaluate(pts, 1);
