@@ -513,9 +513,12 @@ std::size_t edge_index(const spn::ReachabilityGraph& g,
 TEST(SolverBatch, SingularBlockThrowsNamingItsMarkingAndLane) {
   // A ⇄ B at 1e20 with exits at 1e-10: each exit rounds away against
   // the cycle rate, so the 2-state block is singular to rounding (its
-  // second pivot is 0).  In a batch, a NaN in-block rate (a NaN pivot)
-  // and a negative exit (a negative pivot) must fail the same way in
-  // their own lane, where a test of |pivot| let both through.
+  // second pivot is 0).  In a batch whose other lanes are well posed,
+  // that lane must fail the same way, with factor reuse on (two good
+  // lanes share a group, so the bad one is eliminated as a group of
+  // its own) and off, and so must a NaN in-block rate (a NaN pivot)
+  // and a negative exit (a negative pivot), which a test of |pivot|
+  // let through.
   spn::PetriNet net;
   const auto a = net.add_place("A", 1);
   const auto b = net.add_place("B", 0);
@@ -538,10 +541,14 @@ TEST(SolverBatch, SingularBlockThrowsNamingItsMarkingAndLane) {
   const std::size_t E = g.edges.size();
   const std::size_t ab = edge_index(g, "(1, 0, 0)", "(0, 1, 0)");
   const std::size_t ad = edge_index(g, "(1, 0, 0)", "(0, 0, 1)");
-  for (const std::size_t bad : {1u, 2u}) {
+  for (const int defect : {0, 1, 2}) {
     std::vector<double> rates(E * 3, 1.0);
-    if (bad == 1) rates[ab * 3 + 1] = std::nan("");
-    if (bad == 2) rates[ad * 3 + 2] = -3.0;
+    const std::size_t bad = defect == 1 ? 1 : 2;
+    if (defect == 0) {
+      for (std::size_t i = 0; i < E; ++i) rates[i * 3 + 2] = g.edges[i].rate;
+    }
+    if (defect == 1) rates[ab * 3 + 1] = std::nan("");
+    if (defect == 2) rates[ad * 3 + 2] = -3.0;
     for (const bool reuse : {false, true}) {
       util::Arena arena;
       msg = error_of([&] {
